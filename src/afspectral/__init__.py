@@ -20,7 +20,6 @@ from .algebra import (
     canonical_basis,
     cantor,
     conditional_expectation,
-    evaluate_state,
     from_matrix,
     from_values,
     identity_element,

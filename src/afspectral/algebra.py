@@ -160,22 +160,29 @@ def slot_basis(k: int) -> np.ndarray:
     return np.stack(mats)
 
 
+def kron_words(k: int, frames) -> np.ndarray:
+    """Kronecker products of per-slot frames over the canonical uhf words.
+
+    ``frames[s]`` is the (k*k, k, k) single-slot system of tensor slot s,
+    identity last; row j of the result materializes level-``len(frames)``
+    basis index j, its word padded with identity slots.
+    """
+    level = len(frames)
+    ident = k * k
+    words = np.ones((1, 1, 1), dtype=complex)
+    for f in frames:
+        words = np.kron(words, f)  # row order: slot labels, first slot most significant
+    idxs = _uhf_indices(k, level)
+    labels = np.array(
+        [ix.word + (ident,) * (level - len(ix.word)) for ix in idxs], dtype=int
+    ).reshape(len(idxs), level)
+    return words[(labels - 1) @ ident ** np.arange(level - 1, -1, -1)]
+
+
 @lru_cache(maxsize=None)
 def _uhf_stack(k: int, level: int) -> np.ndarray:
     """Stacked materializations of the level-n uhf basis, shape (dim, k^n, k^n)."""
-    slots = slot_basis(k)
-    ident = k * k
-    idxs = _uhf_indices(k, level)
-    dim = k ** (2 * level)
-    size = k**level
-    out = np.empty((dim, size, size), dtype=complex)
-    for pos, ix in enumerate(idxs):
-        labels = ix.word + (ident,) * (level - len(ix.word))
-        m = np.eye(1, dtype=complex)
-        for lab in labels:
-            m = np.kron(m, slots[lab - 1])
-        out[pos] = m
-    return out
+    return kron_words(k, (slot_basis(k),) * level)
 
 
 @lru_cache(maxsize=None)
@@ -196,6 +203,35 @@ def _haar_stack(level: int) -> np.ndarray:
         out[pos, start : start + span] = amp
         out[pos, start + span : start + 2 * span] = -amp
     return out
+
+
+def basis_stack(filtration: Filtration, level: int) -> np.ndarray:
+    """Materialized level-n basis: (dim, k^n, k^n) matrices (uhf) or (dim, 2^n) leaf values (cantor)."""
+    filtration._check_level(level)
+    if filtration.family == "uhf":
+        return _uhf_stack(filtration.k, level)
+    return _haar_stack(level)
+
+
+def decompose(filtration: Filtration, level: int, mats) -> np.ndarray:
+    """Canonical coefficients of a materialized element or stack; inverts materialization.
+
+    The basis is orthonormal for the reference state, so this is one product
+    with the conjugated :func:`basis_stack`; leading axes of ``mats`` are kept.
+    """
+    stack = basis_stack(filtration, level)
+    m = np.asarray(mats, dtype=complex)
+    lead = m.shape[: m.ndim - stack.ndim + 1]
+    if m.shape[len(lead) :] != stack.shape[1:]:
+        raise InvalidInputError(f"element shape {m.shape}, expected (..., {stack.shape[1:]})")
+    flat = np.conj(stack).reshape(len(stack), -1)
+    coeffs = m.reshape(-1, flat.shape[1]) @ flat.T / stack.shape[1]
+    return coeffs.reshape(*lead, len(stack))
+
+
+def mat_product(filtration: Filtration, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Product of materialized elements (broadcasting over stacks): matrix or pointwise."""
+    return x @ y if filtration.family == "uhf" else x * y
 
 
 def leaf_index(word) -> int:
@@ -234,9 +270,6 @@ class AlgebraElement:
         idxs = canonical_basis(self.filtration, self.level)
         nz = np.nonzero(np.abs(self.coeffs) > 1e-14)[0]
         return int(idxs[nz[-1]].grade) if len(nz) else 0
-
-    def is_selfadjoint(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.coeffs.imag), initial=0.0) <= tol)
 
     def adjoint(self) -> "AlgebraElement":
         return AlgebraElement(self.filtration, self.level, np.conj(self.coeffs))
@@ -291,9 +324,7 @@ class AlgebraElement:
         """Dense form: a k^n x k^n matrix (uhf) or a leaf-value vector (cantor)."""
         lev = self.level if level is None else level
         x = self.embed(lev) if lev != self.level else self
-        if self.filtration.family == "uhf":
-            return np.tensordot(x.coeffs, _uhf_stack(self.filtration.k, lev), axes=1)
-        return x.coeffs @ _haar_stack(lev)
+        return np.tensordot(x.coeffs, basis_stack(self.filtration, lev), axes=1)
 
     def to_dict(self):
         return {
@@ -329,13 +360,11 @@ def from_matrix(filtration: Filtration, level: int, mat) -> AlgebraElement:
     """Decompose a dense k^n x k^n matrix over the canonical uhf basis."""
     if filtration.family != "uhf":
         raise InvalidInputError("from_matrix applies to uhf filtrations")
-    stack = _uhf_stack(filtration.k, level)
     size = filtration.k**level
     m = np.asarray(mat, dtype=complex)
     if m.shape != (size, size):
         raise InvalidInputError(f"matrix shape {m.shape}, expected ({size},{size})")
-    coeffs = np.einsum("iab,ab->i", np.conj(stack), m) / size
-    return AlgebraElement(filtration, level, coeffs)
+    return AlgebraElement(filtration, level, decompose(filtration, level, m))
 
 
 def from_values(filtration: Filtration, level: int, values) -> AlgebraElement:
@@ -346,16 +375,14 @@ def from_values(filtration: Filtration, level: int, values) -> AlgebraElement:
     n = filtration.leaf_count(level)
     if v.shape != (n,):
         raise InvalidInputError(f"value vector shape {v.shape}, expected ({n},)")
-    coeffs = _haar_stack(level) @ v / n
-    return AlgebraElement(filtration, level, coeffs)
+    return AlgebraElement(filtration, level, decompose(filtration, level, v))
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Algebra product; bilinear and associative, via dense materialization."""
     x, y, lev = a._common(b)
-    if a.filtration.family == "uhf":
-        return from_matrix(a.filtration, lev, x.materialize() @ y.materialize())
-    return from_values(a.filtration, lev, x.materialize() * y.materialize())
+    prod = mat_product(a.filtration, x.materialize(), y.materialize())
+    return AlgebraElement(a.filtration, lev, decompose(a.filtration, lev, prod))
 
 
 def conditional_expectation(x: AlgebraElement, level: int) -> AlgebraElement:
@@ -547,10 +574,6 @@ def state_from_dict(d) -> State:
         ]
         return ProductState(dens)
     raise InvalidInputError(f"unknown state variant {v!r}")
-
-
-def evaluate_state(state: State, x: AlgebraElement) -> complex:
-    return state.value(x)
 
 
 def vanishing_level(state: State, filtration: Filtration, depth: int | None = None) -> int:

@@ -3,8 +3,10 @@
 Every capability is exposed as a subcommand emitting line-delimited JSON
 records (deterministic for a fixed seed: keys sorted, no timestamps).  Exit
 status: 0 when every asserted record passes, 1 on a failed assertion, 2 on
-usage errors.  A JSON config file can prefill any subcommand's options;
-explicit flags override it.  Records go to stdout or to --output (relative
+usage errors, 3 when the answer is numerically undecidable (a verdict
+residual inside the guard band, or an objective unbounded along a
+Dirac-commuting direction).  A JSON config file can prefill any
+subcommand's options; explicit flags override it.  Records go to stdout or to --output (relative
 paths resolve under $AFSPECTRAL_OUTDIR when set).
 """
 
@@ -21,7 +23,7 @@ from . import crossed as cx
 from . import isometry as iso
 from . import metric as mt
 from . import triple as tr
-from .errors import InvalidInputError
+from .errors import AmbiguousVerdictError, InvalidInputError, UnboundedObjectiveError
 from .linalg import random_unitary
 
 
@@ -48,6 +50,12 @@ def _parse_floats(text):
     return [float(v) for v in text.split(",") if v.strip()]
 
 
+def _lambdas(p) -> list:
+    """The eigenvalue list: comma separated text from a flag, or a list from a config file."""
+    lam = p["lambda"]
+    return _parse_floats(lam) if isinstance(lam, str) else lam
+
+
 def _build_filtration(p) -> al.Filtration:
     family = p.get("family", "uhf")
     if family == "uhf":
@@ -59,7 +67,7 @@ def _build_filtration(p) -> al.Filtration:
 
 def _build_dirac(p, depth: int) -> tr.DiracSpec:
     if p.get("lambda"):
-        lam = _parse_floats(p["lambda"]) if isinstance(p["lambda"], str) else p["lambda"]
+        lam = _lambdas(p)
         if len(lam) != depth:
             raise InvalidInputError(f"need {depth} eigenvalues, got {len(lam)}")
         return tr.dirac_explicit(lam)
@@ -70,8 +78,11 @@ def _build_dirac(p, depth: int) -> tr.DiracSpec:
     return tr.dirac_power(2.0, depth)
 
 
-def _build_reference(filtration: al.Filtration) -> al.State:
-    return al.TraceState() if filtration.family == "uhf" else al.UniformState()
+def _triple_from_params(p) -> tr.TruncatedTriple:
+    """Triple from the family/k/depth and lambda/gamma/power options, on the reference state."""
+    filt = _build_filtration(p)
+    ref = al.TraceState() if filt.family == "uhf" else al.UniformState()
+    return tr.build_triple(filt, ref, _build_dirac(p, filt.depth))
 
 
 def _parse_state(text: str, filtration: al.Filtration) -> al.State:
@@ -163,7 +174,7 @@ def _int_list(value, default):
 def run_distance(p) -> list:
     cfg = _solver_config(p)
     if p.get("car"):
-        lam = _parse_floats(p["lambda"]) if isinstance(p["lambda"], str) else p["lambda"]
+        lam = _lambdas(p)
         records = []
         for n in _int_list(p.get("n"), 0):
             for l in _int_list(p.get("l"), 3):
@@ -183,9 +194,8 @@ def run_distance(p) -> list:
                 rec.pop("diagnostics", None)
                 records.append(rec)
         return records
-    filt = _build_filtration(p)
-    dirac = _build_dirac(p, filt.depth)
-    triple = tr.build_triple(filt, _build_reference(filt), dirac)
+    triple = _triple_from_params(p)
+    filt = triple.filtration
     s1 = _parse_state(p["state1"], filt)
     s2 = _parse_state(p["state2"], filt)
     problem = mt.reduce_search_level(mt.DistanceProblem(triple, s1, s2))
@@ -206,10 +216,8 @@ def run_distance(p) -> list:
 def run_iso_check(p) -> list:
     if p.get("round_trip"):
         return _run_round_trip(p)
-    filt = _build_filtration(p)
-    dirac = _build_dirac(p, filt.depth)
-    triple = tr.build_triple(filt, _build_reference(filt), dirac)
-    spec = _parse_automorphism(p["auto"], filt)
+    triple = _triple_from_params(p)
+    spec = _parse_automorphism(p["auto"], triple.filtration)
     verdict = iso.iso_check(triple, spec)
     prediction = iso.iso_prediction(triple, verdict)
     rec = verdict.to_dict()
@@ -279,11 +287,9 @@ def run_iso_enumerate(p) -> list:
     records = []
     depths = _int_list(p.get("depth"), 3)
     for depth in depths:
-        filt = al.cantor(depth)
         # an explicit eigenvalue list cannot serve several depths at once
         dirac_params = p if len(depths) == 1 else {k: v for k, v in p.items() if k != "lambda"}
-        dirac = _build_dirac(dirac_params, depth)
-        triple = tr.build_triple(filt, al.UniformState(), dirac)
+        triple = _triple_from_params({**dirac_params, "family": "cantor", "depth": depth})
         mode = "exhaustive" if p.get("exhaustive") else "portraits"
         rep = iso.enumerate_cantor_iso(triple, mode=mode, progress=bool(p.get("progress")))
         rep.pop("elements", None)
@@ -312,7 +318,7 @@ def run_cantor_metric(p) -> list:
 
 
 def run_switch_violation(p) -> list:
-    lam = _parse_floats(p["lambda"]) if isinstance(p["lambda"], str) else p["lambda"]
+    lam = _lambdas(p)
     filt = al.uhf(2, len(lam))
     triple = tr.build_triple(filt, al.TraceState(), tr.dirac_explicit(lam))
     records = []
@@ -345,9 +351,7 @@ def run_flip_demo(p) -> list:
 
 
 def run_shift_inequality(p) -> list:
-    lam = None
-    if p.get("lambda"):
-        lam = _parse_floats(p["lambda"]) if isinstance(p["lambda"], str) else p["lambda"]
+    lam = _lambdas(p) if p.get("lambda") else None
     ns = _int_list(p.get("n"), 1)
     c = float(p.get("c", 2.0))
     depth = max(max(ns) + 1, len(lam) if lam else 0)
@@ -449,13 +453,12 @@ def run_crossed_lift(p) -> list:
         return _crossed_suite(p)
     action_name = p.get("action", "trivial")
     if action_name == "odometer":
-        filt = al.cantor(int(p.get("depth", 3)))
+        p = {**p, "family": "cantor", "depth": p.get("depth", 3)}
         action = cx.OdometerAction()
     else:
-        filt = _build_filtration({**p, "family": p.get("family", "uhf")})
         action = cx.TrivialAction()
-    dirac = _build_dirac(p, filt.depth)
-    base = tr.build_triple(filt, _build_reference(filt), dirac)
+    base = _triple_from_params(p)
+    filt = base.filtration
     radius = int(p.get("radius", 4))
     margin = int(p.get("margin", 2))
     lifted = cx.build_lifted(base, action, radius, margin)
@@ -656,6 +659,9 @@ def main(argv=None) -> int:
     except (InvalidInputError, ValueError, KeyError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except (AmbiguousVerdictError, UnboundedObjectiveError) as exc:
+        print(f"undecidable: {exc}", file=sys.stderr)
+        return 3
 
     lines = [json.dumps(rec, sort_keys=True) for rec in records]
     text = "\n".join(lines) + "\n"

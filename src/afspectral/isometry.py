@@ -123,14 +123,6 @@ class ComposedAutomorphism:
     inner: object
 
 
-@dataclass(frozen=True)
-class FlipM2:
-    """Marker for the two-point flip demo; not a filtration automorphism spec."""
-
-    d1: float = 0.0
-    d2: float = 1.0
-
-
 # -- concrete actions --------------------------------------------------------
 
 
@@ -197,23 +189,27 @@ def leaf_permutation_array(spec, depth: int) -> np.ndarray:
     raise InvalidInputError(f"{type(spec).__name__} is not a cantor automorphism spec")
 
 
+def act(spec, filtration: al.Filtration, mats: np.ndarray) -> np.ndarray:
+    """Images of a stack of materialized full-depth elements under the automorphism."""
+    if isinstance(spec, ComposedAutomorphism):
+        return act(spec.outer, filtration, act(spec.inner, filtration, mats))
+    if filtration.family == "uhf":
+        if not isinstance(spec, SlotAutomorphism):
+            raise InvalidInputError(f"{type(spec).__name__} does not act on uhf filtrations")
+        v = global_unitary(spec, filtration)
+        return v @ mats @ np.conj(v).T
+    g = leaf_permutation_array(spec, filtration.depth)
+    out = np.empty_like(mats)
+    out[..., g] = mats  # new function value at g(p) is the old value at p
+    return out
+
+
 def apply_automorphism(spec, x: al.AlgebraElement) -> al.AlgebraElement:
     """Image of an element under the automorphism, at full depth."""
     filt = x.filtration
     n = filt.depth
-    if isinstance(spec, ComposedAutomorphism):
-        return apply_automorphism(spec.outer, apply_automorphism(spec.inner, x))
-    if filt.family == "uhf":
-        if not isinstance(spec, SlotAutomorphism):
-            raise InvalidInputError(f"{type(spec).__name__} does not act on uhf filtrations")
-        v = global_unitary(spec, filt)
-        m = x.materialize(n)
-        return al.from_matrix(filt, n, v @ m @ np.conj(v).T)
-    g = leaf_permutation_array(spec, n)
-    vals = x.materialize(n)
-    out = np.empty_like(vals)
-    out[g] = vals  # new function value at g(p) is the old value at p
-    return al.from_values(filt, n, out)
+    image = act(spec, filt, x.materialize(n)[None])
+    return al.AlgebraElement(filt, n, al.decompose(filt, n, image)[0])
 
 
 def compose(outer, inner):
@@ -227,8 +223,6 @@ def compose(outer, inner):
         a = leaf_permutation_array(outer, depth)
         b = leaf_permutation_array(inner, depth)
         return LeafPermutation(depth, tuple(int(v) for v in a[b]))
-    if isinstance(outer, SlotAutomorphism) and isinstance(inner, SlotAutomorphism):
-        return ComposedAutomorphism(outer, inner)
     return ComposedAutomorphism(outer, inner)
 
 
@@ -300,47 +294,28 @@ def invert(spec):
 def automorphism_residual(spec, filtration: al.Filtration, samples: int = 40, seed: int = 0):
     """Largest defect of multiplicativity and *-preservation on basis pairs."""
     n = filtration.depth
-    idxs = al.canonical_basis(filtration, n)
-    dim = len(idxs)
-    images = {}
-
-    def img(j):
-        if j not in images:
-            coeffs = np.zeros(dim, dtype=complex)
-            coeffs[j] = 1.0
-            images[j] = apply_automorphism(spec, al.AlgebraElement(filtration, n, coeffs))
-        return images[j]
-
-    def unit(j):
-        coeffs = np.zeros(dim, dtype=complex)
-        coeffs[j] = 1.0
-        return al.AlgebraElement(filtration, n, coeffs)
-
+    dim = filtration.dim(n)
     if dim * dim <= 400:
         pairs = [(i, j) for i in range(dim) for j in range(dim)]
     else:
         rng = np.random.default_rng(seed)
         pairs = [tuple(rng.integers(0, dim, size=2)) for _ in range(samples)]
-    worst = 0.0
-    for i, j in pairs:
-        lhs = apply_automorphism(spec, unit(i) * unit(j))
-        worst = max(worst, float(np.max(np.abs((lhs - img(i) * img(j)).coeffs))))
-    for i in set(i for p in pairs for i in p):
-        # the basis is self-adjoint, so images must be too
-        worst = max(worst, float(np.max(np.abs((img(i).adjoint() - img(i)).coeffs))))
-    return worst
+    i, j = np.array(pairs).T
+    stack = al.basis_stack(filtration, n)
+    a = coefficient_images(spec, filtration)
+    images = np.tensordot(a.T, stack, axes=1)  # alpha(e_j), read back from A
+    # alpha(e_i e_j) by linearity through A, against alpha(e_i) alpha(e_j)
+    lhs = al.decompose(filtration, n, al.mat_product(filtration, stack[i], stack[j])) @ a.T
+    rhs = al.decompose(filtration, n, al.mat_product(filtration, images[i], images[j]))
+    # the basis is self-adjoint, so images must be too
+    used = a[:, np.unique(np.concatenate([i, j]))]
+    return max(float(np.max(np.abs(lhs - rhs))), float(np.max(np.abs(np.conj(used) - used))))
 
 
 def coefficient_images(spec, filtration: al.Filtration) -> np.ndarray:
     """Matrix A with column j the canonical coefficients of the image of e_j."""
     n = filtration.depth
-    dim = filtration.dim(n)
-    a = np.empty((dim, dim), dtype=complex)
-    for j in range(dim):
-        coeffs = np.zeros(dim, dtype=complex)
-        coeffs[j] = 1.0
-        a[:, j] = apply_automorphism(spec, al.AlgebraElement(filtration, n, coeffs)).coeffs
-    return a
+    return al.decompose(filtration, n, act(spec, filtration, al.basis_stack(filtration, n))).T
 
 
 def filtration_check(spec, filtration: al.Filtration, levels=None):
@@ -361,14 +336,12 @@ def filtration_check(spec, filtration: al.Filtration, levels=None):
 def implementing_unitary(triple: tr.TruncatedTriple, spec) -> np.ndarray:
     """Unitary sending b xi to alpha(b) xi; exists iff the state is preserved."""
     gns = triple.gns
-    state = gns.state
-    u = np.empty((gns.dim, gns.dim), dtype=complex)
-    for j, b in enumerate(gns.basis_elements):
-        image = apply_automorphism(spec, b)
-        if abs(state.value(image) - state.value(b)) > TOL.structural:
-            raise NoUnitaryError("automorphism does not preserve the reference state")
-        u[:, j] = triple.vector_of(image)
-    if operator_norm(np.conj(u).T @ u - np.eye(gns.dim)) > TOL.structural:
+    u = gns.coordinates(act(spec, triple.filtration, gns.stack))
+    eye = np.eye(gns.dim)
+    # b_0 is the identity, so row 0 holds ref(alpha(b_j)), which must be ref(b_j) = delta_0j
+    if np.max(np.abs(u[0] - eye[0])) > TOL.structural:
+        raise NoUnitaryError("automorphism does not preserve the reference state")
+    if operator_norm(np.conj(u).T @ u - eye) > TOL.structural:
         raise NoUnitaryError("induced map is not a unitary")
     return u
 
@@ -403,7 +376,8 @@ def iso_check(triple: tr.TruncatedTriple, spec, verify: bool = True) -> IsoVerdi
         u = implementing_unitary(triple, spec)
     except NoUnitaryError:
         return IsoVerdict(False, levels, None, None, False)
-    resid = operator_norm(triple.D @ u - u @ triple.D)
+    d = triple.d_diag
+    resid = operator_norm(d[:, None] * u - u * d[None, :])
     if TOL.iso_residual < resid < TOL.iso_ambiguous:
         raise AmbiguousVerdictError(
             f"commutation residual {resid:.3e} falls in the guard band"

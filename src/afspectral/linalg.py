@@ -18,7 +18,6 @@ class Tolerances:
     """Central numerical tolerances.
 
     structural   : exact operator identities (projections, homomorphisms)
-    optimization : solver objective accuracy
     gram_pivot   : smallest acceptable Gram-Schmidt pivot
     hermitian    : relative asymmetry allowed in Hermitian inputs
     iso_residual : Dirac commutation residual below which a verdict is "in"
@@ -27,7 +26,6 @@ class Tolerances:
     """
 
     structural: float = 1e-10
-    optimization: float = 1e-6
     gram_pivot: float = 1e-10
     hermitian: float = 1e-12
     iso_residual: float = 1e-9

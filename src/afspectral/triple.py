@@ -12,7 +12,7 @@ grade <= n is a leading principal block and the Dirac operator
 is diagonal with entry lambda_{grade} on each basis vector.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,8 +100,7 @@ class GNSSpace:
     state: al.State
     grades: np.ndarray              # grade of each basis vector
     stack: np.ndarray               # materializations, (dim, s, s) or (dim, leaves)
-    dual_stack: np.ndarray          # pairing tensors: pi(a)_ij = sum dual[i] * (a . stack[j])
-    basis_elements: list = field(repr=False, default=None)
+    dual_stack: np.ndarray          # pairing tensors: <b_i, x> = sum dual[i] * x
 
     @property
     def dim(self) -> int:
@@ -111,22 +110,27 @@ class GNSSpace:
     def depth(self) -> int:
         return self.filtration.depth
 
+    @property
+    def basis_elements(self) -> list:
+        """The orthonormal basis as algebra elements (built on demand)."""
+        n = self.depth
+        coeffs = al.decompose(self.filtration, n, self.stack)
+        return [al.AlgebraElement(self.filtration, n, c) for c in coeffs]
+
+    def coordinates(self, xs: np.ndarray) -> np.ndarray:
+        """Matrix whose column j holds the GNS coordinates <b_i, xs[j]> of a stack."""
+        dual = self.dual_stack.reshape(self.dim, -1)
+        return dual @ xs.reshape(len(xs), -1).T
+
+
+def _grades(filtration: al.Filtration) -> np.ndarray:
+    return np.array([ix.grade for ix in al.canonical_basis(filtration, filtration.depth)])
+
 
 def _trace_gns(filtration: al.Filtration, state: al.State) -> GNSSpace:
-    n = filtration.depth
-    idxs = al.canonical_basis(filtration, n)
-    grades = np.array([ix.grade for ix in idxs])
-    if filtration.family == "uhf":
-        stack = al._uhf_stack(filtration.k, n)
-        dual = np.conj(stack) / filtration.k**n
-    else:
-        stack = al._haar_stack(n).astype(complex)
-        dual = np.conj(stack) / filtration.leaf_count(n)
-    elems = [
-        al.AlgebraElement(filtration, n, np.eye(len(idxs), dtype=complex)[i])
-        for i in range(len(idxs))
-    ]
-    return GNSSpace(filtration, state, grades, stack, dual, elems)
+    stack = al.basis_stack(filtration, filtration.depth).astype(complex, copy=False)
+    dual = np.conj(stack) / stack.shape[1]
+    return GNSSpace(filtration, state, _grades(filtration), stack, dual)
 
 
 def _product_gns(filtration: al.Filtration, state: al.ProductState) -> GNSSpace:
@@ -143,23 +147,12 @@ def _product_gns(filtration: al.Filtration, state: al.ProductState) -> GNSSpace:
     for rho in state.densities[:n]:
         ordered = [np.eye(k, dtype=complex)] + [slots[j] for j in range(k * k - 1)]
         frame = orthonormalize(ordered, lambda a, b: np.trace(rho @ np.conj(a).T @ b))
-        slot_frames.append([*frame[1:], frame[0]])  # back to identity-last labeling
+        slot_frames.append(np.stack([*frame[1:], frame[0]]))  # back to identity-last labeling
 
-    idxs = al.canonical_basis(filtration, n)
-    grades = np.array([ix.grade for ix in idxs])
-    size = k**n
-    ident = k * k
-    stack = np.empty((len(idxs), size, size), dtype=complex)
-    for pos, ix in enumerate(idxs):
-        labels = ix.word + (ident,) * (n - len(ix.word))
-        m = np.eye(1, dtype=complex)
-        for slot, lab in enumerate(labels):
-            m = np.kron(m, slot_frames[slot][lab - 1])
-        stack[pos] = m
-    rho_full = state.density(n)
-    dual = np.transpose(rho_full @ np.conj(np.transpose(stack, (0, 2, 1))), (0, 2, 1))
-    elems = [al.from_matrix(filtration, n, stack[i]) for i in range(len(idxs))]
-    return GNSSpace(filtration, state, grades, stack, dual, elems)
+    stack = al.kron_words(k, slot_frames)
+    # <b_i, x> = tr(rho b_i* x), so dual[i] = (rho b_i*)^T = conj(b_i) rho^T
+    dual = np.conj(stack) @ state.density(n).T
+    return GNSSpace(filtration, state, _grades(filtration), stack, dual)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +165,6 @@ class TruncatedTriple:
     gns: GNSSpace
     dirac: DiracSpec
     d_diag: np.ndarray
-    D: np.ndarray
 
     @property
     def filtration(self) -> al.Filtration:
@@ -190,6 +182,11 @@ class TruncatedTriple:
     def lambdas(self) -> np.ndarray:
         return np.asarray(self.dirac.lambdas)
 
+    @property
+    def D(self) -> np.ndarray:
+        """Dense Dirac matrix (built on demand; the code uses ``d_diag``)."""
+        return np.diag(self.d_diag.astype(complex))
+
     def grade_mask(self, n: int) -> np.ndarray:
         return self.gns.grades == n
 
@@ -204,11 +201,7 @@ class TruncatedTriple:
         if a.filtration != self.filtration:
             raise InvalidInputError("filtration mismatch")
         mat = a.materialize(self.depth)
-        if self.filtration.family == "uhf":
-            acted = np.matmul(mat, self.gns.stack)
-            return np.einsum("irp,jrp->ij", self.gns.dual_stack, acted)
-        acted = mat[None, :] * self.gns.stack
-        return np.einsum("il,jl->ij", self.gns.dual_stack, acted)
+        return self.gns.coordinates(al.mat_product(self.filtration, mat, self.gns.stack))
 
     def commutator(self, a: al.AlgebraElement) -> np.ndarray:
         """[D, pi(a)] as a dense matrix."""
@@ -237,7 +230,10 @@ class TruncatedTriple:
 
     def vector_of(self, a: al.AlgebraElement) -> np.ndarray:
         """GNS coefficients of a*xi, i.e. <b_i, a> in the reference inner product."""
-        return self.represent(a)[:, 0]
+        if a.filtration != self.filtration:
+            raise InvalidInputError("filtration mismatch")
+        acted = al.mat_product(self.filtration, a.materialize(self.depth), self.gns.stack[:1])
+        return self.gns.coordinates(acted)[:, 0]
 
     def to_dict(self):
         return {
@@ -269,6 +265,4 @@ def build_triple(filtration: al.Filtration, state: al.State, dirac: DiracSpec) -
         raise DegeneracyError(
             f"state {type(state).__name__} is not a faithful reference for the truncation"
         )
-    lam = np.asarray(dirac.lambdas)
-    d_diag = lam[gns.grades]
-    return TruncatedTriple(gns, dirac, d_diag, np.diag(d_diag.astype(complex)))
+    return TruncatedTriple(gns, dirac, np.asarray(dirac.lambdas)[gns.grades])

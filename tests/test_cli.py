@@ -145,3 +145,13 @@ def test_cantor_metric_subcommand(capsys):
     rec = records[0]
     assert rec["separated"] and rec["max_spread"] <= 2e-5
     assert set(rec["classes"]) == {"1", "2"}
+
+
+def test_undecidable_verdict_exit_code(capsys):
+    # near-tied eigenvalues put the switch residual inside the guard band
+    code = cli.main(["iso-check", "--family", "uhf", "--depth", "3",
+                     "--lambda", "1,1.0000001,2", "--auto", "switch:1,2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "guard band" in captured.err

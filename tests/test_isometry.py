@@ -344,3 +344,87 @@ def test_enumeration_caps():
         iso.enumerate_cantor_iso(t4, mode="exhaustive")
     rep = iso.enumerate_cantor_iso(t4, mode="portraits")
     assert rep["exhaustive"] and rep["scanned"] == 2**15 and rep["all_pass"]
+
+
+# ---------------------------------------------------------------------------
+# batched automorphism action against single-element application
+# ---------------------------------------------------------------------------
+
+
+def _product_triple():
+    rho = np.array([[0.7, 0.0], [0.0, 0.3]])
+    return tr.build_triple(F2, al.ProductState([rho, rho]), tr.dirac_explicit([1.0, 2.0]))
+
+
+def _diagonal_phases(filtration, rng):
+    """Local diagonal unitaries: they fix every product state with diagonal densities."""
+    n = filtration.depth
+    locs = tuple(np.diag(np.exp(2j * np.pi * rng.uniform(size=2))) for _ in range(n))
+    return iso.SlotAutomorphism(tuple(range(1, n + 1)), locs)
+
+
+def _batched_case(case, uhf3, cantor3, rng):
+    if case == "trace-local":
+        return uhf3, iso.random_local_automorphism(F3, rng, permute=True)
+    if case == "product-phases":
+        t = _product_triple()
+        return t, _diagonal_phases(t.filtration, rng)
+    if case == "cantor-portrait":
+        return cantor3, iso.random_portrait(3, rng)
+    return cantor3, iso.random_leaf_permutation(3, rng)
+
+
+BATCHED_CASES = ["trace-local", "product-phases", "cantor-portrait", "cantor-leafperm"]
+
+
+@pytest.mark.parametrize("case", BATCHED_CASES)
+def test_implementing_unitary_intertwines(case, uhf3, cantor3, rng):
+    """u pi(a) u* = pi(alpha(a)), and column j of u is alpha(b_j) xi."""
+    triple, spec = _batched_case(case, uhf3, cantor3, rng)
+    filt = triple.filtration
+    u = iso.implementing_unitary(triple, spec)
+    assert operator_norm(np.conj(u).T @ u - np.eye(triple.dim)) < 1e-10
+    for j, b in enumerate(triple.gns.basis_elements):
+        column = triple.vector_of(iso.apply_automorphism(spec, b))
+        assert np.max(np.abs(u[:, j] - column)) < 1e-10
+    for _ in range(5):
+        a = random_element(filt, filt.depth, rng)
+        lhs = u @ triple.represent(a) @ np.conj(u).T
+        rhs = triple.represent(iso.apply_automorphism(spec, a))
+        assert operator_norm(lhs - rhs) < 1e-10
+
+
+@pytest.mark.parametrize("case", BATCHED_CASES)
+def test_coefficient_images_match_single_elements(case, uhf3, cantor3, rng):
+    triple, spec = _batched_case(case, uhf3, cantor3, rng)
+    filt = triple.filtration
+    n = filt.depth
+    a = iso.coefficient_images(spec, filt)
+    for j, e in enumerate(np.eye(filt.dim(n))):
+        image = iso.apply_automorphism(spec, al.AlgebraElement(filt, n, e))
+        assert np.max(np.abs(a[:, j] - image.coeffs)) < 1e-10
+
+
+@pytest.mark.parametrize("filt", [F2, al.cantor(2)], ids=["uhf", "cantor"])
+def test_automorphism_residual_flags_non_automorphisms(filt, rng):
+    """Batched residual against the element-by-element defect of multiplicativity."""
+    n = filt.depth
+    if filt.family == "uhf":
+        # conjugation by 2*identity scales by 4, so alpha(ab) = alpha(a) alpha(b) / 4
+        spec = iso.SlotAutomorphism((1, 2), None, ((1, 2.0 * np.eye(4)),))
+    else:
+        spec = iso.random_portrait(2, rng)
+    units = [al.AlgebraElement(filt, n, e) for e in np.eye(filt.dim(n))]
+    images = [iso.apply_automorphism(spec, e) for e in units]
+    expected = 0.0
+    for i, x in enumerate(units):
+        for j, y in enumerate(units):
+            defect = iso.apply_automorphism(spec, x * y) - images[i] * images[j]
+            expected = max(expected, float(np.max(np.abs(defect.coeffs))))
+    for img in images:
+        expected = max(expected, float(np.max(np.abs((img.adjoint() - img).coeffs))))
+    assert iso.automorphism_residual(spec, filt) == pytest.approx(expected, abs=1e-10)
+    if filt.family == "uhf":
+        assert expected > 1.0
+        with pytest.raises(InvalidInputError):
+            iso.iso_check(tr.build_triple(filt, al.TraceState(), tr.dirac_explicit([1.0, 2.0])), spec)

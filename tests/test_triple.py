@@ -218,3 +218,18 @@ def test_factor_size_three_path(rng):
         a = random_element(f, 1, rng)
         b = random_element(f, 1, rng)
         assert operator_norm(t.represent(a * b) - t.represent(a) @ t.represent(b)) < 1e-10
+
+
+@pytest.mark.parametrize("reference", ["trace", "uniform", "product"])
+def test_vector_of_is_first_column(reference, uhf3, cantor3, rng):
+    if reference == "trace":
+        t = uhf3
+    elif reference == "uniform":
+        t = cantor3
+    else:
+        rho = np.array([[0.6, 0.2j], [-0.2j, 0.4]])
+        t = tr.build_triple(al.uhf(2, 2), al.ProductState([rho, rho]), tr.dirac_explicit([1.0, 2.0]))
+    filt = t.filtration
+    for level in range(filt.depth + 1):
+        a = random_element(filt, level, rng)
+        assert np.max(np.abs(t.vector_of(a) - t.represent(a)[:, 0])) < 1e-10
