@@ -200,6 +200,7 @@ def run_distance(p) -> list:
     s2 = _parse_state(p["state2"], filt)
     problem = mt.reduce_search_level(mt.DistanceProblem(triple, s1, s2))
     res = mt.distance(problem, cfg)
+    diag = res.diagnostics
     return [
         {
             "record": "distance",
@@ -208,6 +209,8 @@ def run_distance(p) -> list:
             "search_level": problem.search_level,
             "lower_bound": res.lower_bound,
             "upper_bound": res.upper_bound,
+            "iterations": sum(s["iterations"] for s in diag.get("per_start", [])),
+            "best_start": diag.get("best_start"),
             "ok": True,
         }
     ]

@@ -23,6 +23,12 @@ class Tolerances:
     iso_residual : Dirac commutation residual below which a verdict is "in"
     iso_ambiguous: upper edge of the guard band above iso_residual
     crossed      : residual bound for group-window identities
+    zero_norm    : vector or commutator norm treated as zero by the distance solver
+    unbounded    : objective |c . t| on a zero-norm direction that means unbounded
+    ascent_grad  : relative ascent-gradient norm at which an ascent stops
+    ascent_accept: relative gain a line-search trial needs to be accepted
+    top_band     : relative width of the top eigenvalue band of the norm subgradient
+    top_band_abs : absolute floor of that band
     """
 
     structural: float = 1e-10
@@ -31,6 +37,12 @@ class Tolerances:
     iso_residual: float = 1e-9
     iso_ambiguous: float = 1e-3
     crossed: float = 1e-10
+    zero_norm: float = 1e-14
+    unbounded: float = 1e-10
+    ascent_grad: float = 1e-13
+    ascent_accept: float = 1e-15
+    top_band: float = 1e-9
+    top_band_abs: float = 1e-15
 
 
 TOL = Tolerances()

@@ -13,10 +13,18 @@ states factor through.
 
 The solver maximizes the scale-invariant ratio (c . t) / ||sum_i t_i B_i||
 by multistart first-order ascent, where B_i are the basis commutators and c
-the state-difference vector.  Every reported lower bound is certified by an
-explicit feasible witness, re-evaluated through the public operations.  Exact
-upper bounds are available for the matched vector-state cases, where the
-grade block structure pins the optimum at 1/lambda_{n+1}.
+the state-difference vector.  The B_i are anti-Hermitian, so the norm is the
+spectral radius of the Hermitian H(t) = i sum_i t_i B_i, and all starts
+advance in lockstep on one batched Hermitian-eigen kernel: each round of
+the ascent makes one ``eigvalsh`` call (line-search trials) or ``eigh``
+call (norms plus top-space subgradients) for every start still running.
+Each start keeps its own step, stopping rules and line search, so its
+trajectory is that of a solo run.
+
+Every reported lower bound is certified by an explicit feasible witness,
+re-evaluated through the public operations.  Exact upper bounds are
+available for the matched vector-state cases, where the grade block
+structure pins the optimum at 1/lambda_{n+1}.
 """
 
 from dataclasses import dataclass, field, replace
@@ -31,7 +39,7 @@ from .errors import (
     UnboundedObjectiveError,
     UnsupportedError,
 )
-from .linalg import operator_norm
+from .linalg import TOL, operator_norm
 
 # ---------------------------------------------------------------------------
 # problem and configuration records
@@ -109,88 +117,152 @@ def _search_space(problem: DistanceProblem):
     return c, np.stack(blocks), idxs
 
 
+def _rowwise(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A @ x for every row x of X, one product per row.
+
+    A batched product applies the same kernel to each row, so a row's
+    rounding does not depend on which other rows share the batch.
+    """
+    return np.matmul(A, X[:, :, None])[..., 0]
+
+
 class _ConstraintMap:
-    """Evaluates t -> ||sum_i t_i B_i|| and its top-space subgradient."""
+    """Batched norm kernel: t -> ||sum_i t_i B_i|| over stacks of parameter rows.
+
+    The B_i are anti-Hermitian, so H(t) = i sum_i t_i B_i is Hermitian and the
+    norm is its spectral radius max(-w_min, w_max): one batched
+    ``eigvalsh``/``eigh`` call serves every row of a stack T of shape (S, p).
+    """
 
     def __init__(self, B: np.ndarray):
-        self.B = B
         p, d, _ = B.shape
+        asym = float(np.max(np.abs(B + np.conj(B).transpose(0, 2, 1))))
+        if asym > TOL.hermitian * max(float(np.max(np.abs(B))), 1.0):
+            raise InvalidInputError("constraint stack is not anti-Hermitian")
         self.shape = (d, d)
-        self.flat = np.ascontiguousarray(B.reshape(p, d * d).T)
+        self.flat = (1j * B).reshape(p, d * d)  # row i is vec(i B_i)
+        self.flat_t = np.ascontiguousarray(self.flat.T)
+
+    def hermitian(self, T: np.ndarray) -> np.ndarray:
+        """H(t) for every row t of T, shape (S, d, d)."""
+        return _rowwise(self.flat_t, T).reshape(len(T), *self.shape)
 
     def matrix(self, t: np.ndarray) -> np.ndarray:
-        return (self.flat @ t).reshape(self.shape)
+        """M(t) = sum_i t_i B_i for one parameter row."""
+        return -1j * self.hermitian(np.asarray(t, dtype=float)[None])[0]
+
+    def norms(self, T: np.ndarray) -> np.ndarray:
+        w = np.linalg.eigvalsh(self.hermitian(T))
+        return np.maximum(-w[:, 0], w[:, -1])
 
     def norm(self, t: np.ndarray) -> float:
-        return float(np.linalg.svd(self.matrix(t), compute_uv=False)[0])
+        return float(self.norms(np.asarray(t, dtype=float)[None])[0])
 
-    def norm_and_subgrad(self, t: np.ndarray):
-        u, s, vh = np.linalg.svd(self.matrix(t))
-        g = float(s[0])
-        if g < 1e-14:
-            return g, np.zeros(self.B.shape[0])
-        top = np.nonzero(s >= g - max(1e-9 * g, 1e-15))[0][:4]
-        p, d, _ = self.B.shape
-        bv = (self.B.reshape(p * d, d) @ np.conj(vh[top, :]).T).reshape(p, d, len(top))
-        sub = np.real(np.einsum("pdj,dj->p", bv, np.conj(u[:, top])))
-        return g, sub / len(top)
+    def norms_and_subgrads(self, T: np.ndarray):
+        """Norms g (S,) and top-space subgradients (S, p) of every row of T.
+
+        The subgradient averages d|w_j|/dt_i = s_j Re(x_j^H (i B_i) x_j),
+        s_j = sign(w_j), over the at most 4 eigenvectors x_j with |w_j| in
+        the top band: one product of the stack with vec(P^T), where
+        P = sum_j s_j x_j x_j^H / m.  Rows with zero norm get zero.
+        """
+        w, x = np.linalg.eigh(self.hermitian(T))
+        g = np.maximum(-w[:, 0], w[:, -1])
+        order = np.argsort(-np.abs(w), axis=1, kind="stable")[:, :4]
+        top = np.take_along_axis(w, order, axis=1)
+        band = np.maximum(TOL.top_band * g, TOL.top_band_abs)
+        in_top = np.abs(top) >= (g - band)[:, None]
+        weight = np.where(in_top, np.sign(top), 0.0) / in_top.sum(axis=1, keepdims=True)
+        xt = np.take_along_axis(x, order[:, None, :], axis=2)
+        pt = (np.conj(xt) * weight[:, None, :]) @ xt.transpose(0, 2, 1)
+        sub = np.real(_rowwise(self.flat, pt.reshape(len(T), -1)))
+        sub[g < TOL.zero_norm] = 0.0
+        return g, sub
 
 
-def _ascend(c: np.ndarray, cons: _ConstraintMap, t0: np.ndarray, cfg: SolverConfig):
-    """Maximize (c . t)/||M(t)|| from one start; returns (value, t, iterations)."""
-    t = np.asarray(t0, dtype=float)
-    nrm = np.linalg.norm(t)
-    if nrm < 1e-14:
-        return -np.inf, t, 0
-    t = t / nrm
-    g, sub = cons.norm_and_subgrad(t)
-    if g < 1e-14:
-        if abs(c @ t) > 1e-10:
+def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, cfg: SolverConfig):
+    """Maximize (c . t)/||M(t)|| from every row of T0 in lockstep.
+
+    Returns per-row (values, T, iterations).  Rows share only the batched
+    kernel calls; each follows its own step, stopping rules and line search,
+    so a row's trajectory is that of a one-row call on its start.
+    """
+    T = np.array(T0, dtype=float)
+    r = np.full(len(T), -np.inf)
+    iters = np.zeros(len(T), dtype=int)
+    g = np.ones(len(T))
+    sub = np.zeros_like(T)
+
+    def refresh(rows):
+        if len(rows):
+            g[rows], sub[rows] = cons.norms_and_subgrads(T[rows])
+
+    def objective(X):
+        return _rowwise(c[None], X)[:, 0]
+
+    def check_bounded(num, gn):
+        if np.any((gn < TOL.zero_norm) & (np.abs(num) > TOL.unbounded)):
             raise UnboundedObjectiveError("nonzero objective along a Dirac-commuting direction")
-        return 0.0, t, 0
-    r = float(c @ t) / g
-    if r < 0:
-        t = -t
-        g, sub = cons.norm_and_subgrad(t)
-        r = -r
-    step = cfg.step_init
-    flat = 0
-    it = 0
+
+    nrm = np.linalg.norm(T, axis=1)
+    live = nrm >= TOL.zero_norm
+    T[live] /= nrm[live, None]
+    refresh(np.flatnonzero(live))
+    num = objective(T)
+    check_bounded(num[live], g[live])
+    flat_dir = live & (g < TOL.zero_norm)
+    r[flat_dir] = 0.0
+    live &= ~flat_dir
+    r[live] = num[live] / g[live]
+    neg = np.flatnonzero(live & (r < 0))
+    T[neg] = -T[neg]
+    refresh(neg)
+    r[neg] = -r[neg]
+
+    step = np.full(len(T), cfg.step_init)
+    flat = np.zeros(len(T), dtype=int)
     for it in range(1, cfg.max_iter + 1):
-        grad = (c - r * sub) / g
-        if np.linalg.norm(grad) < 1e-13 * max(1.0, abs(r)):
+        rows = np.flatnonzero(live)
+        if not len(rows):
             break
-        accepted = False
-        while step >= cfg.step_min:
-            tn = t + step * grad
-            tn /= np.linalg.norm(tn)
-            gn = cons.norm(tn)
-            if gn < 1e-14:
-                if abs(c @ tn) > 1e-10:
-                    raise UnboundedObjectiveError(
-                        "nonzero objective along a Dirac-commuting direction"
-                    )
-                step *= 0.5
-                continue
-            rn = float(c @ tn) / gn
-            if rn > r + 1e-15 * max(1.0, abs(r)):
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        gain = rn - r
-        t, r = tn, rn
-        g, sub = cons.norm_and_subgrad(t)
-        r = float(c @ t) / g
-        step = min(step * 2.0, 1e3)
-        if gain < cfg.tol * max(1.0, abs(r)):
-            flat += 1
-            if flat >= 3:
-                break
-        else:
-            flat = 0
-    return r, t, it
+        iters[rows] = it
+        grad = (c - r[rows, None] * sub[rows]) / g[rows, None]
+        done = np.linalg.norm(grad, axis=1) < TOL.ascent_grad * np.maximum(1.0, np.abs(r[rows]))
+        live[rows[done]] = False
+        rows, grad = rows[~done], grad[~done]
+
+        # line search: each row halves its own step until a trial gains
+        tn = np.empty_like(grad)
+        rn = np.empty(len(rows))
+        accepted = np.zeros(len(rows), dtype=bool)
+        searching = step[rows] >= cfg.step_min
+        while np.any(searching):
+            j = np.flatnonzero(searching)
+            rj = rows[j]
+            trial = T[rj] + step[rj, None] * grad[j]
+            trial /= np.linalg.norm(trial, axis=1)[:, None]
+            gn = cons.norms(trial)
+            num = objective(trial)
+            check_bounded(num, gn)
+            zero = gn < TOL.zero_norm
+            rt = num / np.where(zero, 1.0, gn)
+            ok = ~zero & (rt > r[rj] + TOL.ascent_accept * np.maximum(1.0, np.abs(r[rj])))
+            tn[j[ok]], rn[j[ok]] = trial[ok], rt[ok]
+            accepted[j[ok]] = True
+            step[rj[~ok]] *= 0.5
+            searching[j] = ~ok & (step[rj] >= cfg.step_min)
+        live[rows[~accepted]] = False
+
+        acc = rows[accepted]
+        gain = rn[accepted] - r[acc]
+        T[acc] = tn[accepted]
+        refresh(acc)
+        r[acc] = objective(T[acc]) / g[acc]
+        step[acc] = np.minimum(step[acc] * 2.0, 1e3)
+        stalled = gain < cfg.tol * np.maximum(1.0, np.abs(r[acc]))
+        flat[acc] = np.where(stalled, flat[acc] + 1, 0)
+        live[acc[flat[acc] >= 3]] = False
+    return r, T, iters
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +313,7 @@ def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> Dista
     p = len(c)
     if p > cfg.param_cap:
         raise UnsupportedError(f"parameter count {p} exceeds cap {cfg.param_cap}")
-    if np.linalg.norm(c) < 1e-14:
+    if np.linalg.norm(c) < TOL.zero_norm:
         return _zero_result(problem, {"reason": "states agree on the search level"})
     cons = _ConstraintMap(B)
 
@@ -256,20 +328,20 @@ def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> Dista
         rng = np.random.default_rng([cfg.seed, k])
         starts.append((f"random-{k}", rng.normal(size=p)))
 
-    best_val, best_t = -np.inf, None
-    per_start = []
-    for kind, t0 in starts:
-        val, t, iters = _ascend(c, cons, t0, cfg)
-        per_start.append({"start": kind, "objective": float(val), "iterations": iters})
-        if val > best_val:
-            best_val, best_t = val, t
+    vals, T, iters = _ascend(c, cons, np.stack([t0 for _, t0 in starts]), cfg)
+    per_start = [
+        {"start": kind, "objective": float(v), "iterations": int(n)}
+        for (kind, _), v, n in zip(starts, vals, iters)
+    ]
+    best = int(np.argmax(vals))
+    best_val, best_t = vals[best], T[best]
 
     # polish the incumbent with a finer stopping rule
     polish_cfg = replace(cfg, tol=cfg.tol * 1e-4, step_init=1e-2)
-    val, t, iters = _ascend(c, cons, best_t, polish_cfg)
-    per_start.append({"start": "polish", "objective": float(val), "iterations": iters})
-    if val > best_val:
-        best_val, best_t = val, t
+    vals, T, iters = _ascend(c, cons, best_t[None], polish_cfg)
+    per_start.append({"start": "polish", "objective": float(vals[0]), "iterations": int(iters[0])})
+    if vals[0] > best_val:
+        best_val, best_t = vals[0], T[0]
 
     # certify through the public operations
     filt = problem.triple.filtration
@@ -283,6 +355,7 @@ def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> Dista
         "search_level": problem.search_level,
         "parameters": p,
         "starts": len(starts),
+        "best_start": starts[best][0],
         "per_start": per_start,
         "solver_objective": float(best_val),
         "certificate": "lower-bound only",
@@ -296,7 +369,7 @@ def _brute_force_core(c: np.ndarray, B: np.ndarray, points: int = 10000, seed: i
     p = len(c)
     if p > 4:
         raise UnsupportedError(f"brute force supports <= 4 parameters, got {p}")
-    if np.linalg.norm(c) < 1e-14:
+    if np.linalg.norm(c) < TOL.zero_norm:
         return 0.0
 
     if p == 1:
@@ -310,12 +383,13 @@ def _brute_force_core(c: np.ndarray, B: np.ndarray, points: int = 10000, seed: i
         dirs = rng.normal(size=(n, p))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
+    cons = _ConstraintMap(B)
+
     def batch_value(ts):
-        m = np.tensordot(ts, B, axes=1)
-        s = np.linalg.svd(m, compute_uv=False)[:, 0]
+        s = cons.norms(ts)
         num = ts @ c
-        bad = s < 1e-14
-        if np.any(bad & (np.abs(num) > 1e-10)):
+        bad = s < TOL.zero_norm
+        if np.any(bad & (np.abs(num) > TOL.unbounded)):
             raise UnboundedObjectiveError("nonzero objective along a Dirac-commuting direction")
         return np.where(bad, 0.0, np.abs(num) / np.where(bad, 1.0, s))
 

@@ -40,6 +40,17 @@ def test_generic_distance_subcommand(capsys):
     assert records[0]["lower_bound"] > 0
 
 
+
+def test_generic_distance_reports_solver_diagnostics(capsys):
+    argv = ["distance", "--family", "cantor", "--depth", "2", "--gamma", "0.3333333333333333",
+            "--state1", "character:00", "--state2", "character:11"]
+    code, records = run_cli(capsys, argv)
+    assert code == 0
+    rec = records[0]
+    assert isinstance(rec["iterations"], int) and rec["iterations"] > 0
+    assert rec["best_start"] == "objective" or rec["best_start"].startswith("random-")
+    assert run_cli(capsys, argv)[1] == records
+
 def test_iso_enumerate_depth2(capsys):
     code, records = run_cli(capsys, ["iso-enumerate", "--cantor", "--depth", "2", "--exhaustive"])
     assert code == 0

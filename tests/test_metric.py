@@ -5,7 +5,12 @@ from afspectral import algebra as al
 from afspectral import isometry as iso
 from afspectral import metric as mt
 from afspectral import triple as tr
-from afspectral.errors import PreconditionError, UnsupportedError
+from afspectral.errors import (
+    InvalidInputError,
+    PreconditionError,
+    UnboundedObjectiveError,
+    UnsupportedError,
+)
 
 from conftest import random_element
 
@@ -126,6 +131,100 @@ def test_solver_determinism(uhf3, rng):
     assert r1.lower_bound == r2.lower_bound
     assert np.array_equal(r1.witness.coeffs, r2.witness.coeffs)
     assert r1.diagnostics == r2.diagnostics
+
+
+# ---------------------------------------------------------------------------
+# norm kernel and lockstep ascent
+# ---------------------------------------------------------------------------
+
+
+def _uhf_stack(uhf3, rng):
+    v = _normalized_vector(F3, 2, rng)
+    c, B, _ = mt._search_space(mt.DistanceProblem(uhf3, al.VectorState(v), al.TraceState(), search_level=2))
+    return c, B
+
+
+def _cantor_stack(cantor3):
+    p = mt.DistanceProblem(cantor3, al.CharacterState((0, 1, 0)), al.CharacterState((1, 1, 0)))
+    c, B, _ = mt._search_space(p)
+    return c, B
+
+
+def _svd_top_average(B, t):
+    """Reference subgradient: uniform average of Re(u_j^H B_i v_j) over the SVD top space."""
+    u, s, vh = np.linalg.svd(np.tensordot(t, B, axes=1))
+    top = np.nonzero(s >= s[0] - max(1e-9 * s[0], 1e-15))[0][:4]
+    sub = np.real(np.einsum("pab,bj,aj->p", B, np.conj(vh[top]).T, np.conj(u[:, top])))
+    return sub / len(top), len(top)
+
+
+@pytest.mark.parametrize("family", ["uhf", "cantor"])
+def test_kernel_norms_match_svd(family, uhf3, cantor3, rng):
+    c, B = _uhf_stack(uhf3, rng) if family == "uhf" else _cantor_stack(cantor3)
+    if family == "cantor":
+        assert np.all(B.imag == 0)  # real antisymmetric: eigenvalues in +- pairs
+    else:
+        assert np.any(B.imag != 0)
+    T = rng.normal(size=(12, len(c)))
+    ref = np.linalg.svd(np.tensordot(T, B, axes=1), compute_uv=False)[:, 0]
+    got = mt._ConstraintMap(B).norms(T)
+    assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+def test_kernel_subgradient_matches_finite_difference(rng):
+    d, p = 6, 5
+    a = rng.normal(size=(p, d, d)) + 1j * rng.normal(size=(p, d, d))
+    B = a - np.conj(a).transpose(0, 2, 1)
+    cons = mt._ConstraintMap(B)
+    t = rng.normal(size=p)
+    s = np.linalg.svd(cons.matrix(t), compute_uv=False)
+    assert s[0] - s[1] > 1e-2 * s[0]  # simple top eigenvalue
+    g, sub = cons.norms_and_subgrads(t[None])
+    assert g[0] == pytest.approx(s[0], rel=1e-12)
+    h = 1e-6
+    fd = [(cons.norm(t + h * e) - cons.norm(t - h * e)) / (2 * h) for e in np.eye(p)]
+    assert np.allclose(sub[0], fd, atol=1e-7 * s[0])
+
+
+def test_kernel_subgradient_matches_svd_top_space(cantor3, rng):
+    c, B = _cantor_stack(cantor3)
+    cons = mt._ConstraintMap(B)
+    T = rng.normal(size=(6, len(c)))
+    _, sub = cons.norms_and_subgrads(T)
+    for t, row in zip(T, sub):
+        ref, mult = _svd_top_average(B, t)
+        assert mult == 2
+        assert np.allclose(row, ref, rtol=0.0, atol=1e-10 * np.max(np.abs(ref)))
+
+
+def test_kernel_rejects_non_antihermitian_stack(rng):
+    B = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    with pytest.raises(InvalidInputError):
+        mt._ConstraintMap(B)
+
+
+def test_lockstep_rows_equal_solo_runs(cantor3, rng):
+    c, B = _cantor_stack(cantor3)
+    cons = mt._ConstraintMap(B)
+    cfg = mt.SolverConfig()
+    T0 = np.vstack([c, np.zeros_like(c), -c, rng.normal(size=(5, len(c)))])
+    vals, T, iters = mt._ascend(c, cons, T0, cfg)
+    assert vals[1] == -np.inf and iters[1] == 0
+    assert vals[2] > 0  # started with c . t < 0, so the start flipped sign
+    for k, t0 in enumerate(T0):
+        v1, t1, n1 = mt._ascend(c, cons, t0[None], cfg)
+        assert vals[k] == v1[0]
+        assert np.array_equal(T[k], t1[0])
+        assert iters[k] == n1[0]
+
+
+def test_lockstep_raises_on_unbounded_objective():
+    b = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+    B = np.stack([np.zeros((2, 2), dtype=complex), b])
+    c = np.array([1.0, 0.0])
+    cons = mt._ConstraintMap(B)
+    with pytest.raises(UnboundedObjectiveError):
+        mt._ascend(c, cons, np.array([[0.3, 1.0], [1.0, 0.0]]), mt.SolverConfig())
 
 
 # ---------------------------------------------------------------------------
