@@ -426,15 +426,6 @@ def _crossed_suite(p) -> list:
 
     records = []
     for action_name, lifted, filt, chi, cname, beta, sigma, expect_fail in configs:
-        coc = cx.Cocycle(chi)
-        u = cx.lifted_unitary(lifted, coc, beta, sigma, check_rigidity=False)
-        comm = cx.lift_commutation_check(lifted, u)
-        cov = cx.covariance_check(lifted, coc, beta, sigma, sample_x(filt), check_rigidity=False)
-        ok = (
-            comm["residual"] > 0.1
-            if expect_fail
-            else comm["passes"] and cov["passes"]
-        )
         records.append(
             {
                 "record": "crossed-lift",
@@ -442,13 +433,29 @@ def _crossed_suite(p) -> list:
                 "chi": cname,
                 "beta": type(beta).__name__ if beta is not None else "id",
                 "sigma": sigma,
-                "commutation_residual": comm["residual"],
-                "covariance_residual": cov["residual"],
-                "expect_fail": expect_fail,
-                "ok": bool(ok),
+                **_lift_check(lifted, chi, beta, sigma, sample_x(filt), expect_fail),
             }
         )
     return records
+
+
+def _lift_check(lifted, chi, beta, sigma, x, expect_fail: bool) -> dict:
+    """Commutation and covariance residuals of one lift, and its verdict.
+
+    A designed failure is ok when commutation fails loudly while the
+    unitary still implements the lifted automorphism.
+    """
+    coc = cx.Cocycle(chi)
+    u = cx.lifted_unitary(lifted, coc, beta, sigma, check_rigidity=False)
+    comm = cx.lift_commutation_check(lifted, u)
+    cov = cx.covariance_check(lifted, coc, beta, sigma, x, check_rigidity=False)
+    commutes = comm["residual"] > 0.1 if expect_fail else comm["passes"]
+    return {
+        "commutation_residual": comm["residual"],
+        "covariance_residual": cov["residual"],
+        "expect_fail": expect_fail,
+        "ok": bool(commutes and cov["passes"]),
+    }
 
 
 def run_crossed_lift(p) -> list:
@@ -479,34 +486,20 @@ def run_crossed_lift(p) -> list:
         terms[g] = al.AlgebraElement(filt, filt.depth, rng.normal(size=dim))
     x = cx.CrossedElement(terms)
 
-    records = []
-    for chi in chis:
-        coc = cx.Cocycle(chi)
-        u = cx.lifted_unitary(lifted, coc, beta, sigma, check_rigidity=False)
-        comm = cx.lift_commutation_check(lifted, u)
-        cov = cx.covariance_check(lifted, coc, beta, sigma, x, check_rigidity=False)
-        expect_fail = bool(p.get("expect_fail"))
-        ok = (
-            comm["residual"] > 0.1 and cov["passes"]
-            if expect_fail
-            else comm["passes"] and cov["passes"]
-        )
-        records.append(
-            {
-                "record": "crossed-lift",
-                "action": action_name,
-                "chi": [chi.real, chi.imag],
-                "beta": beta_name,
-                "sigma": sigma,
-                "radius": radius,
-                "margin": margin,
-                "commutation_residual": comm["residual"],
-                "covariance_residual": cov["residual"],
-                "expect_fail": expect_fail,
-                "ok": bool(ok),
-            }
-        )
-    return records
+    expect_fail = bool(p.get("expect_fail"))
+    return [
+        {
+            "record": "crossed-lift",
+            "action": action_name,
+            "chi": [chi.real, chi.imag],
+            "beta": beta_name,
+            "sigma": sigma,
+            "radius": radius,
+            "margin": margin,
+            **_lift_check(lifted, chi, beta, sigma, x, expect_fail),
+        }
+        for chi in chis
+    ]
 
 
 RUNNERS = {

@@ -1,17 +1,24 @@
-"""Group-window lifts: integer actions, cocycles, and the doubled Dirac.
+"""Group-window lifts: integer actions, cocycles, and the lifted Dirac.
 
 A verified action of the integers on the truncated algebra is represented on
 a finite symmetric window of sites {-L..L}.  The lifted Dirac operator is the
 off-diagonal 2 x 2 block matrix with blocks D (x) 1 -/+ i (x) M_l, where M_l
-multiplies by the site label.  Finitely supported elements sum(a_g lambda_g)
-act by
+multiplies by the site label.  D is grade-diagonal and M_l site-diagonal, so
+both blocks are diagonal: the lifted triple stores the one vector
+t = diag(D (x) 1 - i (x) M_l) (the other block is its conjugate), and the
+commutator of the lifted Dirac with a block-diagonal U (+) U is the pair of
+Hadamard products (t_i - t_j) U_ij and (conj t_i - conj t_j) U_ij.
 
-    (a lambda_g)(xi (x) delta_h) = (alpha_{-(g+h)}(a) xi) (x) delta_{g+h},
+A rigid generator alpha_1 is implemented by a unitary V commuting with D,
+pi(alpha_g(a)) = V^g pi(a) V^-g, and finitely supported elements
+sum(a_g lambda_g) act by
+
+    (a lambda_g)(xi (x) delta_h) = (V^-(g+h) pi(a) V^(g+h) xi) (x) delta_{g+h},
 
 truncated at the window edge; identities are therefore asserted only after
 compressing onto interior columns, where no truncation occurs.  A character
 cocycle chi, a rigid base automorphism beta and a label-preserving group
-automorphism sigma lift to a unitary commuting with the doubled Dirac; sigma
+automorphism sigma lift to a unitary commuting with the lifted Dirac; sigma
 = negation flips the label and serves as the designed failure case.
 """
 
@@ -75,11 +82,11 @@ def apply_action(action, g: int, x: al.AlgebraElement) -> al.AlgebraElement:
     return out
 
 
-def verify_action(action, base: tr.TruncatedTriple) -> dict:
-    """Check the generator is a rigid automorphism of the base triple."""
+def _verified_generator(action, base: tr.TruncatedTriple):
+    """Action report and the generator's implementing unitary V (identity if trivial)."""
     gen = _generator_spec(action, base.filtration)
     if gen is None:
-        return {"action": "trivial", "verified": True}
+        return {"action": "trivial", "verified": True}, np.eye(base.dim, dtype=complex)
     verdict = iso.iso_check(base, gen)
     report = {
         "action": type(action).__name__,
@@ -89,7 +96,12 @@ def verify_action(action, base: tr.TruncatedTriple) -> dict:
     }
     if not verdict.in_iso:
         raise InvalidInputError("action generator is not a rigid automorphism of the base")
-    return report
+    return report, verdict.implementing_unitary
+
+
+def verify_action(action, base: tr.TruncatedTriple) -> dict:
+    """Check the generator is a rigid automorphism of the base triple."""
+    return _verified_generator(action, base)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +191,8 @@ class LiftedTriple:
     base: tr.TruncatedTriple
     action: object
     window: GroupWindow
-    t_minus: np.ndarray = field(repr=False, default=None)
-    t_plus: np.ndarray = field(repr=False, default=None)
-    d_l: np.ndarray = field(repr=False, default=None)
-    m_l: np.ndarray = field(repr=False, default=None)
+    t: np.ndarray = field(repr=False, default=None)         # diag(D (x) 1 - i (x) M_l)
+    v_powers: np.ndarray = field(repr=False, default=None)  # V^g at index g + L, |g| <= L
     action_report: dict = None
 
     @property
@@ -192,6 +202,17 @@ class LiftedTriple:
     @property
     def dim(self) -> int:
         return 2 * self.half_dim
+
+    @property
+    def m_l(self) -> np.ndarray:
+        """Dense site-label multiplication 1 (x) M_l (built on demand; the code uses ``t``)."""
+        return np.diag(np.repeat(self.window.sites, self.base.dim).astype(complex))
+
+    @property
+    def d_l(self) -> np.ndarray:
+        """Dense lifted Dirac (built on demand; the code uses ``t``)."""
+        zero = np.zeros((self.half_dim, self.half_dim), dtype=complex)
+        return np.block([[zero, np.diag(self.t)], [np.diag(np.conj(self.t)), zero]])
 
     def site_block(self, r: int, c: int):
         d = self.base.dim
@@ -206,21 +227,19 @@ class LiftedTriple:
 def build_lifted(
     base: tr.TruncatedTriple, action, radius: int, margin: int = 2
 ) -> LiftedTriple:
-    """Assemble the doubled Dirac on the site window."""
+    """Assemble the lifted Dirac diagonal and the powers of the generator's unitary."""
     if radius < 2:
         raise InvalidInputError("window radius must be at least 2")
-    report = verify_action(action, base)
+    report, v = _verified_generator(action, base)
     window = GroupWindow(radius, margin)
-    d = base.dim
-    s = window.size
     # site-major flat index: site * dim + basis vector
-    d_site = np.kron(np.eye(s, dtype=complex), np.diag(base.d_diag.astype(complex)))
-    m_site = np.kron(np.diag(window.sites.astype(complex)), np.eye(d, dtype=complex))
-    t_minus = d_site - 1j * m_site
-    t_plus = d_site + 1j * m_site
-    zero = np.zeros_like(t_minus)
-    d_l = np.block([[zero, t_minus], [t_plus, zero]])
-    return LiftedTriple(base, action, window, t_minus, t_plus, d_l, m_site, report)
+    t = np.tile(base.d_diag, window.size) - 1j * np.repeat(window.sites, base.dim)
+    powers = [np.eye(base.dim, dtype=complex)]
+    for _ in range(radius):
+        powers.append(powers[-1] @ v)
+    # V is unitary, so V^-g is the adjoint of V^g
+    v_powers = np.stack([np.conj(p).T for p in powers[:0:-1]] + powers)
+    return LiftedTriple(base, action, window, t, v_powers, report)
 
 
 def represent_crossed(lifted: LiftedTriple, x: CrossedElement) -> np.ndarray:
@@ -230,22 +249,35 @@ def represent_crossed(lifted: LiftedTriple, x: CrossedElement) -> np.ndarray:
         raise WindowTooSmallError(
             f"support radius {r_max} exceeds the window margin {lifted.window.margin}"
         )
-    out = np.zeros((lifted.half_dim, lifted.half_dim), dtype=complex)
-    rad = lifted.window.radius
-    for g, a in x.terms.items():
-        for h in range(-rad, rad + 1):
-            tgt = g + h
-            if abs(tgt) > rad:
-                continue
-            rows, cols = lifted.site_block(tgt, h)
-            out[rows, cols] += lifted.base.represent(apply_action(lifted.action, -tgt, a))
-    return out
+    base = lifted.base
+    filt, n = base.filtration, base.depth
+    if any(a.filtration != filt for a in x.terms.values()):
+        raise InvalidInputError("filtration mismatch")
+    coeffs = np.array([a.embed(n).coeffs for a in x.terms.values()]).reshape(-1, filt.dim(n))
+    pa = base.represent_stack(np.tensordot(coeffs, al.basis_stack(filt, n), axes=1))
+    vp = lifted.v_powers
+    # images[i, tgt + L] = pi(alpha_{-tgt}(a_i)) = V^-tgt pi(a_i) V^tgt
+    images = vp[::-1] @ pa[:, None] @ vp
+    rad, d, s = lifted.window.radius, base.dim, lifted.window.size
+    out = np.zeros((s, d, s, d), dtype=complex)
+    for i, g in enumerate(x.terms):
+        tgt = np.arange(max(-rad, g - rad), min(rad, g + rad) + 1)
+        out[tgt + rad, :, tgt - g + rad, :] += images[i, tgt + rad]
+    return out.reshape(lifted.half_dim, lifted.half_dim)
 
 
-def doubled(op: np.ndarray) -> np.ndarray:
-    """Diagonal two-block copy."""
-    z = np.zeros_like(op)
-    return np.block([[op, z], [z, op]])
+def _interior_commutator_norm(lifted: LiftedTriple, op: np.ndarray) -> float:
+    """||[D_l, op (+) op]|| on interior columns.
+
+    The commutator is anti-block-diagonal with the Hadamard blocks
+    [diag(t), op] and [diag(conj t), op], so its norm is the larger of theirs.
+    """
+    cols = lifted.interior_columns()
+    oc = op[:, cols]
+    return max(
+        operator_norm(t[:, None] * oc - oc * t[cols][None, :])
+        for t in (lifted.t, np.conj(lifted.t))
+    )
 
 
 def lifted_unitary(
@@ -264,7 +296,6 @@ def lifted_unitary(
     if sigma not in ("id", "neg"):
         raise InvalidInputError("sigma must be 'id' or 'neg'")
     base = lifted.base
-    filt = base.filtration
     if beta is None:
         u_beta = np.eye(base.dim, dtype=complex)
     else:
@@ -272,39 +303,24 @@ def lifted_unitary(
             raise PreconditionError("beta is not in the rigid group of the base triple")
         u_beta = iso.implementing_unitary(base, beta)
 
-    # intertwining on the generator: beta o alpha_1 = alpha_{sigma(1)} o beta
-    gen = _generator_spec(lifted.action, filt)
-    if gen is not None:
-        a_gen = iso.coefficient_images(gen, filt)
-        # rigid generators preserve the reference inner product, so the
-        # coefficient matrix is unitary and the inverse power is its adjoint
-        a_gen_s = a_gen if sigma == "id" else np.conj(a_gen).T
-        a_beta = (
-            np.eye(filt.dim(filt.depth), dtype=complex)
-            if beta is None
-            else iso.coefficient_images(beta, filt)
-        )
-        if operator_norm(a_beta @ a_gen - a_gen_s @ a_beta) > TOL.structural:
-            raise PreconditionError(
-                "intertwining beta o alpha_g = alpha_{sigma(g)} o beta fails"
-            )
-
+    # intertwining on the generator, beta o alpha_1 = alpha_{sigma(1)} o beta,
+    # through the implementing unitaries: U_beta V = V^{sigma(1)} U_beta
     rad = lifted.window.radius
-    u = np.zeros((lifted.half_dim, lifted.half_dim), dtype=complex)
-    for g in range(-rad, rad + 1):
-        tgt = g if sigma == "id" else -g
-        # coefficient c_{sigma(-g)}^*: sigma(-g) = -g for id, g for neg
-        coeff = np.conj(cocycle.value(-g if sigma == "id" else g))
-        rows, cols = lifted.site_block(tgt, g)
-        u[rows, cols] = coeff * u_beta
-    return u
+    v, v_sigma = lifted.v_powers[rad + 1], lifted.v_powers[rad + (1 if sigma == "id" else -1)]
+    if operator_norm(u_beta @ v - v_sigma @ u_beta) > TOL.structural:
+        raise PreconditionError("intertwining beta o alpha_g = alpha_{sigma(g)} o beta fails")
+
+    sites = lifted.window.sites
+    tgt = sites if sigma == "id" else -sites
+    # coefficient c_{sigma(-g)}^* = c_{-sigma(g)}^* on the site block (sigma(g), g)
+    site = np.zeros((lifted.window.size, lifted.window.size), dtype=complex)
+    site[tgt + rad, sites + rad] = np.conj([cocycle.value(-int(g)) for g in tgt])
+    return np.kron(site, u_beta)
 
 
 def lift_commutation_check(lifted: LiftedTriple, u_half: np.ndarray) -> dict:
-    """Interior residual of [D_l, U + U]; passes at the crossed tolerance."""
-    u2 = doubled(u_half)
-    comm = lifted.d_l @ u2 - u2 @ lifted.d_l
-    resid = operator_norm(comm[:, lifted.interior_columns(doubled=True)])
+    """Interior residual of [D_l, U (+) U]; passes at the crossed tolerance."""
+    resid = _interior_commutator_norm(lifted, u_half)
     return {"residual": float(resid), "passes": bool(resid <= TOL.crossed)}
 
 
@@ -347,9 +363,7 @@ def crossed_commutator_stability(
     norms = []
     for rad in radii:
         lifted = build_lifted(base, action, rad, margin)
-        op = doubled(represent_crossed(lifted, x))
-        comm = lifted.d_l @ op - op @ lifted.d_l
-        norms.append(float(operator_norm(comm[:, lifted.interior_columns(doubled=True)])))
+        norms.append(_interior_commutator_norm(lifted, represent_crossed(lifted, x)))
     diffs = [abs(b - a) for a, b in zip(norms, norms[1:])]
     stable = all(d <= 1e-8 for d in diffs[1:]) if len(diffs) > 1 else True
     return {"radii": radii, "norms": norms, "differences": diffs, "stabilized": stable}

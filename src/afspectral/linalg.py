@@ -1,9 +1,9 @@
 """Dense complex linear algebra used by every other module.
 
 All operators are plain ``numpy.ndarray`` with complex entries; matrices are
-row-major 2-d arrays.  Norms are exact (full SVD), eigendecompositions use the
-Hermitian solver, and orthonormalization runs against a caller-supplied inner
-product so the same routine serves matrix algebras and function spaces.
+row-major 2-d arrays.  Norms are exact (full SVD), and orthonormalization runs
+against a caller-supplied inner product so the same routine serves matrix
+algebras and function spaces.
 """
 
 from dataclasses import dataclass
@@ -58,31 +58,12 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def adjoint(m: np.ndarray) -> np.ndarray:
-    return np.conj(np.asarray(m)).T
-
-
 def operator_norm(m) -> float:
     """Largest singular value of a (possibly rectangular) matrix."""
     a = as_matrix(m)
     if a.size == 0:
         return 0.0
     return float(np.linalg.svd(a, compute_uv=False)[0])
-
-
-def hermitian_eig(m):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, v)`` with eigenvalues ``w`` ascending and unitary ``v``
-    satisfying ``m @ v = v @ diag(w)``.  Raises :class:`InvalidInputError`
-    when the input is not Hermitian to relative tolerance ``TOL.hermitian``.
-    """
-    a = as_matrix(m)
-    scale = max(operator_norm(a), 1.0)
-    if operator_norm(a - adjoint(a)) > TOL.hermitian * scale:
-        raise InvalidInputError("matrix is not Hermitian")
-    w, v = np.linalg.eigh(a)
-    return w, v
 
 
 def kron(a, b) -> np.ndarray:

@@ -103,7 +103,6 @@ def _search_space(problem: DistanceProblem):
     mask = t3.gns.grades <= sl
 
     c = np.empty(dim_sl - 1)
-    blocks = []
     for pos in range(1, dim_sl):
         coeffs = np.zeros(dim_sl, dtype=complex)
         coeffs[pos] = 1.0
@@ -112,9 +111,10 @@ def _search_space(problem: DistanceProblem):
         if abs(diff.imag) > 1e-9:
             raise InvalidInputError("state difference not real on the self-adjoint basis")
         c[pos - 1] = diff.real
-        # locality: grade <= sl elements commute with all higher-grade blocks
-        blocks.append(t3.commutator(e)[np.ix_(mask, mask)])
-    return c, np.stack(blocks), idxs
+    # the level-sl basis is a prefix of the full-depth basis stack
+    comms = t3.dirac_commutator(t3.represent_stack(al.basis_stack(filt, t3.depth)[1:dim_sl]))
+    # locality: grade <= sl elements commute with all higher-grade blocks
+    return c, comms[:, mask][:, :, mask], idxs
 
 
 def _rowwise(A: np.ndarray, X: np.ndarray) -> np.ndarray:

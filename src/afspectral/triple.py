@@ -118,9 +118,10 @@ class GNSSpace:
         return [al.AlgebraElement(self.filtration, n, c) for c in coeffs]
 
     def coordinates(self, xs: np.ndarray) -> np.ndarray:
-        """Matrix whose column j holds the GNS coordinates <b_i, xs[j]> of a stack."""
+        """Matrix whose column j holds the GNS coordinates <b_i, xs[..., j]>; leading axes kept."""
         dual = self.dual_stack.reshape(self.dim, -1)
-        return dual @ xs.reshape(len(xs), -1).T
+        lead = xs.shape[: xs.ndim - self.dual_stack.ndim + 1]
+        return dual @ np.swapaxes(xs.reshape(*lead, -1), -1, -2)
 
 
 def _grades(filtration: al.Filtration) -> np.ndarray:
@@ -196,16 +197,23 @@ class TruncatedTriple:
     def P(self, n: int) -> np.ndarray:
         return np.diag((self.gns.grades <= n).astype(complex))
 
+    def represent_stack(self, mats: np.ndarray) -> np.ndarray:
+        """Matrices of left multiplication by a stack of materialized full-depth elements."""
+        acted = al.mat_product(self.filtration, mats[:, None], self.gns.stack)
+        return self.gns.coordinates(acted)
+
     def represent(self, a: al.AlgebraElement) -> np.ndarray:
         """Matrix of left multiplication by ``a`` on the graded basis."""
         if a.filtration != self.filtration:
             raise InvalidInputError("filtration mismatch")
-        mat = a.materialize(self.depth)
-        return self.gns.coordinates(al.mat_product(self.filtration, mat, self.gns.stack))
+        return self.represent_stack(a.materialize(self.depth)[None])[0]
 
     def commutator(self, a: al.AlgebraElement) -> np.ndarray:
         """[D, pi(a)] as a dense matrix."""
-        pa = self.represent(a)
+        return self.dirac_commutator(self.represent(a))
+
+    def dirac_commutator(self, pa: np.ndarray) -> np.ndarray:
+        """[D, x] for a matrix or a stack of matrices x on the graded basis."""
         return self.d_diag[:, None] * pa - pa * self.d_diag[None, :]
 
     def commutator_norm(self, a: al.AlgebraElement) -> float:

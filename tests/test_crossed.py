@@ -262,3 +262,71 @@ def test_iso_power_action_lifts(rng):
     x = cx.CrossedElement({-1: random_element(F2, 2, rng), 1: random_element(F2, 2, rng)})
     rep = cx.covariance_check(lifted, cx.Cocycle(1j), gen, "id", x)
     assert rep["passes"], rep
+
+
+# ---------------------------------------------------------------------------
+# diagonal lifted Dirac and implementing-unitary powers against dense references
+# ---------------------------------------------------------------------------
+
+
+def _dense_interior_commutator(lifted, op):
+    """||[D_l, op (+) op]|| on interior columns, from the dense lifted Dirac."""
+    z = np.zeros_like(op)
+    op2 = np.block([[op, z], [z, op]])
+    comm = lifted.d_l @ op2 - op2 @ lifted.d_l
+    return operator_norm(comm[:, lifted.interior_columns(doubled=True)])
+
+
+def _represent_by_automorphisms(lifted, x):
+    """Per-site reference: block (g + h, h) holds pi(alpha_{-(g+h)}(a_g))."""
+    out = np.zeros((lifted.half_dim, lifted.half_dim), dtype=complex)
+    rad = lifted.window.radius
+    for g, a in x.terms.items():
+        for h in range(-rad, rad + 1):
+            if abs(g + h) <= rad:
+                image = cx.apply_action(lifted.action, -(g + h), a)
+                rows, cols = lifted.site_block(g + h, h)
+                out[rows, cols] += lifted.base.represent(image)
+    return out
+
+
+def _iso_power_lift(rng):
+    base = tr.build_triple(F2, al.TraceState(), tr.dirac_explicit([1.0, 2.0]))
+    gen = iso.random_local_automorphism(F2, rng)
+    return cx.build_lifted(base, cx.IsoPowerAction(gen), radius=4, margin=2), gen
+
+
+def test_commutation_check_matches_dense_definition(odo_lift, triv_lift, rng):
+    pow_lift, gen = _iso_power_lift(rng)
+    cases = [
+        (odo_lift, cx.Cocycle(1.0), None, "id", True),
+        (odo_lift, cx.Cocycle(1j), iso.odometer_portrait(3), "id", True),
+        (triv_lift, cx.Cocycle(CHI5), iso.random_local_automorphism(F2, rng), "id", True),
+        (pow_lift, cx.Cocycle(CHI5), gen, "id", True),
+        # designed failures: label-flipping sigma and a non-rigid beta
+        (triv_lift, cx.Cocycle(1.0), None, "neg", False),
+        (triv_lift, cx.Cocycle(1.0), iso.switch(1, 2, 2), "id", False),
+    ]
+    for lifted, coc, beta, sigma, passes in cases:
+        u = cx.lifted_unitary(lifted, coc, beta, sigma, check_rigidity=False)
+        rep = cx.lift_commutation_check(lifted, u)
+        ref = _dense_interior_commutator(lifted, u)
+        assert rep["passes"] is passes
+        assert abs(rep["residual"] - ref) <= 1e-12 * max(ref, 1.0)
+
+
+def test_stability_norms_match_dense_definition(odo_lift, rng):
+    x = cx.CrossedElement({g: random_element(C3, 3, rng) for g in (-1, 0, 1)})
+    rep = cx.crossed_commutator_stability(odo_lift.base, cx.OdometerAction(), x)
+    for rad, norm in zip(rep["radii"], rep["norms"]):
+        lifted = cx.build_lifted(odo_lift.base, cx.OdometerAction(), rad, x.support_radius)
+        ref = _dense_interior_commutator(lifted, cx.represent_crossed(lifted, x))
+        assert abs(norm - ref) <= 1e-12 * max(ref, 1.0)
+
+
+def test_represent_matches_per_site_automorphisms(odo_lift, rng):
+    pow_lift, _ = _iso_power_lift(rng)
+    for lifted, filt in ((odo_lift, C3), (pow_lift, F2)):
+        x = cx.CrossedElement({g: random_element(filt, filt.depth, rng) for g in (-2, -1, 0, 1, 2)})
+        ref = _represent_by_automorphisms(lifted, x)
+        assert operator_norm(cx.represent_crossed(lifted, x) - ref) <= 1e-12 * operator_norm(ref)

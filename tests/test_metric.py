@@ -150,6 +150,28 @@ def _cantor_stack(cantor3):
     return c, B
 
 
+@pytest.mark.parametrize("family", ["uhf", "cantor", "product"])
+def test_search_space_matches_per_element_commutators(family, uhf3, cantor3, rng):
+    if family == "cantor":
+        t3, s1, s2 = cantor3, al.CharacterState((0, 1, 0)), al.CharacterState((1, 1, 0))
+    elif family == "uhf":
+        t3, s1, s2 = uhf3, al.VectorState(_normalized_vector(F3, 3, rng)), al.TraceState()
+    else:
+        rho = np.array([[0.7, 0.1j], [-0.1j, 0.3]])
+        f2 = al.uhf(2, 2)
+        t3 = tr.build_triple(f2, al.ProductState([rho, rho]), tr.dirac_explicit([1, 2]))
+        s1, s2 = al.TraceState(), al.VectorState(mt.car_vector(f2, 3))
+    filt = t3.filtration
+    for level in range(1, t3.depth + 1):
+        _, B, idxs = mt._search_space(mt.DistanceProblem(t3, s1, s2, search_level=level))
+        mask = t3.gns.grades <= level
+        ref = []
+        for pos in range(1, len(idxs)):
+            e = al.AlgebraElement(filt, level, np.eye(len(idxs))[pos])
+            ref.append(t3.commutator(e)[np.ix_(mask, mask)])
+        assert np.array_equal(B, np.stack(ref))
+
+
 def _svd_top_average(B, t):
     """Reference subgradient: uniform average of Re(u_j^H B_i v_j) over the SVD top space."""
     u, s, vh = np.linalg.svd(np.tensordot(t, B, axes=1))
