@@ -533,29 +533,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    sp = sub.add_parser("distance", help="state distance (certified lower/upper bounds)")
+    # triple options shared by distance, iso-check and crossed-lift
+    triple_opts = argparse.ArgumentParser(add_help=False)
+    triple_opts.add_argument("--family", choices=("uhf", "cantor"), default=None)
+    triple_opts.add_argument("--k", type=int, default=None)
+    triple_opts.add_argument("--depth", type=int, default=None)
+    triple_opts.add_argument("--lambda", dest="lambda_", default=None, help="eigenvalues, comma separated")
+    triple_opts.add_argument("--gamma", type=float, default=None)
+    triple_opts.add_argument("--power", type=float, default=None)
+
+    sp = sub.add_parser(
+        "distance", parents=[triple_opts], help="state distance (certified lower/upper bounds)"
+    )
     sp.add_argument("--car", action="store_true", help="matched vector state vs trace")
     sp.add_argument("--n", default=None, help="shift count(s), comma separated (car mode)")
     sp.add_argument("--l", default=None, help="Bloch label(s) 1..3, comma separated (car mode)")
-    sp.add_argument("--lambda", dest="lambda_", default=None, help="eigenvalues, comma separated")
-    sp.add_argument("--family", choices=("uhf", "cantor"), default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--depth", type=int, default=None)
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--power", type=float, default=None)
     sp.add_argument("--state1", default=None)
     sp.add_argument("--state2", default=None)
     sp.add_argument("--starts", type=int, default=None)
     sp.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     _add_common(sp)
 
-    sp = sub.add_parser("iso-check", help="unitary rigidity verdict for one automorphism")
-    sp.add_argument("--family", choices=("uhf", "cantor"), default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--depth", type=int, default=None)
-    sp.add_argument("--lambda", dest="lambda_", default=None)
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--power", type=float, default=None)
+    sp = sub.add_parser(
+        "iso-check", parents=[triple_opts], help="unitary rigidity verdict for one automorphism"
+    )
     sp.add_argument("--auto", default=None, help="switch:i,j | portrait:BITS | leafperm:... | locals:SEED | block:S,W,SEED | global:SEED | odometer | identity")
     sp.add_argument("--round-trip", dest="round_trip", default=None,
                     help="N_STRUCT,N_ADV: batch equivalence check instead of one verdict")
@@ -599,14 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=None)
     _add_common(sp)
 
-    sp = sub.add_parser("crossed-lift", help="lifted unitaries on the site window")
+    sp = sub.add_parser("crossed-lift", parents=[triple_opts], help="lifted unitaries on the site window")
     sp.add_argument("--action", choices=("trivial", "odometer"), default=None)
-    sp.add_argument("--family", choices=("uhf", "cantor"), default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--depth", type=int, default=None)
-    sp.add_argument("--lambda", dest="lambda_", default=None)
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--power", type=float, default=None)
     sp.add_argument("--radius", type=int, default=None)
     sp.add_argument("--margin", type=int, default=None)
     sp.add_argument("--chi", default=None, help="comma separated: 1 | i | -1 | exp:K/M | complex literal")

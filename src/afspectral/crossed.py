@@ -99,11 +99,6 @@ def _verified_generator(action, base: tr.TruncatedTriple):
     return report, verdict.implementing_unitary
 
 
-def verify_action(action, base: tr.TruncatedTriple) -> dict:
-    """Check the generator is a rigid automorphism of the base triple."""
-    return _verified_generator(action, base)[0]
-
-
 # ---------------------------------------------------------------------------
 # cocycles, windows, crossed elements
 # ---------------------------------------------------------------------------

@@ -13,11 +13,13 @@ states factor through.
 
 The solver maximizes the scale-invariant ratio (c . t) / ||sum_i t_i B_i||
 by multistart first-order ascent, where B_i are the basis commutators and c
-the state-difference vector.  The B_i are anti-Hermitian, so the norm is the
-spectral radius of the Hermitian H(t) = i sum_i t_i B_i, and all starts
-advance in lockstep on one batched Hermitian-eigen kernel: each round of
-the ascent makes one ``eigvalsh`` call (line-search trials) or ``eigh``
-call (norms plus top-space subgradients) for every start still running.
+the state-difference vector.  All starts advance in lockstep on one batched
+symmetric-eigen kernel: each round of the ascent makes one ``eigvalsh`` call
+(line-search trials) or ``eigh`` call (norms plus top-space subgradients)
+for every start still running.  Real stacks (Cantor triples, where the B_i
+are real antisymmetric) stay in real arithmetic and read the norm off the
+Gram matrix M(t)^T M(t); complex stacks are anti-Hermitian, and the norm is
+the spectral radius of the Hermitian H(t) = i sum_i t_i B_i.
 Each start keeps its own step, stopping rules and line search, so its
 trajectory is that of a solo run.
 
@@ -129,9 +131,12 @@ def _rowwise(A: np.ndarray, X: np.ndarray) -> np.ndarray:
 class _ConstraintMap:
     """Batched norm kernel: t -> ||sum_i t_i B_i|| over stacks of parameter rows.
 
-    The B_i are anti-Hermitian, so H(t) = i sum_i t_i B_i is Hermitian and the
-    norm is its spectral radius max(-w_min, w_max): one batched
-    ``eigvalsh``/``eigh`` call serves every row of a stack T of shape (S, p).
+    One batched ``eigvalsh``/``eigh`` call serves every row of a stack T of
+    shape (S, p).  A real stack (real antisymmetric B_i, as on Cantor
+    triples) stays real: the norm of M(t) = sum_i t_i B_i is
+    sqrt(lambda_max(M^T M)).  A complex stack is anti-Hermitian, so
+    H(t) = i M(t) is Hermitian and the norm is its spectral radius
+    max(-w_min, w_max).
     """
 
     def __init__(self, B: np.ndarray):
@@ -140,19 +145,27 @@ class _ConstraintMap:
         if asym > TOL.hermitian * max(float(np.max(np.abs(B))), 1.0):
             raise InvalidInputError("constraint stack is not anti-Hermitian")
         self.shape = (d, d)
-        self.flat = (1j * B).reshape(p, d * d)  # row i is vec(i B_i)
+        self.real = not np.any(B.imag)
+        # row i is vec(B_i) on a real stack, vec(i B_i) on a complex one
+        self.flat = B.real.reshape(p, d * d) if self.real else (1j * B).reshape(p, d * d)
         self.flat_t = np.ascontiguousarray(self.flat.T)
 
-    def hermitian(self, T: np.ndarray) -> np.ndarray:
-        """H(t) for every row t of T, shape (S, d, d)."""
+    def images(self, T: np.ndarray) -> np.ndarray:
+        """sum_i t_i flat_i for every row t of T, shape (S, d, d): M(t) on a
+        real stack, H(t) = i M(t) on a complex one."""
         return _rowwise(self.flat_t, T).reshape(len(T), *self.shape)
 
     def matrix(self, t: np.ndarray) -> np.ndarray:
         """M(t) = sum_i t_i B_i for one parameter row."""
-        return -1j * self.hermitian(np.asarray(t, dtype=float)[None])[0]
+        m = self.images(np.asarray(t, dtype=float)[None])[0]
+        return m if self.real else -1j * m
 
     def norms(self, T: np.ndarray) -> np.ndarray:
-        w = np.linalg.eigvalsh(self.hermitian(T))
+        if self.real:
+            m = self.images(T)
+            w = np.linalg.eigvalsh(m.transpose(0, 2, 1) @ m)
+            return np.sqrt(np.maximum(w[:, -1], 0.0))
+        w = np.linalg.eigvalsh(self.images(T))
         return np.maximum(-w[:, 0], w[:, -1])
 
     def norm(self, t: np.ndarray) -> float:
@@ -161,12 +174,38 @@ class _ConstraintMap:
     def norms_and_subgrads(self, T: np.ndarray):
         """Norms g (S,) and top-space subgradients (S, p) of every row of T.
 
-        The subgradient averages d|w_j|/dt_i = s_j Re(x_j^H (i B_i) x_j),
-        s_j = sign(w_j), over the at most 4 eigenvectors x_j with |w_j| in
-        the top band: one product of the stack with vec(P^T), where
-        P = sum_j s_j x_j x_j^H / m.  Rows with zero norm get zero.
+        The subgradient is the average of d sigma/dt_i over the at most 4
+        singular directions whose singular value is in the top band.  Rows
+        with zero norm get zero.
         """
-        w, x = np.linalg.eigh(self.hermitian(T))
+        if self.real:
+            return self._real_norms_and_subgrads(T)
+        return self._complex_norms_and_subgrads(T)
+
+    def _real_norms_and_subgrads(self, T):
+        """Gram form: with M v_j = g u_j for the top eigenvectors v_j of M^T M,
+        d sigma/dt_i = u_j^T B_i v_j = <B_i, M v_j v_j^T> / g, so the average
+        is one product of the stack with vec(M P) / g, P = sum_j v_j v_j^T / m
+        over the last (largest) <= 4 eigenvectors in the band."""
+        m = self.images(T)
+        w, v = np.linalg.eigh(m.transpose(0, 2, 1) @ m)
+        g = np.sqrt(np.maximum(w[:, -1], 0.0))
+        band = np.maximum(TOL.top_band * g, TOL.top_band_abs)
+        top, vt = w[:, -4:], v[:, :, -4:]
+        in_top = top >= (np.maximum(g - band, 0.0) ** 2)[:, None]
+        weight = in_top / in_top.sum(axis=1, keepdims=True)
+        mp = (m @ (vt * weight[:, None, :])) @ vt.transpose(0, 2, 1)
+        live = g >= TOL.zero_norm
+        sub = _rowwise(self.flat, mp.reshape(len(T), -1)) / np.where(live, g, 1.0)[:, None]
+        sub[~live] = 0.0
+        return g, sub
+
+    def _complex_norms_and_subgrads(self, T):
+        """Hermitian form: average d|w_j|/dt_i = s_j Re(x_j^H (i B_i) x_j),
+        s_j = sign(w_j), over the at most 4 eigenvectors x_j of H with |w_j|
+        in the top band: one product of the stack with vec(P^T), where
+        P = sum_j s_j x_j x_j^H / m."""
+        w, x = np.linalg.eigh(self.images(T))
         g = np.maximum(-w[:, 0], w[:, -1])
         order = np.argsort(-np.abs(w), axis=1, kind="stable")[:, :4]
         top = np.take_along_axis(w, order, axis=1)
@@ -231,26 +270,31 @@ def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, cfg: SolverConf
         live[rows[done]] = False
         rows, grad = rows[~done], grad[~done]
 
-        # line search: each row halves its own step until a trial gains
+        # line search: each row halves its own step until a trial gains;
+        # j indexes the rows still searching
+        base, st = T[rows], step[rows]
+        bar = r[rows] + TOL.ascent_accept * np.maximum(1.0, np.abs(r[rows]))
         tn = np.empty_like(grad)
         rn = np.empty(len(rows))
         accepted = np.zeros(len(rows), dtype=bool)
-        searching = step[rows] >= cfg.step_min
-        while np.any(searching):
-            j = np.flatnonzero(searching)
-            rj = rows[j]
-            trial = T[rj] + step[rj, None] * grad[j]
+        j = np.flatnonzero(st >= cfg.step_min)
+        while len(j):
+            trial = base[j] + st[j, None] * grad[j]
             trial /= np.linalg.norm(trial, axis=1)[:, None]
             gn = cons.norms(trial)
             num = objective(trial)
-            check_bounded(num, gn)
             zero = gn < TOL.zero_norm
-            rt = num / np.where(zero, 1.0, gn)
-            ok = ~zero & (rt > r[rj] + TOL.ascent_accept * np.maximum(1.0, np.abs(r[rj])))
+            if zero.any():
+                check_bounded(num, gn)
+                gn = np.where(zero, 1.0, gn)
+            rt = num / gn
+            ok = ~zero & (rt > bar[j])
             tn[j[ok]], rn[j[ok]] = trial[ok], rt[ok]
             accepted[j[ok]] = True
-            step[rj[~ok]] *= 0.5
-            searching[j] = ~ok & (step[rj] >= cfg.step_min)
+            j = j[~ok]
+            st[j] *= 0.5
+            j = j[st[j] >= cfg.step_min]
+        step[rows] = st
         live[rows[~accepted]] = False
 
         acc = rows[accepted]

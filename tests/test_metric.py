@@ -193,14 +193,22 @@ def test_kernel_norms_match_svd(family, uhf3, cantor3, rng):
     assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
-def test_kernel_subgradient_matches_finite_difference(rng):
+@pytest.mark.parametrize("field", ["complex", "real"])
+def test_kernel_subgradient_matches_finite_difference(field, rng):
     d, p = 6, 5
-    a = rng.normal(size=(p, d, d)) + 1j * rng.normal(size=(p, d, d))
+    if field == "complex":
+        a = rng.normal(size=(p, d, d)) + 1j * rng.normal(size=(p, d, d))
+    else:
+        a = rng.normal(size=(p, d, d))
     B = a - np.conj(a).transpose(0, 2, 1)
     cons = mt._ConstraintMap(B)
+    assert cons.real == (field == "real")
     t = rng.normal(size=p)
     s = np.linalg.svd(cons.matrix(t), compute_uv=False)
-    assert s[0] - s[1] > 1e-2 * s[0]  # simple top eigenvalue
+    if field == "complex":
+        assert s[0] - s[1] > 1e-2 * s[0]  # simple top eigenvalue
+    else:
+        assert s[0] - s[2] > 1e-2 * s[0]  # simple top +- pair of a real antisymmetric M
     g, sub = cons.norms_and_subgrads(t[None])
     assert g[0] == pytest.approx(s[0], rel=1e-12)
     h = 1e-6
@@ -217,6 +225,21 @@ def test_kernel_subgradient_matches_svd_top_space(cantor3, rng):
         ref, mult = _svd_top_average(B, t)
         assert mult == 2
         assert np.allclose(row, ref, rtol=0.0, atol=1e-10 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("family", ["uhf", "cantor"])
+def test_kernel_zero_row_gives_zero(family, uhf3, cantor3, rng):
+    c, B = _uhf_stack(uhf3, rng) if family == "uhf" else _cantor_stack(cantor3)
+    cons = mt._ConstraintMap(B)
+    assert cons.real == (family == "cantor")
+    T = np.vstack([np.zeros(len(c)), rng.normal(size=len(c))])
+    with np.errstate(all="raise"):
+        norms = cons.norms(T)
+        g, sub = cons.norms_and_subgrads(T)
+    assert norms[0] == 0.0 and g[0] == 0.0
+    assert np.all(sub[0] == 0.0)
+    assert norms[1] > 0.0 and g[1] == pytest.approx(norms[1], rel=1e-12)
+    assert np.any(sub[1] != 0.0)
 
 
 def test_kernel_rejects_non_antihermitian_stack(rng):
@@ -240,11 +263,15 @@ def test_lockstep_rows_equal_solo_runs(cantor3, rng):
         assert iters[k] == n1[0]
 
 
-def test_lockstep_raises_on_unbounded_objective():
-    b = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+@pytest.mark.parametrize(
+    "b", [[[0.0, 1.0], [-1.0, 0.0]], [[0.0, 1j], [1j, 0.0]]], ids=["real", "complex"]
+)
+def test_lockstep_raises_on_unbounded_objective(b):
+    b = np.array(b, dtype=complex)
     B = np.stack([np.zeros((2, 2), dtype=complex), b])
     c = np.array([1.0, 0.0])
     cons = mt._ConstraintMap(B)
+    assert cons.real == (not np.any(b.imag))
     with pytest.raises(UnboundedObjectiveError):
         mt._ascend(c, cons, np.array([[0.3, 1.0], [1.0, 0.0]]), mt.SolverConfig())
 
