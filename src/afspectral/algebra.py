@@ -61,16 +61,6 @@ class Filtration:
         if not (0 <= level <= self.depth):
             raise InvalidInputError(f"level {level} outside 0..{self.depth}")
 
-    def to_dict(self):
-        d = {"family": self.family, "depth": self.depth}
-        if self.family == "uhf":
-            d["k"] = self.k
-        return d
-
-    @staticmethod
-    def from_dict(d):
-        return Filtration(d["family"], d["depth"], d.get("k", 2))
-
 
 def uhf(k: int, depth: int) -> Filtration:
     return Filtration("uhf", depth, k)
@@ -326,18 +316,6 @@ class AlgebraElement:
         x = self.embed(lev) if lev != self.level else self
         return np.tensordot(x.coeffs, basis_stack(self.filtration, lev), axes=1)
 
-    def to_dict(self):
-        return {
-            "filtration": self.filtration.to_dict(),
-            "level": self.level,
-            "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs],
-        }
-
-    @staticmethod
-    def from_dict(d):
-        coeffs = np.array([complex(re, im) for re, im in d["coeffs"]])
-        return AlgebraElement(Filtration.from_dict(d["filtration"]), d["level"], coeffs)
-
 
 def identity_element(filtration: Filtration, level: int = 0) -> AlgebraElement:
     c = np.zeros(filtration.dim(level), dtype=complex)
@@ -428,9 +406,6 @@ class State:
     def is_faithful_reference(self) -> bool:
         return False
 
-    def to_dict(self):
-        raise NotImplementedError
-
 
 class TraceState(State):
     """Normalized trace on a uhf filtration."""
@@ -443,9 +418,6 @@ class TraceState(State):
     def is_faithful_reference(self):
         return True
 
-    def to_dict(self):
-        return {"variant": "trace"}
-
 
 class UniformState(State):
     """Uniform measure on a cantor filtration."""
@@ -457,9 +429,6 @@ class UniformState(State):
 
     def is_faithful_reference(self):
         return True
-
-    def to_dict(self):
-        return {"variant": "uniform"}
 
 
 class VectorState(State):
@@ -490,9 +459,6 @@ class VectorState(State):
         xm = x.materialize(lev)
         return complex(np.mean(np.conj(vm) * xm * vm))
 
-    def to_dict(self):
-        return {"variant": "vector", "v": self.v.to_dict()}
-
 
 class CharacterState(State):
     """Point evaluation at the sequence starting with ``word`` (cantor only)."""
@@ -511,9 +477,6 @@ class CharacterState(State):
             )
         vals = x.materialize()
         return complex(vals[leaf_index(self.word[: x.level])])
-
-    def to_dict(self):
-        return {"variant": "character", "word": list(self.word)}
 
 
 class ProductState(State):
@@ -546,34 +509,6 @@ class ProductState(State):
         if x.filtration.family != "uhf":
             raise InvalidInputError("product states apply to uhf filtrations")
         return complex(np.trace(self.density(x.level) @ x.materialize()))
-
-    def to_dict(self):
-        return {
-            "variant": "product",
-            "densities": [
-                [[[float(z.real), float(z.imag)] for z in row] for row in d]
-                for d in self.densities
-            ],
-        }
-
-
-def state_from_dict(d) -> State:
-    v = d["variant"]
-    if v == "trace":
-        return TraceState()
-    if v == "uniform":
-        return UniformState()
-    if v == "vector":
-        return VectorState(AlgebraElement.from_dict(d["v"]))
-    if v == "character":
-        return CharacterState(d["word"])
-    if v == "product":
-        dens = [
-            np.array([[complex(re, im) for re, im in row] for row in mat])
-            for mat in d["densities"]
-        ]
-        return ProductState(dens)
-    raise InvalidInputError(f"unknown state variant {v!r}")
 
 
 def vanishing_level(state: State, filtration: Filtration, depth: int | None = None) -> int:

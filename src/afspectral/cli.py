@@ -1,20 +1,24 @@
 """Batch experiment runner.
 
 Every capability is exposed as a subcommand emitting line-delimited JSON
-records (deterministic for a fixed seed: keys sorted, no timestamps).  Exit
+records (deterministic for a fixed seed: keys sorted, no timestamps).  Each
+flag is declared once in ``OPTIONS``; ``SUBCOMMANDS`` gives every subcommand
+its runner, help and flag names, and ``build_parser`` is one loop over it.
+A runner takes a plain dict keyed by flag dests (``RUNNERS``).  Exit
 status: 0 when every asserted record passes, 1 on a failed assertion, 2 on
-usage errors, 3 when the answer is numerically undecidable (a verdict
-residual inside the guard band, or an objective unbounded along a
-Dirac-commuting direction).  A JSON config file can prefill any
-subcommand's options; explicit flags override it.  Records go to stdout or to --output (relative
-paths resolve under $AFSPECTRAL_OUTDIR when set).
+usage errors (a missing required option is named), 3 when the answer is
+numerically undecidable (a verdict residual inside the guard band, or an
+objective unbounded along a Dirac-commuting direction).  A JSON config file
+(``{"subcommand": ..., "params": {...}}`` or bare params) can prefill any
+subcommand's options; explicit flags override it.  Records go to stdout or
+to --output (relative paths resolve under $AFSPECTRAL_OUTDIR when set);
+progress and errors go to stderr.
 """
 
 import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -27,33 +31,15 @@ from .errors import AmbiguousVerdictError, InvalidInputError, UnboundedObjective
 from .linalg import random_unitary
 
 
-@dataclass
-class ExperimentConfig:
-    subcommand: str
-    params: dict
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "ExperimentConfig":
-        d = json.loads(text)
-        return ExperimentConfig(d["subcommand"], d["params"])
-
-
 # ---------------------------------------------------------------------------
 # shared parsers
 # ---------------------------------------------------------------------------
 
 
-def _parse_floats(text):
-    return [float(v) for v in text.split(",") if v.strip()]
-
-
 def _lambdas(p) -> list:
     """The eigenvalue list: comma separated text from a flag, or a list from a config file."""
     lam = p["lambda"]
-    return _parse_floats(lam) if isinstance(lam, str) else lam
+    return [float(v) for v in lam.split(",") if v.strip()] if isinstance(lam, str) else lam
 
 
 def _build_filtration(p) -> al.Filtration:
@@ -135,26 +121,17 @@ def _parse_automorphism(text: str, filtration: al.Filtration):
 
 def _parse_chi(token: str) -> complex:
     token = token.strip()
-    if token == "1":
-        return 1.0 + 0j
-    if token in ("i", "j"):
-        return 1j
-    if token == "-1":
-        return -1.0 + 0j
     if token.startswith("exp:"):
         num, _, den = token[4:].partition("/")
         return complex(np.exp(2j * np.pi * float(num) / float(den or "1")))
-    return complex(token)
+    return 1j if token == "i" else complex(token)  # "1", "-1", "j" and literals
 
 
 def _solver_config(p) -> mt.SolverConfig:
     cfg = mt.SolverConfig()
-    if p.get("starts") is not None:
-        cfg.starts = int(p["starts"])
-    if p.get("max_iter") is not None:
-        cfg.max_iter = int(p["max_iter"])
-    if p.get("seed") is not None:
-        cfg.seed = int(p["seed"])
+    for key in ("starts", "max_iter", "seed"):
+        if p.get(key) is not None:
+            setattr(cfg, key, int(p[key]))
     return cfg
 
 
@@ -164,11 +141,8 @@ def _solver_config(p) -> mt.SolverConfig:
 
 
 def _int_list(value, default):
-    if value is None:
-        return [default]
-    if isinstance(value, int):
-        return [value]
-    return [int(v) for v in str(value).split(",")]
+    """An int, or comma separated ints as text; ``default`` when absent."""
+    return [default] if value is None else [int(v) for v in str(value).split(",")]
 
 
 def run_distance(p) -> list:
@@ -180,11 +154,8 @@ def run_distance(p) -> list:
             for l in _int_list(p.get("l"), 3):
                 rec = mt.car_golden_case(lam, n, l, cfg)
                 rec["record"] = "car-distance"
-                filt = al.uhf(2, n + 1)
-                word = al.basis_element(filt, n + 1, (4,) * n + (l,))
-                triple = tr.build_triple(
-                    filt, al.TraceState(), tr.dirac_explicit(lam[: n + 1])
-                )
+                triple = _triple_from_params({"depth": n + 1, "lambda": lam[: n + 1]})
+                word = al.basis_element(triple.filtration, n + 1, (4,) * n + (l,))
                 rec["matched_word_commutator_norm"] = triple.commutator_norm(word)
                 rec["ok"] = bool(
                     rec["lower_bound"] >= rec["upper_bound"] - 1e-6
@@ -233,10 +204,9 @@ def _run_round_trip(p) -> list:
     """Batch equivalence check: rigidity == (state and required levels preserved)."""
     n_struct, n_adv = (int(v) for v in str(p["round_trip"]).split(","))
     rng = np.random.default_rng(int(p.get("seed", 0)))
-    f3 = al.uhf(2, 3)
-    t_uhf = tr.build_triple(f3, al.TraceState(), tr.dirac_explicit([1.0, 2.0, 4.0]))
-    c3 = al.cantor(3)
-    t_cantor = tr.build_triple(c3, al.UniformState(), tr.dirac_explicit([1.0, 2.0, 4.0]))
+    t_uhf = _triple_from_params({"depth": 3, "lambda": [1.0, 2.0, 4.0]})
+    t_cantor = _triple_from_params({"family": "cantor", "depth": 3, "lambda": [1.0, 2.0, 4.0]})
+    f3 = t_uhf.filtration
 
     cases = []
     for i in range(n_struct):
@@ -265,7 +235,7 @@ def _run_round_trip(p) -> list:
         mismatches += int(verdict.in_iso != prediction)
         in_count += int(verdict.in_iso)
 
-    t_tied = tr.build_triple(f3, al.TraceState(), tr.dirac_explicit([1.0, 1.0, 2.0]))
+    t_tied = _triple_from_params({"depth": 3, "lambda": [1.0, 1.0, 2.0]})
     tied_distinct = iso.iso_check(t_uhf, iso.switch(1, 2, 3))
     tied_merged = iso.iso_check(t_tied, iso.switch(1, 2, 3))
     return [
@@ -289,10 +259,10 @@ def _run_round_trip(p) -> list:
 def run_iso_enumerate(p) -> list:
     records = []
     depths = _int_list(p.get("depth"), 3)
+    if len(depths) > 1 and p.get("lambda"):
+        raise InvalidInputError("an explicit --lambda cannot serve several depths")
     for depth in depths:
-        # an explicit eigenvalue list cannot serve several depths at once
-        dirac_params = p if len(depths) == 1 else {k: v for k, v in p.items() if k != "lambda"}
-        triple = _triple_from_params({**dirac_params, "family": "cantor", "depth": depth})
+        triple = _triple_from_params({**p, "family": "cantor", "depth": depth})
         mode = "exhaustive" if p.get("exhaustive") else "portraits"
         rep = iso.enumerate_cantor_iso(triple, mode=mode, progress=bool(p.get("progress")))
         rep.pop("elements", None)
@@ -322,11 +292,10 @@ def run_cantor_metric(p) -> list:
 
 def run_switch_violation(p) -> list:
     lam = _lambdas(p)
-    filt = al.uhf(2, len(lam))
-    triple = tr.build_triple(filt, al.TraceState(), tr.dirac_explicit(lam))
+    triple = _triple_from_params({"depth": len(lam), "lambda": lam})
     records = []
     for k in _int_list(p.get("k"), 1):
-        v = mt.car_vector(filt, int(p.get("l", 3)))
+        v = mt.car_vector(triple.filtration, int(p.get("l", 3)))
         rep = iso.switch_iso_violation(triple, k, v, _solver_config(p))
         rep["d_before"] = {kk: rep["d_before"][kk] for kk in ("lower_bound", "upper_bound")}
         rep["d_after"] = {kk: rep["d_after"][kk] for kk in ("lower_bound", "upper_bound")}
@@ -354,20 +323,17 @@ def run_flip_demo(p) -> list:
 
 
 def run_shift_inequality(p) -> list:
-    lam = _lambdas(p) if p.get("lambda") else None
     ns = _int_list(p.get("n"), 1)
     c = float(p.get("c", 2.0))
-    depth = max(max(ns) + 1, len(lam) if lam else 0)
-    filt = al.uhf(2, depth)
-    dirac = tr.dirac_explicit(lam) if lam else tr.dirac_power(3.0, depth)
-    triple = tr.build_triple(filt, al.TraceState(), dirac)
+    depth = max(max(ns) + 1, len(_lambdas(p)) if p.get("lambda") else 0)
+    triple = _triple_from_params({"depth": depth, "lambda": p.get("lambda"), "power": 3.0})
     samples = int(p.get("samples", 200))
     records = []
     for n in ns:
         rng = np.random.default_rng(int(p.get("seed", 0)))
         all_hold, special_hold, min_slack = True, True, np.inf
         for _ in range(samples):
-            x = al.AlgebraElement(filt, 1, rng.normal(size=4) + 1j * rng.normal(size=4))
+            x = al.AlgebraElement(triple.filtration, 1, rng.normal(size=4) + 1j * rng.normal(size=4))
             rep = iso.shift_inequality_check(triple, x, n, c)
             all_hold &= rep["holds"]
             min_slack = min(min_slack, rep["rhs"] - rep["lhs"])
@@ -397,14 +363,14 @@ def _crossed_suite(p) -> list:
     chis = [1.0 + 0j, 1j, complex(np.exp(2j * np.pi / 5))]
     chi_names = ["1", "i", "exp(2 pi i/5)"]
 
-    f2 = al.uhf(2, 2)
-    base_u = tr.build_triple(f2, al.TraceState(), tr.dirac_explicit([1.0, 2.0]))
+    base_u = _triple_from_params({"depth": 2, "lambda": [1.0, 2.0]})
     lift_u = cx.build_lifted(base_u, cx.TrivialAction(), radius, margin)
-    c3 = al.cantor(3)
-    base_c = tr.build_triple(c3, al.UniformState(), tr.dirac_explicit([1.0, 2.0, 4.0]))
+    base_c = _triple_from_params({"family": "cantor", "depth": 3, "lambda": [1.0, 2.0, 4.0]})
     lift_c = cx.build_lifted(base_c, cx.OdometerAction(), radius, margin)
+    f2 = base_u.filtration
 
-    def sample_x(filt):
+    def sample_x(lifted):
+        filt = lifted.base.filtration
         dim = filt.dim(filt.depth)
         return cx.CrossedElement(
             {g: al.AlgebraElement(filt, filt.depth, rng.normal(size=dim)) for g in (-1, 0, 1)}
@@ -412,20 +378,18 @@ def _crossed_suite(p) -> list:
 
     configs = []
     for chi, cname in zip(chis, chi_names):
-        configs.append(("trivial", lift_u, f2, chi, cname, None, "id", False))
+        configs.append(("trivial", lift_u, chi, cname, None, "id", False))
         configs.append(
-            ("trivial", lift_u, f2, chi, cname, iso.random_local_automorphism(f2, rng), "id", False)
+            ("trivial", lift_u, chi, cname, iso.random_local_automorphism(f2, rng), "id", False)
         )
-        configs.append(("odometer", lift_c, c3, chi, cname, None, "id", False))
-        configs.append(
-            ("odometer", lift_c, c3, chi, cname, iso.odometer_portrait(3), "id", False)
-        )
+        configs.append(("odometer", lift_c, chi, cname, None, "id", False))
+        configs.append(("odometer", lift_c, chi, cname, iso.odometer_portrait(3), "id", False))
     # designed failures: label-flipping sigma and a non-rigid beta
-    configs.append(("trivial", lift_u, f2, 1.0 + 0j, "1", None, "neg", True))
-    configs.append(("trivial", lift_u, f2, 1.0 + 0j, "1", iso.switch(1, 2, 2), "id", True))
+    configs.append(("trivial", lift_u, 1.0 + 0j, "1", None, "neg", True))
+    configs.append(("trivial", lift_u, 1.0 + 0j, "1", iso.switch(1, 2, 2), "id", True))
 
     records = []
-    for action_name, lifted, filt, chi, cname, beta, sigma, expect_fail in configs:
+    for action_name, lifted, chi, cname, beta, sigma, expect_fail in configs:
         records.append(
             {
                 "record": "crossed-lift",
@@ -433,7 +397,7 @@ def _crossed_suite(p) -> list:
                 "chi": cname,
                 "beta": type(beta).__name__ if beta is not None else "id",
                 "sigma": sigma,
-                **_lift_check(lifted, chi, beta, sigma, sample_x(filt), expect_fail),
+                **_lift_check(lifted, chi, beta, sigma, sample_x(lifted), expect_fail),
             }
         )
     return records
@@ -502,28 +466,76 @@ def run_crossed_lift(p) -> list:
     ]
 
 
-RUNNERS = {
-    "distance": run_distance,
-    "iso-check": run_iso_check,
-    "iso-enumerate": run_iso_enumerate,
-    "cantor-metric": run_cantor_metric,
-    "switch-violation": run_switch_violation,
-    "flip-demo": run_flip_demo,
-    "shift-inequality": run_shift_inequality,
-    "crossed-lift": run_crossed_lift,
+# ---------------------------------------------------------------------------
+# argument wiring: every flag once, then each subcommand's runner, help and flags
+# ---------------------------------------------------------------------------
+
+# flag name -> argparse keywords; the dest is the name with "-" read as "_".
+# --k, --depth and --l stay text: the runners parse them (int or comma list).
+OPTIONS = {
+    "config": {"help": "JSON file prefilling this subcommand's options"},
+    "output": {"help": "write records to this file instead of stdout"},
+    "pretty": {"action": "store_true", "help": "also print a readable table"},
+    "seed": {"type": int},
+    "family": {"choices": ("uhf", "cantor")},
+    "k": {"help": "uhf factor size; switch-violation: switch target shift(s), comma separated"},
+    "depth": {"help": "depth; iso-enumerate: depth or comma list of depths"},
+    "lambda": {"help": "eigenvalues, comma separated"},
+    "gamma": {"type": float},
+    "power": {"type": float},
+    "car": {"action": "store_true", "help": "matched vector state vs trace"},
+    "n": {"help": "shift count(s), comma separated"},
+    "l": {"help": "Bloch label 1..3; distance in car mode: comma separated labels"},
+    "state1": {},
+    "state2": {},
+    "starts": {"type": int},
+    "max-iter": {"type": int},
+    "auto": {"help": "switch:i,j | portrait:BITS | leafperm:... | locals:SEED | block:S,W,SEED | global:SEED | odometer | identity"},
+    "round-trip": {"help": "N_STRUCT,N_ADV: batch equivalence check instead of one verdict"},
+    "cantor": {"action": "store_true", "help": "accepted for clarity; always cantor"},
+    "exhaustive": {"action": "store_true", "help": "scan all leaf permutations"},
+    "progress": {"action": "store_true", "help": "report scan progress on stderr"},
+    "d1": {"type": float},
+    "d2": {"type": float},
+    "pairs": {"type": int},
+    "elements": {"type": int},
+    "c": {"type": float},
+    "samples": {"type": int},
+    "action": {"choices": ("trivial", "odometer")},
+    "radius": {"type": int},
+    "margin": {"type": int},
+    "chi": {"help": "comma separated: 1 | i | -1 | exp:K/M | complex literal"},
+    "beta": {},
+    "sigma": {"choices": ("id", "neg")},
+    "support": {"type": int},
+    "expect-fail": {"action": "store_true"},
+    "suite": {"action": "store_true", "help": "run the full lift matrix with designed failure controls"},
 }
+_FLAG_OF = {flag.replace("-", "_"): flag for flag in OPTIONS}
+_COMMON = ("config", "output", "pretty", "seed")
+_TRIPLE = ("family", "k", "depth", "lambda", "gamma", "power")
 
-
-# ---------------------------------------------------------------------------
-# argument wiring
-# ---------------------------------------------------------------------------
-
-
-def _add_common(sp):
-    sp.add_argument("--config", help="JSON file prefilling this subcommand's options")
-    sp.add_argument("--output", help="write records to this file instead of stdout")
-    sp.add_argument("--pretty", action="store_true", help="also print a readable table")
-    sp.add_argument("--seed", type=int, default=None)
+# subcommand -> (runner, help, flags besides the common ones)
+SUBCOMMANDS = {
+    "distance": (run_distance, "state distance (certified lower/upper bounds)",
+                 _TRIPLE + ("car", "n", "l", "state1", "state2", "starts", "max-iter")),
+    "iso-check": (run_iso_check, "unitary rigidity verdict for one automorphism",
+                  _TRIPLE + ("auto", "round-trip")),
+    "iso-enumerate": (run_iso_enumerate, "tree-automorphism group of the Cantor triple",
+                      ("cantor", "depth", "exhaustive", "lambda", "gamma", "power", "progress")),
+    "cantor-metric": (run_cantor_metric, "leaf-pair distance table grouped by split level",
+                      ("gamma", "depth", "starts", "max-iter")),
+    "switch-violation": (run_switch_violation, "distance gap under a tensor-slot switch",
+                         ("k", "l", "lambda", "starts")),
+    "flip-demo": (run_flip_demo, "two-point flip: distance preserving, Dirac moving",
+                  ("d1", "d2", "pairs", "elements")),
+    "shift-inequality": (run_shift_inequality, "commutator stretching under the shift",
+                         ("n", "c", "lambda", "samples")),
+    "crossed-lift": (run_crossed_lift, "lifted unitaries on the site window",
+                     _TRIPLE + ("action", "radius", "margin", "chi", "beta", "sigma", "support",
+                                "expect-fail", "suite")),
+}
+RUNNERS = {name: entry[0] for name, entry in SUBCOMMANDS.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -532,101 +544,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Experiments on truncated filtered algebras with graded Dirac operators",
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    # triple options shared by distance, iso-check and crossed-lift
-    triple_opts = argparse.ArgumentParser(add_help=False)
-    triple_opts.add_argument("--family", choices=("uhf", "cantor"), default=None)
-    triple_opts.add_argument("--k", type=int, default=None)
-    triple_opts.add_argument("--depth", type=int, default=None)
-    triple_opts.add_argument("--lambda", dest="lambda_", default=None, help="eigenvalues, comma separated")
-    triple_opts.add_argument("--gamma", type=float, default=None)
-    triple_opts.add_argument("--power", type=float, default=None)
-
-    sp = sub.add_parser(
-        "distance", parents=[triple_opts], help="state distance (certified lower/upper bounds)"
-    )
-    sp.add_argument("--car", action="store_true", help="matched vector state vs trace")
-    sp.add_argument("--n", default=None, help="shift count(s), comma separated (car mode)")
-    sp.add_argument("--l", default=None, help="Bloch label(s) 1..3, comma separated (car mode)")
-    sp.add_argument("--state1", default=None)
-    sp.add_argument("--state2", default=None)
-    sp.add_argument("--starts", type=int, default=None)
-    sp.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    _add_common(sp)
-
-    sp = sub.add_parser(
-        "iso-check", parents=[triple_opts], help="unitary rigidity verdict for one automorphism"
-    )
-    sp.add_argument("--auto", default=None, help="switch:i,j | portrait:BITS | leafperm:... | locals:SEED | block:S,W,SEED | global:SEED | odometer | identity")
-    sp.add_argument("--round-trip", dest="round_trip", default=None,
-                    help="N_STRUCT,N_ADV: batch equivalence check instead of one verdict")
-    _add_common(sp)
-
-    sp = sub.add_parser("iso-enumerate", help="tree-automorphism group of the Cantor triple")
-    sp.add_argument("--cantor", action="store_true", help="accepted for clarity; always cantor")
-    sp.add_argument("--depth", default=None, help="depth or comma list of depths")
-    sp.add_argument("--exhaustive", action="store_true", help="scan all leaf permutations")
-    sp.add_argument("--lambda", dest="lambda_", default=None)
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--power", type=float, default=None)
-    sp.add_argument("--progress", action="store_true")
-    _add_common(sp)
-
-    sp = sub.add_parser("cantor-metric", help="leaf-pair distance table grouped by split level")
-    sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--depth", type=int, default=None)
-    sp.add_argument("--starts", type=int, default=None)
-    sp.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    _add_common(sp)
-
-    sp = sub.add_parser("switch-violation", help="distance gap under a tensor-slot switch")
-    sp.add_argument("--k", default=None, help="switch target shift(s), comma separated")
-    sp.add_argument("--l", type=int, default=None)
-    sp.add_argument("--lambda", dest="lambda_", default=None)
-    sp.add_argument("--starts", type=int, default=None)
-    _add_common(sp)
-
-    sp = sub.add_parser("flip-demo", help="two-point flip: distance preserving, Dirac moving")
-    sp.add_argument("--d1", type=float, default=None)
-    sp.add_argument("--d2", type=float, default=None)
-    sp.add_argument("--pairs", type=int, default=None)
-    sp.add_argument("--elements", type=int, default=None)
-    _add_common(sp)
-
-    sp = sub.add_parser("shift-inequality", help="commutator stretching under the shift")
-    sp.add_argument("--n", default=None, help="shift count(s), comma separated")
-    sp.add_argument("--c", type=float, default=None)
-    sp.add_argument("--lambda", dest="lambda_", default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    _add_common(sp)
-
-    sp = sub.add_parser("crossed-lift", parents=[triple_opts], help="lifted unitaries on the site window")
-    sp.add_argument("--action", choices=("trivial", "odometer"), default=None)
-    sp.add_argument("--radius", type=int, default=None)
-    sp.add_argument("--margin", type=int, default=None)
-    sp.add_argument("--chi", default=None, help="comma separated: 1 | i | -1 | exp:K/M | complex literal")
-    sp.add_argument("--beta", default=None)
-    sp.add_argument("--sigma", choices=("id", "neg"), default=None)
-    sp.add_argument("--support", type=int, default=None)
-    sp.add_argument("--expect-fail", dest="expect_fail", action="store_true", default=None)
-    sp.add_argument("--suite", action="store_true", default=None,
-                    help="run the full lift matrix with designed failure controls")
-    _add_common(sp)
-
+    for name, (_, help_, flags) in SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_)
+        for flag in flags + _COMMON:
+            sp.add_argument("--" + flag, **OPTIONS[flag])
     return ap
-
-
-_KEY_ALIASES = {"lambda_": "lambda"}
-
-
-def _collect_params(args) -> dict:
-    skip = {"subcommand", "config", "output", "pretty"}
-    params = {}
-    for key, val in vars(args).items():
-        if key in skip or val is None or val is False:
-            continue
-        params[_KEY_ALIASES.get(key, key)] = val
-    return params
 
 
 def main(argv=None) -> int:
@@ -642,12 +564,17 @@ def main(argv=None) -> int:
             return 2
         file_params = loaded.get("params", loaded)
         file_params.pop("subcommand", None)
-    params = {**file_params, **_collect_params(args)}
-    config = ExperimentConfig(args.subcommand, params)
+    flags = {
+        key: val for key, val in vars(args).items()
+        if key not in ("subcommand", "config", "output", "pretty") and val not in (None, False)
+    }
 
     try:
-        records = RUNNERS[args.subcommand](config.params)
+        records = RUNNERS[args.subcommand]({**file_params, **flags})
     except (InvalidInputError, ValueError, KeyError, FileNotFoundError) as exc:
+        missing = exc.args[0] if isinstance(exc, KeyError) and exc.args else None
+        if missing in _FLAG_OF:
+            exc = f"missing required option --{_FLAG_OF[missing]}"
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (AmbiguousVerdictError, UnboundedObjectiveError) as exc:

@@ -13,6 +13,7 @@ preserves all distances without commuting with the Dirac operator, and the
 one-sided shift stretches commutator norms by an explicit eigenvalue ratio.
 """
 
+import sys
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
@@ -424,6 +425,7 @@ def enumerate_cantor_iso(
     ``portraits`` checks every tree portrait (exhaustively up to depth 4);
     ``exhaustive`` scans all leaf permutations (depth <= 3) and reports how
     many commute with the Dirac operator, which must be exactly the portraits.
+    With ``progress`` the leaf scan reports its count on stderr.
     """
     filt = triple.filtration
     if filt.family != "cantor":
@@ -470,7 +472,7 @@ def enumerate_cantor_iso(
             if resid <= TOL.iso_residual:
                 passing.append(perm)
             if progress and scanned % 5040 == 0:
-                print(f"scanned {scanned} permutations, {len(passing)} passing")
+                print(f"scanned {scanned} permutations, {len(passing)} passing", file=sys.stderr)
         portraits = {
             tuple(int(v) for v in leaf_permutation_array(TreePortrait(n, bits), n))
             for bits in product((0, 1), repeat=2**n - 1)
@@ -781,9 +783,6 @@ class PulledBackState(al.State):
 
     def value(self, x):
         return self.base.value(apply_automorphism(self.spec, x))
-
-    def to_dict(self):
-        return {"variant": "pullback", "base": self.base.to_dict()}
 
 
 def random_local_automorphism(

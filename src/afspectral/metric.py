@@ -81,14 +81,6 @@ class DistanceResult:
     witness: al.AlgebraElement
     diagnostics: dict
 
-    def to_dict(self):
-        return {
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "witness": self.witness.to_dict(),
-            "diagnostics": self.diagnostics,
-        }
-
 
 # ---------------------------------------------------------------------------
 # search-space assembly
@@ -463,15 +455,6 @@ def brute_force_distance(problem: DistanceProblem, points: int = 10000, seed: in
         return 0.0
     c, B, _ = _search_space(problem)
     return _brute_force_core(c, B, points=points, seed=seed)
-
-
-def triangle_defect(triple, s1, s2, s3, cfg: SolverConfig | None = None) -> float:
-    """Advisory check d(s1,s3) - d(s1,s2) - d(s2,s3); soft because all three
-    values are lower bounds, so small positive defects can be solver artifacts."""
-    def solve(a, b):
-        return distance(reduce_search_level(DistanceProblem(triple, a, b)), cfg).lower_bound
-
-    return solve(s1, s3) - solve(s1, s2) - solve(s2, s3)
 
 
 _CAR_VECTORS = {

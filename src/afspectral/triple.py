@@ -45,27 +45,8 @@ class DiracSpec:
         return len(self.lambdas) - 1
 
     @property
-    def strictly_increasing(self) -> bool:
-        return bool(np.all(np.diff(self.lambdas) > 0))
-
-    @property
-    def nondecreasing(self) -> bool:
-        return bool(np.all(np.diff(self.lambdas) >= 0))
-
-    @property
     def pairwise_distinct(self) -> bool:
         return len(set(self.lambdas)) == len(self.lambdas)
-
-    def to_dict(self):
-        return {
-            "variant": self.variant,
-            "param": self.param,
-            "lambdas": [float(l) for l in self.lambdas],
-        }
-
-    @staticmethod
-    def from_dict(d):
-        return DiracSpec(tuple(d["lambdas"]), d.get("variant", "explicit"), d.get("param", 0.0))
 
 
 def dirac_explicit(lambdas) -> DiracSpec:
@@ -230,25 +211,12 @@ class TruncatedTriple:
                 out[i, j] = operator_norm(pa[np.ix_(mi, self.grade_mask(j))])
         return out
 
-    def commutator_from_blocks(self, a: al.AlgebraElement) -> np.ndarray:
-        """Reassemble [D, pi(a)] from weighted off-diagonal grade blocks."""
-        pa = self.represent(a)
-        lam = self.lambdas[self.gns.grades]
-        return pa * (lam[:, None] - lam[None, :])
-
     def vector_of(self, a: al.AlgebraElement) -> np.ndarray:
         """GNS coefficients of a*xi, i.e. <b_i, a> in the reference inner product."""
         if a.filtration != self.filtration:
             raise InvalidInputError("filtration mismatch")
         acted = al.mat_product(self.filtration, a.materialize(self.depth), self.gns.stack[:1])
         return self.gns.coordinates(acted)[:, 0]
-
-    def to_dict(self):
-        return {
-            "filtration": self.filtration.to_dict(),
-            "state": self.gns.state.to_dict(),
-            "dirac": self.dirac.to_dict(),
-        }
 
 
 def build_triple(filtration: al.Filtration, state: al.State, dirac: DiracSpec) -> TruncatedTriple:

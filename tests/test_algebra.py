@@ -320,36 +320,6 @@ def test_adjoint_is_conjugation(rng):
     assert np.max(np.abs(x.adjoint().materialize() - np.conj(x.materialize()).T)) < 1e-12
 
 
-def test_element_serialization_roundtrip(rng):
-    x = random_element(F2, 2, rng)
-    back = al.AlgebraElement.from_dict(x.to_dict())
-    assert back.filtration == x.filtration and back.level == x.level
-    assert np.allclose(back.coeffs, x.coeffs)
-
-
-def test_state_serialization_roundtrip(rng):
-    rho = np.array([[0.7, 0.0], [0.0, 0.3]])
-    states = [
-        al.TraceState(),
-        al.UniformState(),
-        al.VectorState(al.basis_element(F2, 1, (3,))),
-        al.CharacterState((1, 0)),
-        al.ProductState([rho, rho]),
-    ]
-    probes = {
-        "trace": al.basis_element(F2, 1, (3,)),
-        "uniform": al.from_values(C2, 2, [1.0, 0.0, 0.0, 0.0]),
-        "vector": al.basis_element(F2, 2, (3, 3)),
-        "character": al.from_values(C2, 2, [0.5, 1.5, -1.0, 2.0]),
-        "product": al.basis_element(F2, 1, (3,)),
-    }
-    for state in states:
-        d = state.to_dict()
-        back = al.state_from_dict(d)
-        probe = probes[d["variant"]]
-        assert back.value(probe) == pytest.approx(state.value(probe), abs=1e-12)
-
-
 def test_vanishing_levels():
     assert al.vanishing_level(al.TraceState(), F3) == 0
     v = al.from_matrix(F3, 1, np.array([[0.0, np.sqrt(2.0)], [0.0, 0.0]]))

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -118,20 +120,17 @@ def test_determinism_byte_identical(capsys):
 
 
 def test_config_file_roundtrip(tmp_path, capsys):
-    cfg = cli.ExperimentConfig("distance", {"car": True, "n": 0, "lambda": "1,2", "l": 3})
-    text = cfg.to_json()
-    assert cli.ExperimentConfig.from_json(text) == cfg
+    cfg = {"subcommand": "distance", "params": {"car": True, "n": 0, "lambda": "1,2", "l": 3}}
     path = tmp_path / "exp.json"
-    path.write_text(text)
+    path.write_text(json.dumps(cfg))
     code, records = run_cli(capsys, ["distance", "--config", str(path)])
     assert code == 0
     assert records[0]["upper_bound"] == 1.0
 
 
 def test_config_flag_override(tmp_path, capsys):
-    cfg = cli.ExperimentConfig("distance", {"car": True, "n": 0, "lambda": "1,2"})
     path = tmp_path / "exp.json"
-    path.write_text(cfg.to_json())
+    path.write_text(json.dumps({"car": True, "n": 0, "lambda": "1,2"}))  # bare params
     code, records = run_cli(capsys, ["distance", "--config", str(path), "--n", "1"])
     assert code == 0
     assert records[0]["n"] == 1 and records[0]["upper_bound"] == 0.5
@@ -166,3 +165,53 @@ def test_undecidable_verdict_exit_code(capsys):
     assert code == 3
     assert captured.out == ""
     assert "guard band" in captured.err
+
+
+def test_progress_goes_to_stderr(capsys):
+    code = cli.main(["iso-enumerate", "--depth", "3", "--exhaustive", "--progress"])
+    captured = capsys.readouterr()
+    assert code == 0
+    records = [json.loads(line) for line in captured.out.splitlines()]
+    assert [r["record"] for r in records] == ["iso-enumerate"]
+    assert "scanned 40320 permutations, 128 passing" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["switch-violation"], "--lambda"),
+        (["distance", "--car", "--n", "0,1,2", "--l", "1,2,3"], "--lambda"),
+        (["distance", "--family", "cantor", "--depth", "2", "--state2", "character:01"],
+         "--state1"),
+        (["iso-check", "--family", "uhf", "--depth", "2"], "--auto"),
+    ],
+)
+def test_missing_required_option_is_named(capsys, argv, flag):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"usage error: missing required option {flag}"
+
+
+def test_iso_enumerate_rejects_lambda_for_several_depths(capsys):
+    # one eigenvalue list cannot fit depths 2 and 3; it used to be dropped silently
+    assert cli.main(["iso-enumerate", "--depth", "2,3", "--lambda", "1,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--lambda" in captured.err
+
+
+def _readme_cli_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [cmd for cmd in block.replace("\\\n", " ").splitlines() if cmd.strip()]
+
+
+def test_readme_cli_examples_parse():
+    lines = _readme_cli_lines()
+    assert len(lines) >= 10
+    parser = cli.build_parser()
+    for line in lines:
+        words = shlex.split(line, comments=True)
+        assert words[0] == "afspectral", line
+        args = parser.parse_args(words[1:])
+        assert args.subcommand in cli.RUNNERS

@@ -1,0 +1,62 @@
+"""Replay pinned CLI invocations against their recorded output.
+
+Each line of ``data/cli_records.jsonl`` holds an ``argv``, its exit status and
+the records it printed.  Keys, strings, ints and bools must match exactly;
+floats to 1e-12 relative (scale ``max(1, |x|)``), so a different BLAS does not
+flake.  When a change to the records is intended, regenerate the file with
+``PYTHONPATH=src python tests/test_cli_records.py``.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from afspectral import cli
+
+DATA = Path(__file__).parent / "data" / "cli_records.jsonl"
+CASES = [json.loads(line) for line in DATA.read_text().splitlines()]
+
+
+def _mismatches(got, want, path="$"):
+    """Every difference between two parsed JSON values, as readable lines."""
+    if type(got) is not type(want):
+        return [f"{path}: {got!r} != {want!r}"]
+    if isinstance(want, dict):
+        if sorted(got) != sorted(want):
+            return [f"{path}: keys {sorted(got)} != {sorted(want)}"]
+        return [m for k in want for m in _mismatches(got[k], want[k], f"{path}.{k}")]
+    if isinstance(want, list):
+        if len(got) != len(want):
+            return [f"{path}: length {len(got)} != {len(want)}"]
+        return [m for i, (g, w) in enumerate(zip(got, want)) for m in _mismatches(g, w, f"{path}[{i}]")]
+    if isinstance(want, float) and abs(got - want) <= 1e-12 * max(1.0, abs(got), abs(want)):
+        return []
+    return [] if got == want else [f"{path}: {got!r} != {want!r}"]
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+@pytest.mark.parametrize(
+    "case", CASES, ids=[f"{i:02d}-{c['argv'][0]}" for i, c in enumerate(CASES)]
+)
+def test_cli_records_match(case):
+    code, records = _run(case["argv"])
+    assert code == case["exit"]
+    assert _mismatches(records, case["records"]) == []
+
+
+if __name__ == "__main__":
+    lines = []
+    for case in CASES:
+        code, records = _run(case["argv"])
+        lines.append(json.dumps({"argv": case["argv"], "exit": code, "records": records},
+                                sort_keys=True))
+    DATA.write_text("\n".join(lines) + "\n")

@@ -378,11 +378,12 @@ def test_rigid_pullbacks_preserve_distances(cantor3, rng):
 
 
 def test_triangle_defect_advisory(cantor3):
-    defect = mt.triangle_defect(
-        cantor3,
-        al.CharacterState((0, 0, 0)),
-        al.CharacterState((0, 1, 0)),
-        al.CharacterState((1, 1, 0)),
-        FAST,
-    )
+    # advisory: all three values are lower bounds, so a small positive defect
+    # d(s1,s3) - d(s1,s2) - d(s2,s3) can be a solver artifact
+    s1, s2, s3 = (al.CharacterState(w) for w in ((0, 0, 0), (0, 1, 0), (1, 1, 0)))
+
+    def d(a, b):
+        return mt.distance(mt.reduce_search_level(mt.DistanceProblem(cantor3, a, b)), FAST)
+
+    defect = d(s1, s3).lower_bound - d(s1, s2).lower_bound - d(s2, s3).lower_bound
     assert defect <= 1e-4

@@ -16,9 +16,9 @@ C2 = al.cantor(2)
 def test_dirac_spec_flags():
     d = tr.dirac_explicit([1, 2, 4])
     assert d.lambdas[0] == 0.0
-    assert d.strictly_increasing and d.pairwise_distinct and d.nondecreasing
+    assert np.all(np.diff(d.lambdas) > 0) and d.pairwise_distinct
     tied = tr.dirac_explicit([1, 1, 2])
-    assert tied.nondecreasing and not tied.pairwise_distinct
+    assert np.all(np.diff(tied.lambdas) >= 0) and not tied.pairwise_distinct
     assert np.allclose(tr.dirac_geometric(1 / 3, 3).lambdas, (0.0, 1.0, 3.0, 9.0))
     assert tr.dirac_power(3.0, 3).lambdas == (0.0, 1.0, 3.0, 9.0)
     with pytest.raises(InvalidInputError):
@@ -114,12 +114,6 @@ def test_deep_projections_commute_with_shallow_elements(uhf3, rng):
         assert operator_norm(q @ px - px @ q) < 1e-12
 
 
-def test_commutator_reconstruction_from_blocks(uhf3, rng):
-    x = random_element(F3, 3, rng)
-    direct = uhf3.commutator(x)
-    assert operator_norm(direct - uhf3.commutator_from_blocks(x)) < 1e-12
-
-
 def test_locality(uhf3, rng):
     # a in A_n gives [D, pi(a)] = P_n [D, pi(a)] P_n
     x = random_element(F3, 2, rng)
@@ -197,13 +191,6 @@ def test_product_state_gns(rng):
         a = random_element(f2, 2, rng)
         b = random_element(f2, 2, rng)
         assert operator_norm(t.represent(a * b) - t.represent(a) @ t.represent(b)) < 1e-9
-
-
-def test_triple_serialization(uhf3):
-    d = uhf3.to_dict()
-    assert d["filtration"]["family"] == "uhf"
-    assert d["dirac"]["lambdas"] == [0.0, 1.0, 2.0, 4.0]
-    assert d["state"]["variant"] == "trace"
 
 
 def test_factor_size_three_path(rng):
