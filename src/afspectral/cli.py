@@ -566,7 +566,8 @@ def main(argv=None) -> int:
         file_params.pop("subcommand", None)
     flags = {
         key: val for key, val in vars(args).items()
-        if key not in ("subcommand", "config", "output", "pretty") and val not in (None, False)
+        if key not in ("subcommand", "config", "output", "pretty")
+        and val is not None and val is not False
     }
 
     try:

@@ -136,6 +136,21 @@ def test_config_flag_override(tmp_path, capsys):
     assert records[0]["n"] == 1 and records[0]["upper_bound"] == 0.5
 
 
+def test_zero_valued_flags_reach_runner(tmp_path, capsys, monkeypatch):
+    # 0 == False in Python, so a filter on equality would drop these flags
+    seen = {}
+    monkeypatch.setitem(cli.RUNNERS, "crossed-lift", lambda p: seen.update(p) or [])
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"seed": 5, "margin": 3}))
+    argv = ["crossed-lift", "--config", str(path), "--seed", "0", "--margin", "0",
+            "--support", "0", "--power", "0"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert {k: seen[k] for k in ("seed", "margin", "support", "power")} == {
+        "seed": 0, "margin": 0, "support": 0, "power": 0.0}
+    assert "expect_fail" not in seen  # an unset store_true flag leaves the runner default
+
+
 def test_output_file_and_env_dir(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("AFSPECTRAL_OUTDIR", str(tmp_path))
     code = cli.main(["flip-demo", "--pairs", "5", "--elements", "5",
