@@ -52,11 +52,6 @@ class Filtration:
         self._check_level(level)
         return self.k ** (2 * level) if self.family == "uhf" else 2**level
 
-    def leaf_count(self, level: int) -> int:
-        if self.family != "cantor":
-            raise InvalidInputError("leaf_count only applies to cantor")
-        return 2**level
-
     def _check_level(self, level: int):
         if not (0 <= level <= self.depth):
             raise InvalidInputError(f"level {level} outside 0..{self.depth}")
@@ -273,15 +268,6 @@ class AlgebraElement:
         out[: len(self.coeffs)] = self.coeffs
         return AlgebraElement(self.filtration, level, out)
 
-    def restrict(self, level: int) -> "AlgebraElement":
-        """Inverse of :meth:`embed`; requires vanishing coefficients above the level."""
-        if level > self.level:
-            raise InvalidInputError("restrict target above current level")
-        dim = self.filtration.dim(level)
-        if np.max(np.abs(self.coeffs[dim:]), initial=0.0) > 1e-12:
-            raise InvalidInputError("element does not lie in the target level")
-        return AlgebraElement(self.filtration, level, self.coeffs[:dim].copy())
-
     # -- arithmetic ----------------------------------------------------------
 
     def _common(self, other):
@@ -338,22 +324,14 @@ def from_matrix(filtration: Filtration, level: int, mat) -> AlgebraElement:
     """Decompose a dense k^n x k^n matrix over the canonical uhf basis."""
     if filtration.family != "uhf":
         raise InvalidInputError("from_matrix applies to uhf filtrations")
-    size = filtration.k**level
-    m = np.asarray(mat, dtype=complex)
-    if m.shape != (size, size):
-        raise InvalidInputError(f"matrix shape {m.shape}, expected ({size},{size})")
-    return AlgebraElement(filtration, level, decompose(filtration, level, m))
+    return AlgebraElement(filtration, level, decompose(filtration, level, mat))
 
 
 def from_values(filtration: Filtration, level: int, values) -> AlgebraElement:
     """Decompose a leaf-value vector over the Haar basis."""
     if filtration.family != "cantor":
         raise InvalidInputError("from_values applies to cantor filtrations")
-    v = np.asarray(values, dtype=complex)
-    n = filtration.leaf_count(level)
-    if v.shape != (n,):
-        raise InvalidInputError(f"value vector shape {v.shape}, expected ({n},)")
-    return AlgebraElement(filtration, level, decompose(filtration, level, v))
+    return AlgebraElement(filtration, level, decompose(filtration, level, values))
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -403,9 +381,6 @@ class State:
     def value(self, x: AlgebraElement) -> complex:
         raise NotImplementedError
 
-    def is_faithful_reference(self) -> bool:
-        return False
-
 
 class TraceState(State):
     """Normalized trace on a uhf filtration."""
@@ -415,9 +390,6 @@ class TraceState(State):
             raise InvalidInputError("trace applies to uhf filtrations")
         return complex(x.coeffs[0])
 
-    def is_faithful_reference(self):
-        return True
-
 
 class UniformState(State):
     """Uniform measure on a cantor filtration."""
@@ -426,9 +398,6 @@ class UniformState(State):
         if x.filtration.family != "cantor":
             raise InvalidInputError("uniform measure applies to cantor filtrations")
         return complex(x.coeffs[0])
-
-    def is_faithful_reference(self):
-        return True
 
 
 class VectorState(State):
@@ -511,9 +480,9 @@ class ProductState(State):
         return complex(np.trace(self.density(x.level) @ x.materialize()))
 
 
-def vanishing_level(state: State, filtration: Filtration, depth: int | None = None) -> int:
-    """Smallest m with state(e) = 0 for every basis index of grade > m."""
-    n = filtration.depth if depth is None else depth
+def vanishing_level(state: State, filtration: Filtration) -> int:
+    """Smallest m with state(e) = 0 for every full-depth basis index of grade > m."""
+    n = filtration.depth
     idxs = canonical_basis(filtration, n)
     m = 0
     for pos, ix in enumerate(idxs):

@@ -42,12 +42,31 @@ def _lambdas(p) -> list:
     return [float(v) for v in lam.split(",") if v.strip()] if isinstance(lam, str) else lam
 
 
+def _ints(p, key, default=None, count=None) -> list:
+    """The ints of option ``key``: comma separated text from a flag, or an int
+    from a config file.  ``[default]`` when absent; without a default a
+    missing option raises KeyError.  ``count`` fixes how many there are."""
+    value = p[key] if default is None else p.get(key, default)
+    try:
+        ints = [int(v) for v in str(value).split(",")]
+        if count in (None, len(ints)):
+            return ints
+    except ValueError:
+        pass
+    what = {1: "an integer", 2: "two comma separated integers"}.get(count, "comma separated integers")
+    raise InvalidInputError(f"--{_FLAG_OF[key]} expects {what}, got {value!r}")
+
+
+def _int(p, key, default=None) -> int:
+    return _ints(p, key, default, count=1)[0]
+
+
 def _build_filtration(p) -> al.Filtration:
     family = p.get("family", "uhf")
     if family == "uhf":
-        return al.uhf(int(p.get("k", 2)), int(p["depth"]))
+        return al.uhf(_int(p, "k", 2), _int(p, "depth"))
     if family == "cantor":
-        return al.cantor(int(p["depth"]))
+        return al.cantor(_int(p, "depth"))
     raise InvalidInputError(f"unknown family {family!r}")
 
 
@@ -140,18 +159,13 @@ def _solver_config(p) -> mt.SolverConfig:
 # ---------------------------------------------------------------------------
 
 
-def _int_list(value, default):
-    """An int, or comma separated ints as text; ``default`` when absent."""
-    return [default] if value is None else [int(v) for v in str(value).split(",")]
-
-
 def run_distance(p) -> list:
     cfg = _solver_config(p)
     if p.get("car"):
         lam = _lambdas(p)
         records = []
-        for n in _int_list(p.get("n"), 0):
-            for l in _int_list(p.get("l"), 3):
+        for n in _ints(p, "n", 0):
+            for l in _ints(p, "l", 3):
                 rec = mt.car_golden_case(lam, n, l, cfg)
                 rec["record"] = "car-distance"
                 triple = _triple_from_params({"depth": n + 1, "lambda": lam[: n + 1]})
@@ -202,34 +216,29 @@ def run_iso_check(p) -> list:
 
 def _run_round_trip(p) -> list:
     """Batch equivalence check: rigidity == (state and required levels preserved)."""
-    n_struct, n_adv = (int(v) for v in str(p["round_trip"]).split(","))
+    n_struct, n_adv = _ints(p, "round_trip", count=2)
     rng = np.random.default_rng(int(p.get("seed", 0)))
     t_uhf = _triple_from_params({"depth": 3, "lambda": [1.0, 2.0, 4.0]})
     t_cantor = _triple_from_params({"family": "cantor", "depth": 3, "lambda": [1.0, 2.0, 4.0]})
     f3 = t_uhf.filtration
 
-    cases = []
-    for i in range(n_struct):
-        kind = i % 4
-        if kind == 0:
-            cases.append(("local", t_uhf, iso.random_local_automorphism(f3, rng)))
-        elif kind == 1:
-            cases.append(
-                ("permuted-local", t_uhf, iso.random_local_automorphism(f3, rng, permute=True))
-            )
-        elif kind == 2:
-            cases.append(("portrait", t_cantor, iso.random_portrait(3, rng)))
-        else:
-            cases.append(("switch", t_uhf, iso.switch(1, int(rng.integers(2, 4)), 3)))
-    for i in range(n_adv):
-        if i % 2 == 0:
-            cases.append(("leafperm", t_cantor, iso.random_leaf_permutation(3, rng)))
-        else:
-            cases.append(("global-block", t_uhf, iso.random_block_automorphism(f3, rng, width=3)))
+    # case i draws its spec from the i-th maker, cycling; all draws precede the verdicts
+    structural = [
+        lambda: (t_uhf, iso.random_local_automorphism(f3, rng)),
+        lambda: (t_uhf, iso.random_local_automorphism(f3, rng, permute=True)),
+        lambda: (t_cantor, iso.random_portrait(3, rng)),
+        lambda: (t_uhf, iso.switch(1, int(rng.integers(2, 4)), 3)),
+    ]
+    adversarial = [
+        lambda: (t_cantor, iso.random_leaf_permutation(3, rng)),
+        lambda: (t_uhf, iso.random_block_automorphism(f3, rng, width=3)),
+    ]
+    cases = [structural[i % 4]() for i in range(n_struct)]
+    cases += [adversarial[i % 2]() for i in range(n_adv)]
 
     mismatches = 0
     in_count = 0
-    for kind, triple, spec in cases:
+    for triple, spec in cases:
         verdict = iso.iso_check(triple, spec)
         prediction = iso.iso_prediction(triple, verdict)
         mismatches += int(verdict.in_iso != prediction)
@@ -258,7 +267,7 @@ def _run_round_trip(p) -> list:
 
 def run_iso_enumerate(p) -> list:
     records = []
-    depths = _int_list(p.get("depth"), 3)
+    depths = _ints(p, "depth", 3)
     if len(depths) > 1 and p.get("lambda"):
         raise InvalidInputError("an explicit --lambda cannot serve several depths")
     for depth in depths:
@@ -277,7 +286,7 @@ def run_iso_enumerate(p) -> list:
 
 def run_cantor_metric(p) -> list:
     cfg = _solver_config(p)
-    rep = iso.m_invariance_experiment(float(p.get("gamma", 1 / 3)), int(p["depth"]), cfg)
+    rep = iso.m_invariance_experiment(float(p.get("gamma", 1 / 3)), _int(p, "depth"), cfg)
     rep.pop("pairs", None)
     rep["classes"] = {str(k): v for k, v in rep["classes"].items()}
     rep["record"] = "cantor-metric"
@@ -294,8 +303,8 @@ def run_switch_violation(p) -> list:
     lam = _lambdas(p)
     triple = _triple_from_params({"depth": len(lam), "lambda": lam})
     records = []
-    for k in _int_list(p.get("k"), 1):
-        v = mt.car_vector(triple.filtration, int(p.get("l", 3)))
+    for k in _ints(p, "k", 1):
+        v = mt.car_vector(triple.filtration, _int(p, "l", 3))
         rep = iso.switch_iso_violation(triple, k, v, _solver_config(p))
         rep["d_before"] = {kk: rep["d_before"][kk] for kk in ("lower_bound", "upper_bound")}
         rep["d_after"] = {kk: rep["d_after"][kk] for kk in ("lower_bound", "upper_bound")}
@@ -323,7 +332,7 @@ def run_flip_demo(p) -> list:
 
 
 def run_shift_inequality(p) -> list:
-    ns = _int_list(p.get("n"), 1)
+    ns = _ints(p, "n", 1)
     c = float(p.get("c", 2.0))
     depth = max(max(ns) + 1, len(_lambdas(p)) if p.get("lambda") else 0)
     triple = _triple_from_params({"depth": depth, "lambda": p.get("lambda"), "power": 3.0})
@@ -369,13 +378,6 @@ def _crossed_suite(p) -> list:
     lift_c = cx.build_lifted(base_c, cx.OdometerAction(), radius, margin)
     f2 = base_u.filtration
 
-    def sample_x(lifted):
-        filt = lifted.base.filtration
-        dim = filt.dim(filt.depth)
-        return cx.CrossedElement(
-            {g: al.AlgebraElement(filt, filt.depth, rng.normal(size=dim)) for g in (-1, 0, 1)}
-        )
-
     configs = []
     for chi, cname in zip(chis, chi_names):
         configs.append(("trivial", lift_u, chi, cname, None, "id", False))
@@ -397,10 +399,22 @@ def _crossed_suite(p) -> list:
                 "chi": cname,
                 "beta": type(beta).__name__ if beta is not None else "id",
                 "sigma": sigma,
-                **_lift_check(lifted, chi, beta, sigma, sample_x(lifted), expect_fail),
+                **_lift_check(
+                    lifted, chi, beta, sigma, _random_crossed(lifted.base, 1, rng), expect_fail
+                ),
             }
         )
     return records
+
+
+def _random_crossed(base: tr.TruncatedTriple, support: int, rng) -> cx.CrossedElement:
+    """Crossed element with Gaussian real coefficients on the sites -support..support."""
+    filt = base.filtration
+    dim = filt.dim(filt.depth)
+    return cx.CrossedElement(
+        {g: al.AlgebraElement(filt, filt.depth, rng.normal(size=dim))
+         for g in range(-support, support + 1)}
+    )
 
 
 def _lift_check(lifted, chi, beta, sigma, x, expect_fail: bool) -> dict:
@@ -443,12 +457,7 @@ def run_crossed_lift(p) -> list:
     chis = [_parse_chi(tok) for tok in str(p.get("chi", "1,i,exp:1/5")).split(",")]
 
     rng = np.random.default_rng(int(p.get("seed", 0)))
-    support = int(p.get("support", 1))
-    terms = {}
-    for g in range(-support, support + 1):
-        dim = filt.dim(filt.depth)
-        terms[g] = al.AlgebraElement(filt, filt.depth, rng.normal(size=dim))
-    x = cx.CrossedElement(terms)
+    x = _random_crossed(base, int(p.get("support", 1)), rng)
 
     expect_fail = bool(p.get("expect_fail"))
     return [
@@ -551,19 +560,22 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _read_config(path: str) -> dict:
+    """A JSON config file: ``{"subcommand": ..., "params": {...}}`` or bare params."""
+    try:
+        with open(path) as fh:
+            loaded = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InvalidInputError(f"cannot read config {path}: {exc}") from None
+    if not isinstance(loaded, dict) or not isinstance(loaded.get("params", {}), dict):
+        raise InvalidInputError(f"config {path} is not a JSON object of options")
+    return loaded
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
 
-    file_params = {}
-    if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
-        if loaded.get("subcommand", args.subcommand) != args.subcommand:
-            print(f"config is for subcommand {loaded['subcommand']!r}", file=sys.stderr)
-            return 2
-        file_params = loaded.get("params", loaded)
-        file_params.pop("subcommand", None)
     flags = {
         key: val for key, val in vars(args).items()
         if key not in ("subcommand", "config", "output", "pretty")
@@ -571,6 +583,12 @@ def main(argv=None) -> int:
     }
 
     try:
+        loaded = _read_config(args.config) if args.config else {}
+        if loaded.get("subcommand", args.subcommand) != args.subcommand:
+            print(f"config is for subcommand {loaded['subcommand']!r}", file=sys.stderr)
+            return 2
+        file_params = loaded.get("params", loaded)
+        file_params.pop("subcommand", None)
         records = RUNNERS[args.subcommand]({**file_params, **flags})
     except (InvalidInputError, ValueError, KeyError, FileNotFoundError) as exc:
         missing = exc.args[0] if isinstance(exc, KeyError) and exc.args else None

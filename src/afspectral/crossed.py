@@ -214,9 +214,8 @@ class LiftedTriple:
         s = self.window.radius
         return slice((r + s) * d, (r + s + 1) * d), slice((c + s) * d, (c + s + 1) * d)
 
-    def interior_columns(self, doubled: bool = False) -> np.ndarray:
-        mask = np.repeat(self.window.interior_mask(), self.base.dim)
-        return np.concatenate([mask, mask]) if doubled else mask
+    def interior_columns(self) -> np.ndarray:
+        return np.repeat(self.window.interior_mask(), self.base.dim)
 
 
 def build_lifted(
@@ -347,17 +346,15 @@ def covariance_check(
     return {"residual": float(resid), "passes": bool(resid <= TOL.crossed)}
 
 
-def crossed_commutator_stability(
-    base: tr.TruncatedTriple, action, x: CrossedElement, radii=None, margin: int | None = None
-) -> dict:
-    """Interior commutator norms across window radii; they settle immediately
-    once every column sees the full action orbit, because the action is rigid."""
+def crossed_commutator_stability(base: tr.TruncatedTriple, action, x: CrossedElement) -> dict:
+    """Interior commutator norms over five window radii, margin = the support
+    radius r; they settle immediately once every column sees the full action
+    orbit, because the action is rigid."""
     r = x.support_radius
-    margin = r if margin is None else margin
-    radii = list(radii) if radii is not None else list(range(max(r + 1, 2), r + 6))
+    radii = list(range(max(r + 1, 2), r + 6))
     norms = []
     for rad in radii:
-        lifted = build_lifted(base, action, rad, margin)
+        lifted = build_lifted(base, action, rad, r)
         norms.append(_interior_commutator_norm(lifted, represent_crossed(lifted, x)))
     diffs = [abs(b - a) for a, b in zip(norms, norms[1:])]
     stable = all(d <= 1e-8 for d in diffs[1:]) if len(diffs) > 1 else True

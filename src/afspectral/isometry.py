@@ -79,17 +79,6 @@ class TreePortrait:
         if any(b not in (0, 1) for b in self.bits):
             raise InvalidInputError("portrait bits must be 0/1")
 
-    def bit(self, node) -> int:
-        return self.bits[2 ** len(node) - 1 + al.leaf_index(node)]
-
-    def map_word(self, word):
-        out = []
-        node = ()
-        for w in word:
-            out.append(w ^ self.bit(node))
-            node = node + (w,)
-        return tuple(out)
-
 
 def identity_portrait(depth: int) -> TreePortrait:
     return TreePortrait(depth, (0,) * (2**depth - 1))
@@ -128,22 +117,14 @@ class ComposedAutomorphism:
 
 
 def slot_permutation_operator(k: int, perm) -> np.ndarray:
-    """Unitary W moving tensor factor i to slot perm[i] on (C^k)^N."""
+    """Unitary W moving tensor factor i to slot perm[i] on (C^k)^N.
+
+    W permutes the product basis: the digit of factor i moves to digit
+    perm[i], which is one transpose of the (k,)*N index grid.
+    """
     n = len(perm)
-    size = k**n
-    w = np.zeros((size, size))
-    for src in product(range(k), repeat=n):
-        dst = [0] * n
-        for i in range(n):
-            dst[perm[i] - 1] = src[i]
-        r = 0
-        for d in dst:
-            r = k * r + d
-        s = 0
-        for d in src:
-            s = k * s + d
-        w[r, s] = 1.0
-    return w
+    grid = np.arange(k**n).reshape((k,) * n)
+    return np.eye(k**n)[np.transpose(grid, np.argsort(np.asarray(perm) - 1)).reshape(-1)]
 
 
 def global_unitary(spec: SlotAutomorphism, filtration: al.Filtration) -> np.ndarray:
@@ -179,9 +160,12 @@ def leaf_permutation_array(spec, depth: int) -> np.ndarray:
     if isinstance(spec, TreePortrait):
         if spec.depth != depth:
             raise InvalidInputError("portrait depth mismatch")
-        out = np.empty(2**depth, dtype=int)
-        for word in product((0, 1), repeat=depth):
-            out[al.leaf_index(word)] = al.leaf_index(spec.map_word(word))
+        # digit g of a leaf (most significant first) flips by the bit of its depth-g ancestor
+        leaves = np.arange(2**depth)
+        bits = np.asarray(spec.bits, dtype=int)
+        out = leaves.copy()
+        for g in range(depth):
+            out ^= bits[2**g - 1 + (leaves >> (depth - g))] << (depth - 1 - g)
         return out
     if isinstance(spec, ComposedAutomorphism):
         a = leaf_permutation_array(spec.outer, depth)
@@ -217,39 +201,27 @@ def compose(outer, inner):
     """Structural composition (outer after inner)."""
     if isinstance(outer, TreePortrait) and isinstance(inner, TreePortrait):
         return compose_portraits(outer, inner)
-    if isinstance(outer, LeafPermutation) and isinstance(
-        inner, (LeafPermutation, TreePortrait)
-    ):
-        depth = outer.depth
-        a = leaf_permutation_array(outer, depth)
-        b = leaf_permutation_array(inner, depth)
-        return LeafPermutation(depth, tuple(int(v) for v in a[b]))
     return ComposedAutomorphism(outer, inner)
 
 
 def compose_portraits(outer: TreePortrait, inner: TreePortrait) -> TreePortrait:
-    """Portrait of (outer after inner): bit(v) = inner(v) xor outer(inner node image)."""
-    if outer.depth != inner.depth:
-        raise InvalidInputError("portrait depth mismatch")
-    depth = outer.depth
-    bits = []
-    for g in range(depth):
-        for node in product((0, 1), repeat=g):
-            bits.append(inner.bit(node) ^ outer.bit(inner.map_word(node)))
-    return TreePortrait(depth, tuple(bits))
+    """Portrait of (outer after inner), read off the composed leaf permutation."""
+    n = outer.depth
+    return portrait_from_leaf_permutation(
+        leaf_permutation_array(ComposedAutomorphism(outer, inner), n), n
+    )
 
 
 def portrait_from_leaf_permutation(perm, depth: int) -> TreePortrait:
-    """Recover the portrait of a tree-automorphism permutation; raises otherwise."""
+    """Recover the portrait of a tree-automorphism permutation; raises otherwise.
+
+    The bit of the j-th depth-g node is digit g of the image of its leftmost leaf.
+    """
     arr = np.asarray(perm)
-    bits = [0] * (2**depth - 1)
-    for g in range(depth):
-        for node in product((0, 1), repeat=g):
-            base = al.leaf_index(node + (0,) * (depth - g))
-            img = int(arr[base])
-            img_word = tuple((img >> (depth - 1 - i)) & 1 for i in range(depth))
-            bits[2**g - 1 + al.leaf_index(node)] = img_word[g]
-    cand = TreePortrait(depth, tuple(bits))
+    bits = tuple(
+        (int(arr[j << (depth - g)]) >> (depth - 1 - g)) & 1 for g in range(depth) for j in range(2**g)
+    )
+    cand = TreePortrait(depth, bits)
     if not np.array_equal(leaf_permutation_array(cand, depth), arr):
         raise InvalidInputError("permutation is not a tree automorphism")
     return cand
@@ -264,26 +236,17 @@ def invert(spec):
         inv = np.argsort(np.asarray(spec.perm))
         return LeafPermutation(spec.depth, tuple(int(v) for v in inv))
     if isinstance(spec, SlotAutomorphism):
-        n = len(spec.perm)
-        inv_perm = [0] * n
-        for i, tgt in enumerate(spec.perm, start=1):
-            inv_perm[tgt - 1] = i
-        ident = tuple(range(1, n + 1))
+        ident = tuple(range(1, len(spec.perm) + 1))
         # forward action conjugates by (blocks)(locals)(perm); the inverse
         # conjugates by the adjoint, i.e. blocks first, locals, then perm
-        out = None
-        if spec.blocks:
-            adj_blocks = tuple(
-                (s, np.conj(np.asarray(u)).T) for s, u in reversed(spec.blocks)
-            )
-            out = SlotAutomorphism(ident, None, adj_blocks)
+        out = SlotAutomorphism(tuple(int(i) + 1 for i in np.argsort(spec.perm)))
         if spec.locals_ is not None:
-            adj_locals = SlotAutomorphism(
-                ident, tuple(np.conj(np.asarray(u)).T for u in spec.locals_)
-            )
-            out = adj_locals if out is None else ComposedAutomorphism(adj_locals, out)
-        perm_part = SlotAutomorphism(tuple(inv_perm))
-        return perm_part if out is None else ComposedAutomorphism(perm_part, out)
+            adj_locals = tuple(np.conj(np.asarray(u)).T for u in spec.locals_)
+            out = ComposedAutomorphism(out, SlotAutomorphism(ident, adj_locals))
+        if spec.blocks:
+            adj_blocks = tuple((s, np.conj(np.asarray(u)).T) for s, u in reversed(spec.blocks))
+            out = ComposedAutomorphism(out, SlotAutomorphism(ident, None, adj_blocks))
+        return out
     raise InvalidInputError(f"cannot invert {type(spec).__name__}")
 
 
@@ -292,15 +255,18 @@ def invert(spec):
 # ---------------------------------------------------------------------------
 
 
-def automorphism_residual(spec, filtration: al.Filtration, samples: int = 40, seed: int = 0):
-    """Largest defect of multiplicativity and *-preservation on basis pairs."""
+def automorphism_residual(spec, filtration: al.Filtration):
+    """Largest defect of multiplicativity and *-preservation on basis pairs.
+
+    All pairs when there are at most 400, else 40 seeded random pairs.
+    """
     n = filtration.depth
     dim = filtration.dim(n)
     if dim * dim <= 400:
         pairs = [(i, j) for i in range(dim) for j in range(dim)]
     else:
-        rng = np.random.default_rng(seed)
-        pairs = [tuple(rng.integers(0, dim, size=2)) for _ in range(samples)]
+        rng = np.random.default_rng(0)
+        pairs = [tuple(rng.integers(0, dim, size=2)) for _ in range(40)]
     i, j = np.array(pairs).T
     stack = al.basis_stack(filtration, n)
     a = coefficient_images(spec, filtration)
@@ -319,14 +285,13 @@ def coefficient_images(spec, filtration: al.Filtration) -> np.ndarray:
     return al.decompose(filtration, n, act(spec, filtration, al.basis_stack(filtration, n))).T
 
 
-def filtration_check(spec, filtration: al.Filtration, levels=None):
-    """Per-level truth of "the automorphism maps the level into itself"."""
+def filtration_check(spec, filtration: al.Filtration):
+    """Per-level truth of "the automorphism maps the level into itself", levels 1..N."""
     n = filtration.depth
-    levels = list(range(1, n + 1)) if levels is None else list(levels)
     a = coefficient_images(spec, filtration)
     grades = np.array([ix.grade for ix in al.canonical_basis(filtration, n)])
     out = []
-    for lev in levels:
+    for lev in range(1, n + 1):
         cols = grades <= lev
         rows = grades > lev
         leak = np.max(np.abs(a[np.ix_(rows, cols)]), initial=0.0)
@@ -365,13 +330,12 @@ class IsoVerdict:
         }
 
 
-def iso_check(triple: tr.TruncatedTriple, spec, verify: bool = True) -> IsoVerdict:
+def iso_check(triple: tr.TruncatedTriple, spec) -> IsoVerdict:
     """Decide unitary rigidity of an automorphism for the triple."""
     filt = triple.filtration
-    if verify:
-        resid = automorphism_residual(spec, filt)
-        if resid > TOL.structural:
-            raise InvalidInputError(f"spec is not a *-automorphism (residual {resid:.2e})")
+    resid = automorphism_residual(spec, filt)
+    if resid > TOL.structural:
+        raise InvalidInputError(f"spec is not a *-automorphism (residual {resid:.2e})")
     levels = filtration_check(spec, filt)
     try:
         u = implementing_unitary(triple, spec)
@@ -409,12 +373,24 @@ def iso_prediction(triple: tr.TruncatedTriple, verdict: IsoVerdict) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _leaf_basis_dirac(triple: tr.TruncatedTriple) -> np.ndarray:
-    """Dirac matrix rotated to the normalized leaf-indicator basis."""
+def _commuting_leaf_permutations(triple: tr.TruncatedTriple, perms, progress: bool = False):
+    """The leaf permutations among ``perms`` whose action commutes with D, and the count scanned.
+
+    D is rotated to the normalized leaf-indicator basis, where a leaf
+    permutation g acts by permuting rows and columns; with ``progress`` the
+    running count goes to stderr.
+    """
     n = triple.depth
-    h = al._haar_stack(n)  # rows = basis, cols = leaves
-    v = h.T / np.sqrt(2**n)  # unitary: coefficients -> scaled leaf values
-    return v @ np.diag(triple.d_diag) @ v.T
+    v = al._haar_stack(n).T / np.sqrt(2**n)  # unitary: coefficients -> scaled leaf values
+    d_leaf = v @ np.diag(triple.d_diag) @ v.T
+    passing, scanned = [], 0
+    for scanned, perm in enumerate(perms, start=1):
+        g = np.asarray(perm)
+        if float(np.max(np.abs(d_leaf[np.ix_(g, g)] - d_leaf))) <= TOL.iso_residual:
+            passing.append(perm)
+        if progress and scanned % 5040 == 0:
+            print(f"scanned {scanned} permutations, {len(passing)} passing", file=sys.stderr)
+    return passing, scanned
 
 
 def enumerate_cantor_iso(
@@ -432,8 +408,10 @@ def enumerate_cantor_iso(
         raise InvalidInputError("enumeration applies to cantor triples")
     n = filt.depth
     order = 2 ** (2**n - 1)
-    d_leaf = _leaf_basis_dirac(triple)
     report = {"depth": n, "mode": mode, "group_order": order}
+
+    def leaf_arrays(bit_rows):
+        return (leaf_permutation_array(TreePortrait(n, tuple(bits)), n) for bits in bit_rows)
 
     if mode == "portraits":
         if n > 8:
@@ -443,40 +421,23 @@ def enumerate_cantor_iso(
             candidates = list(product((0, 1), repeat=2**n - 1))
         else:
             rng = np.random.default_rng(0)
-            candidates = {tuple(rng.integers(0, 2, size=2**n - 1)) for _ in range(512)}
-            candidates = sorted(candidates)
-        passing = 0
-        for bits in candidates:
-            g = leaf_permutation_array(TreePortrait(n, tuple(bits)), n)
-            resid = float(np.max(np.abs(d_leaf[np.ix_(g, g)] - d_leaf)))
-            if resid <= TOL.iso_residual:
-                passing += 1
+            candidates = sorted({tuple(rng.integers(0, 2, size=2**n - 1)) for _ in range(512)})
+        passing, scanned = _commuting_leaf_permutations(triple, leaf_arrays(candidates))
         report.update(
-            scanned=len(candidates),
-            passing=passing,
+            scanned=scanned,
+            passing=len(passing),
             exhaustive=exhaustive,
-            all_pass=passing == len(candidates),
+            all_pass=len(passing) == scanned,
         )
         return report
 
     if mode == "exhaustive":
         if n > 3:
             raise UnsupportedError("exhaustive leaf scan capped at depth 3")
-        leaves = 2**n
-        passing = []
-        scanned = 0
-        for perm in permutations(range(leaves)):
-            scanned += 1
-            g = np.asarray(perm)
-            resid = float(np.max(np.abs(d_leaf[np.ix_(g, g)] - d_leaf)))
-            if resid <= TOL.iso_residual:
-                passing.append(perm)
-            if progress and scanned % 5040 == 0:
-                print(f"scanned {scanned} permutations, {len(passing)} passing", file=sys.stderr)
-        portraits = {
-            tuple(int(v) for v in leaf_permutation_array(TreePortrait(n, bits), n))
-            for bits in product((0, 1), repeat=2**n - 1)
-        }
+        passing, scanned = _commuting_leaf_permutations(
+            triple, permutations(range(2**n)), progress
+        )
+        portraits = {tuple(g.tolist()) for g in leaf_arrays(product((0, 1), repeat=2**n - 1))}
         report.update(
             scanned=scanned,
             passing=len(passing),
@@ -486,19 +447,6 @@ def enumerate_cantor_iso(
         return report
 
     raise InvalidInputError(f"unknown mode {mode!r}")
-
-
-def composition_law_check(depth: int, samples: int = 25, seed: int = 0) -> bool:
-    """Portrait composition formula against straight permutation composition."""
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        pa = TreePortrait(depth, tuple(rng.integers(0, 2, size=2**depth - 1)))
-        pb = TreePortrait(depth, tuple(rng.integers(0, 2, size=2**depth - 1)))
-        via_formula = leaf_permutation_array(compose_portraits(pa, pb), depth)
-        direct = leaf_permutation_array(pa, depth)[leaf_permutation_array(pb, depth)]
-        if not np.array_equal(via_formula, direct):
-            return False
-    return True
 
 
 def semidirect_structure_check(depth: int, samples: int = 25, seed: int = 0) -> bool:
@@ -682,9 +630,7 @@ def shift_inequality_check(
     return report
 
 
-def m_invariance_experiment(
-    gamma: float, depth: int, cfg: mt.SolverConfig | None = None, seed: int = 0
-) -> dict:
+def m_invariance_experiment(gamma: float, depth: int, cfg: mt.SolverConfig | None = None) -> dict:
     """Distance table over all leaf pairs, grouped by the first split level.
 
     For gamma below (3 - sqrt(5))/2 the distance between two leaf characters
@@ -701,20 +647,20 @@ def m_invariance_experiment(
     filt = al.cantor(depth)
     triple = tr.build_triple(filt, al.UniformState(), tr.dirac_geometric(gamma, depth))
     leaves = list(product((0, 1), repeat=depth))
+    pairs = list(combinations(range(2**depth), 2))
 
-    def split_level(x, y):
-        for i, (a, b) in enumerate(zip(x, y), start=1):
-            if a != b:
-                return i
-        return None
+    def split_level(i, j):
+        """First coordinate (1-based) where the words of leaves i != j differ."""
+        return depth + 1 - (int(i) ^ int(j)).bit_length()
 
     classes = {}
-    for x, y in combinations(leaves, 2):
+    for i, j in pairs:
+        x, y = leaves[i], leaves[j]
         prob = mt.reduce_search_level(
             mt.DistanceProblem(triple, al.CharacterState(x), al.CharacterState(y))
         )
         res = mt.distance(prob, cfg)
-        classes.setdefault(split_level(x, y), []).append(
+        classes.setdefault(split_level(i, j), []).append(
             {"x": list(x), "y": list(y), "distance": res.lower_bound}
         )
 
@@ -734,27 +680,17 @@ def m_invariance_experiment(
         abs(stats[a]["mean"] - stats[b]["mean"]) for a, b in combinations(ms, 2)
     )
 
+    def moves_class(g):
+        """Whether the leaf permutation g sends some pair to another split level."""
+        return any(split_level(g[i], g[j]) != split_level(i, j) for i, j in pairs)
+
     # portraits fix every class; a cross-subtree transposition does not
-    rng = np.random.default_rng(seed)
-    portraits_fix = True
-    for _ in range(20):
-        p = TreePortrait(depth, tuple(rng.integers(0, 2, size=2**depth - 1)))
-        g = leaf_permutation_array(p, depth)
-        for x, y in combinations(leaves, 2):
-            gx = leaves[g[al.leaf_index(x)]]
-            gy = leaves[g[al.leaf_index(y)]]
-            if split_level(gx, gy) != split_level(x, y):
-                portraits_fix = False
+    rng = np.random.default_rng(0)
+    portraits_fix = not any(
+        [moves_class(leaf_permutation_array(random_portrait(depth, rng), depth)) for _ in range(20)]
+    )
     violating = list(range(2**depth))
     violating[0], violating[-1] = violating[-1], violating[0]
-    vperm = np.asarray(violating)
-    violator_moves = False
-    for x, y in combinations(leaves, 2):
-        gx = leaves[vperm[al.leaf_index(x)]]
-        gy = leaves[vperm[al.leaf_index(y)]]
-        if split_level(gx, gy) != split_level(x, y):
-            violator_moves = True
-            break
 
     return {
         "gamma": gamma,
@@ -765,7 +701,7 @@ def m_invariance_experiment(
         "min_interclass_gap": float(gap),
         "separated": bool(gap >= 10 * spread),
         "portraits_preserve_classes": portraits_fix,
-        "violating_permutation_moves_class": violator_moves,
+        "violating_permutation_moves_class": moves_class(violating),
     }
 
 

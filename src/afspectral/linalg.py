@@ -48,27 +48,16 @@ class Tolerances:
 TOL = Tolerances()
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce to a 2-d complex array, rejecting non-finite entries."""
+def operator_norm(m) -> float:
+    """Largest singular value of a (possibly rectangular) matrix; rejects non-finite entries."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise InvalidInputError(f"expected a matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("matrix has non-finite entries")
-    return a
-
-
-def operator_norm(m) -> float:
-    """Largest singular value of a (possibly rectangular) matrix."""
-    a = as_matrix(m)
     if a.size == 0:
         return 0.0
     return float(np.linalg.svd(a, compute_uv=False)[0])
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; (i*rB+k, j*cB+l) entry is A[i,j]*B[k,l]."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def orthonormalize(vectors, gram):

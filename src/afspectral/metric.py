@@ -66,7 +66,6 @@ class DistanceProblem:
     s2: al.State
     search_level: int | None = None
     informed_starts: list = field(default_factory=list)
-    reduced: bool = False
 
     def __post_init__(self):
         if self.search_level is None:
@@ -211,6 +210,12 @@ class _ConstraintMap:
         return g, sub
 
 
+def _check_bounded(num: np.ndarray, norms: np.ndarray):
+    """Refuse a nonzero objective along a zero-norm (Dirac-commuting) direction."""
+    if np.any((norms < TOL.zero_norm) & (np.abs(num) > TOL.unbounded)):
+        raise UnboundedObjectiveError("nonzero objective along a Dirac-commuting direction")
+
+
 def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, cfg: SolverConfig):
     """Maximize (c . t)/||M(t)|| from every row of T0 in lockstep.
 
@@ -231,16 +236,12 @@ def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, cfg: SolverConf
     def objective(X):
         return _rowwise(c[None], X)[:, 0]
 
-    def check_bounded(num, gn):
-        if np.any((gn < TOL.zero_norm) & (np.abs(num) > TOL.unbounded)):
-            raise UnboundedObjectiveError("nonzero objective along a Dirac-commuting direction")
-
     nrm = np.linalg.norm(T, axis=1)
     live = nrm >= TOL.zero_norm
     T[live] /= nrm[live, None]
     refresh(np.flatnonzero(live))
     num = objective(T)
-    check_bounded(num[live], g[live])
+    _check_bounded(num[live], g[live])
     flat_dir = live & (g < TOL.zero_norm)
     r[flat_dir] = 0.0
     live &= ~flat_dir
@@ -277,7 +278,7 @@ def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, cfg: SolverConf
             num = objective(trial)
             zero = gn < TOL.zero_norm
             if zero.any():
-                check_bounded(num, gn)
+                _check_bounded(num, gn)
                 gn = np.where(zero, 1.0, gn)
             rt = num / gn
             ok = ~zero & (rt > bar[j])
@@ -313,18 +314,17 @@ def reduce_search_level(problem: DistanceProblem) -> DistanceProblem:
     measure, since the coefficient truncation onto a level is then the
     reference conditional expectation, which fixes both states' values and
     contracts the commutator norm.  Problems whose states do not visibly
-    factor come back unchanged with ``reduced`` False.
+    factor come back unchanged.
     """
     ref = problem.triple.gns.state
     if not isinstance(ref, (al.TraceState, al.UniformState)):
-        return replace(problem, reduced=False)
+        return problem
     filt = problem.triple.filtration
     m = max(
         al.vanishing_level(problem.s1, filt),
         al.vanishing_level(problem.s2, filt),
     )
-    new_level = min(problem.search_level, m)
-    return replace(problem, search_level=new_level, reduced=new_level < problem.search_level or new_level == 0)
+    return replace(problem, search_level=min(problem.search_level, m))
 
 
 def _zero_result(problem, diagnostics):
@@ -424,9 +424,8 @@ def _brute_force_core(c: np.ndarray, B: np.ndarray, points: int = 10000, seed: i
     def batch_value(ts):
         s = cons.norms(ts)
         num = ts @ c
+        _check_bounded(num, s)
         bad = s < TOL.zero_norm
-        if np.any(bad & (np.abs(num) > TOL.unbounded)):
-            raise UnboundedObjectiveError("nonzero objective along a Dirac-commuting direction")
         return np.where(bad, 0.0, np.abs(num) / np.where(bad, 1.0, s))
 
     vals = batch_value(dirs)

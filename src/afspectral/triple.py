@@ -30,8 +30,6 @@ class DiracSpec:
     """Eigenvalue sequence lambda_0 = 0 < lambda_1, ..., lambda_N."""
 
     lambdas: tuple  # includes the leading 0
-    variant: str = "explicit"
-    param: float = 0.0
 
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=float)
@@ -51,21 +49,21 @@ class DiracSpec:
 
 def dirac_explicit(lambdas) -> DiracSpec:
     """Explicit positive sequence lambda_1..lambda_N."""
-    return DiracSpec((0.0, *map(float, lambdas)), "explicit")
+    return DiracSpec((0.0, *map(float, lambdas)))
 
 
 def dirac_geometric(gamma: float, depth: int) -> DiracSpec:
     """lambda_n = gamma^(-n+1) for 0 < gamma < 1."""
     if not (0 < gamma < 1):
         raise InvalidInputError("gamma must lie in (0, 1)")
-    return DiracSpec((0.0, *(gamma ** (-n + 1) for n in range(1, depth + 1))), "geometric", gamma)
+    return DiracSpec((0.0, *(gamma ** (-n + 1) for n in range(1, depth + 1))))
 
 
 def dirac_power(base: float, depth: int) -> DiracSpec:
     """lambda_n = base^(n-1) for base > 1."""
     if base <= 1:
         raise InvalidInputError("base must exceed 1")
-    return DiracSpec((0.0, *(base ** (n - 1) for n in range(1, depth + 1))), "power", base)
+    return DiracSpec((0.0, *(base ** (n - 1) for n in range(1, depth + 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -219,26 +217,27 @@ class TruncatedTriple:
         return self.gns.coordinates(acted)[:, 0]
 
 
+# faithful reference state class -> (name, family it needs, GNS builder)
+_REFERENCES = {
+    al.TraceState: ("trace", "uhf", _trace_gns),
+    al.UniformState: ("uniform", "cantor", _trace_gns),
+    al.ProductState: ("product", "uhf", _product_gns),
+}
+
+
 def build_triple(filtration: al.Filtration, state: al.State, dirac: DiracSpec) -> TruncatedTriple:
     """Assemble the truncated triple for a faithful reference state."""
     if dirac.depth != filtration.depth:
         raise InvalidInputError(
             f"dirac depth {dirac.depth} does not match filtration depth {filtration.depth}"
         )
-    if isinstance(state, al.TraceState):
-        if filtration.family != "uhf":
-            raise InvalidInputError("trace reference needs a uhf filtration")
-        gns = _trace_gns(filtration, state)
-    elif isinstance(state, al.UniformState):
-        if filtration.family != "cantor":
-            raise InvalidInputError("uniform reference needs a cantor filtration")
-        gns = _trace_gns(filtration, state)
-    elif isinstance(state, al.ProductState):
-        if filtration.family != "uhf":
-            raise InvalidInputError("product reference needs a uhf filtration")
-        gns = _product_gns(filtration, state)
-    else:
+    ref = next((r for cls, r in _REFERENCES.items() if isinstance(state, cls)), None)
+    if ref is None:
         raise DegeneracyError(
             f"state {type(state).__name__} is not a faithful reference for the truncation"
         )
+    name, family, gns_of = ref
+    if filtration.family != family:
+        raise InvalidInputError(f"{name} reference needs a {family} filtration")
+    gns = gns_of(filtration, state)
     return TruncatedTriple(gns, dirac, np.asarray(dirac.lambdas)[gns.grades])

@@ -305,13 +305,8 @@ def test_en_contraction_of_state_pairing(rng):
 
 
 # ---------------------------------------------------------------------------
-# embed/restrict and serialization
+# embed and adjoint
 # ---------------------------------------------------------------------------
-
-
-def test_embed_then_restrict_roundtrip(rng):
-    x = random_element(F2, 1, rng)
-    assert np.allclose(x.embed(2).restrict(1).coeffs, x.coeffs)
 
 
 def test_adjoint_is_conjugation(rng):

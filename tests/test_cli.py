@@ -215,6 +215,36 @@ def test_iso_enumerate_rejects_lambda_for_several_depths(capsys):
     assert captured.out == "" and "--lambda" in captured.err
 
 
+@pytest.mark.parametrize("content", [None, "{", "[1,2]"], ids=["missing", "malformed", "list"])
+def test_config_file_errors_are_usage_errors(tmp_path, capsys, content):
+    path = tmp_path / "exp.json"
+    if content is not None:
+        path.write_text(content)
+    assert cli.main(["flip-demo", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and str(path) in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["distance", "--family", "cantor", "--depth", "2,3", "--state1", "character:00",
+          "--state2", "character:01"], "--depth"),
+        (["switch-violation", "--k", "x", "--lambda", "1,2,4"], "--k"),
+        (["distance", "--car", "--l", "a", "--lambda", "1,2,4"], "--l"),
+        (["iso-check", "--k", "two"], "--k"),
+        (["iso-check", "--round-trip", "1"], "--round-trip"),
+        (["shift-inequality", "--n", "1.5"], "--n"),
+    ],
+)
+def test_malformed_integer_flag_is_named(capsys, argv, flag):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: {flag} expects ")
+
+
 def _readme_cli_lines():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]

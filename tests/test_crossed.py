@@ -274,7 +274,8 @@ def _dense_interior_commutator(lifted, op):
     z = np.zeros_like(op)
     op2 = np.block([[op, z], [z, op]])
     comm = lifted.d_l @ op2 - op2 @ lifted.d_l
-    return operator_norm(comm[:, lifted.interior_columns(doubled=True)])
+    mask = lifted.interior_columns()
+    return operator_norm(comm[:, np.concatenate([mask, mask])])
 
 
 def _represent_by_automorphisms(lifted, x):

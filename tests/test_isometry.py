@@ -1,3 +1,5 @@
+from itertools import permutations, product
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,32 @@ def test_state_breaking_automorphism_has_no_unitary(rng):
     verdict = iso.iso_check(t, flip_first)
     assert not verdict.state_preserved and not verdict.in_iso
     assert verdict.implementing_unitary is None
+
+
+def _slot_permutation_loop(k, perm):
+    """Reference W: entry (dst, src) is 1 when factor i of src lands in slot perm[i] of dst."""
+    n = len(perm)
+    w = np.zeros((k**n, k**n))
+    for src in product(range(k), repeat=n):
+        dst = [0] * n
+        for i in range(n):
+            dst[perm[i] - 1] = src[i]
+        r = 0
+        for d in dst:
+            r = k * r + d
+        s = 0
+        for d in src:
+            s = k * s + d
+        w[r, s] = 1.0
+    return w
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_slot_permutation_operator_matches_loop(k):
+    for n in range(1, 5):
+        for perm in permutations(range(1, n + 1)):
+            ref = _slot_permutation_loop(k, perm)
+            assert np.array_equal(iso.slot_permutation_operator(k, perm), ref), perm
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +238,7 @@ def test_enumeration_portraits_depth3(cantor3):
 
 
 def test_composition_and_semidirect_checks():
-    assert iso.composition_law_check(3)
     assert iso.semidirect_structure_check(3)
-    assert iso.composition_law_check(2)
     assert iso.semidirect_structure_check(2)
 
 
@@ -223,6 +249,28 @@ def test_portrait_from_leaf_permutation_roundtrip(rng):
     # swapping two leaves under different parents is not a tree automorphism
     with pytest.raises(InvalidInputError):
         iso.portrait_from_leaf_permutation((2, 1, 0, 3, 4, 5, 6, 7), 3)
+
+
+def _portrait_leaf_loop(p):
+    """Reference: walk each leaf word down the tree, flipping by the bit of each node visited."""
+    out = []
+    for word in product((0, 1), repeat=p.depth):
+        node, image = (), []
+        for w in word:
+            image.append(w ^ p.bits[2 ** len(node) - 1 + al.leaf_index(node)])
+            node += (w,)
+        out.append(al.leaf_index(image))
+    return np.array(out)
+
+
+def test_portrait_leaf_arrays_match_word_loop(rng):
+    portraits = [iso.TreePortrait(n, bits) for n in (1, 2, 3)
+                 for bits in product((0, 1), repeat=2**n - 1)]
+    portraits += [iso.random_portrait(4, rng) for _ in range(50)]
+    for p in portraits:
+        g = iso.leaf_permutation_array(p, p.depth)
+        assert np.array_equal(g, _portrait_leaf_loop(p)), p
+        assert iso.portrait_from_leaf_permutation(g, p.depth) == p
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import pytest
 from afspectral import algebra as al
 from afspectral.errors import DegeneracyError, InvalidInputError
 from afspectral.linalg import (
-    kron,
     operator_norm,
     orthonormalize,
     random_unitary,
@@ -26,7 +25,7 @@ def test_operator_norm_kron_multiplicative(rng):
     # oracle: full SVD of the Kronecker product itself
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    direct = operator_norm(kron(a, b))
+    direct = operator_norm(np.kron(a, b))
     assert direct == pytest.approx(operator_norm(a) * operator_norm(b), abs=1e-10)
 
 
@@ -42,17 +41,6 @@ def test_operator_norm_unitary_invariance(rng):
     assert operator_norm(u @ m @ v) == pytest.approx(operator_norm(m), abs=1e-10)
     assert operator_norm(np.conj(m).T) == pytest.approx(operator_norm(m), abs=1e-12)
     assert operator_norm(2.5j * m) == pytest.approx(2.5 * operator_norm(m), abs=1e-10)
-
-
-def test_kron_identities():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-    d = np.diag(kron(SIGMA[2], SIGMA[2])).real
-    assert np.allclose(d, [1.0, -1.0, -1.0, 1.0])
-
-
-def test_kron_associativity(rng):
-    a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-    assert np.max(np.abs(kron(kron(a, b), c) - kron(a, kron(b, c)))) < 1e-14
 
 
 def _gram(rho):
