@@ -585,8 +585,9 @@ def main(argv=None) -> int:
     try:
         loaded = _read_config(args.config) if args.config else {}
         if loaded.get("subcommand", args.subcommand) != args.subcommand:
-            print(f"config is for subcommand {loaded['subcommand']!r}", file=sys.stderr)
-            return 2
+            raise InvalidInputError(
+                f"config {args.config} is for subcommand {loaded['subcommand']!r}"
+            )
         file_params = loaded.get("params", loaded)
         file_params.pop("subcommand", None)
         records = RUNNERS[args.subcommand]({**file_params, **flags})

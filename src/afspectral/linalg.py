@@ -27,6 +27,7 @@ class Tolerances:
     unbounded    : objective |c . t| on a zero-norm direction that means unbounded
     ascent_grad  : relative ascent-gradient norm at which an ascent stops
     ascent_accept: relative gain a line-search trial needs to be accepted
+    ascent_curvature: smallest s . y / (|s| |y|) at which a BFGS update is made
     top_band     : relative width of the top eigenvalue band of the norm subgradient
     top_band_abs : absolute floor of that band
     """
@@ -41,6 +42,7 @@ class Tolerances:
     unbounded: float = 1e-10
     ascent_grad: float = 1e-13
     ascent_accept: float = 1e-15
+    ascent_curvature: float = 1e-10
     top_band: float = 1e-9
     top_band_abs: float = 1e-15
 

@@ -12,16 +12,18 @@ the real span of the grade >= 1 canonical basis at the smallest level both
 states factor through.
 
 The solver maximizes the scale-invariant ratio (c . t) / ||sum_i t_i B_i||
-by multistart first-order ascent, where B_i are the basis commutators and c
-the state-difference vector.  All starts advance in lockstep on one batched
-symmetric-eigen kernel: each round of the ascent makes one ``eigvalsh`` call
-(line-search trials) or ``eigh`` call (norms plus top-space subgradients)
-for every start still running.  Real stacks (Cantor triples, where the B_i
-are real antisymmetric) stay in real arithmetic and read the norm off the
-Gram matrix M(t)^T M(t); complex stacks are anti-Hermitian, and the norm is
-the spectral radius of the Hermitian H(t) = i sum_i t_i B_i.
-Each start keeps its own step, stopping rules and line search, so its
-trajectory is that of a solo run.
+by multistart quasi-Newton ascent, where B_i are the basis commutators and c
+the state-difference vector: each start steps along its own BFGS direction
+and backtracks until the ratio gains.  All starts advance in lockstep on one
+batched symmetric-eigen kernel: each pass of a line search makes one
+``eigvalsh`` call (trials) and each round one ``eigh`` call (norms plus
+top-space subgradients) for every start still running.  Real stacks (Cantor
+triples, where the B_i are real antisymmetric) stay in real arithmetic and
+read the norm off the Gram matrix M(t)^T M(t); complex stacks are
+anti-Hermitian, and the norm is the spectral radius of the Hermitian
+H(t) = i sum_i t_i B_i.  Each start keeps its own inverse-Hessian estimate,
+step, stopping rules and line search, so its trajectory is that of a solo
+run.
 
 Every reported lower bound is certified by an explicit feasible witness,
 re-evaluated through the public operations.  Exact upper bounds are
@@ -216,17 +218,99 @@ def _check_bounded(num: np.ndarray, norms: np.ndarray):
         raise UnboundedObjectiveError("nonzero objective along a Dirac-commuting direction")
 
 
+def _norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of X: the sum np.linalg.norm makes, without its dispatch."""
+    return np.sqrt(np.add.reduce(X * X, axis=1))
+
+
+def _line_search(objective, cons, base, d, st, bar, step_min):
+    """Backtracking search along d from every row of base, in lockstep.
+
+    Row j tries the steps st_j, st_j/2, st_j/4, ... down to step_min and
+    takes the first whose normalized trial has a value above bar_j.  Pass k
+    evaluates the next 2^k steps of every row still searching in one kernel
+    call, so a search that halves m times costs about log2(m) calls and ends
+    where a one-trial-per-call search would.  Every evaluated trial passes
+    through the boundedness check.
+
+    Returns (accepted, trials, values, steps); only accepted rows of the
+    last three are set.
+    """
+    st = st.copy()
+    tn = np.empty_like(base)
+    rn = np.empty(len(base))
+    accepted = np.zeros(len(base), dtype=bool)
+    j = np.flatnonzero(st >= step_min)
+    m = 1
+    while len(j):
+        sk = st[j, None] * 0.5 ** np.arange(m)
+        trial = base[j, None] + sk[:, :, None] * d[j, None]  # (rows, m, p)
+        flat = trial.reshape(-1, trial.shape[2])
+        flat /= _norms(flat)[:, None]
+        gn = cons.norms(flat)
+        num = objective(flat)
+        zero = gn < TOL.zero_norm
+        if zero.any():
+            _check_bounded(num, gn)
+            gn = np.where(zero, 1.0, gn)
+        rt = (num / gn).reshape(sk.shape)
+        gains = ~zero.reshape(sk.shape) & (rt > bar[j, None]) & (sk >= step_min)
+        hit = gains.any(axis=1)
+        k = gains.argmax(axis=1)[hit]
+        a = j[hit]
+        tn[a], rn[a], st[a] = trial[hit, k], rt[hit, k], sk[hit, k]
+        accepted[a] = True
+        j = j[~hit]
+        st[j] *= 0.5**m
+        j = j[st[j] >= step_min]
+        m *= 2
+    return accepted, tn, rn, st
+
+
+def _bfgs_update(H: np.ndarray, fresh: np.ndarray, s: np.ndarray, y: np.ndarray):
+    """BFGS update of inverse-Hessian estimates H (k, p, p) from steps s and
+    gradient changes y (k, p); returns (updated H, rows updated).
+
+    A row updates only if its curvature s . y is positive relative to
+    |s| |y|.  An identity estimate (``fresh``) is first scaled by
+    s . y / y . y, so the quasi-Newton step takes its length from the
+    observed curvature.
+    """
+    sy = np.add.reduce(s * y, axis=1)
+    ok = sy > TOL.ascent_curvature * _norms(s) * _norms(y)
+    Hk, s, y, sy = H[ok], s[ok], y[ok], sy[ok]
+    scale = sy / np.add.reduce(y * y, axis=1)
+    Hk[fresh[ok]] *= scale[fresh[ok], None, None]
+    hy = _rowwise(Hk, y)
+    rho = 1.0 / sy
+    shy = s[:, :, None] * hy[:, None, :]
+    coef = rho * (1.0 + rho * np.add.reduce(y * hy, axis=1))
+    H[ok] = (
+        Hk
+        - rho[:, None, None] * (shy + shy.transpose(0, 2, 1))
+        + coef[:, None, None] * (s[:, :, None] * s[:, None, :])
+    )
+    return H, ok
+
+
 def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, cfg: SolverConfig):
     """Maximize (c . t)/||M(t)|| from every row of T0 in lockstep.
 
-    Returns per-row (values, T, iterations).  Rows share only the batched
-    kernel calls; each follows its own step, stopping rules and line search,
-    so a row's trajectory is that of a one-row call on its start.
+    Returns per-row (values, T, iterations).  Each row steps along the
+    quasi-Newton direction H grad, where H is its own BFGS inverse-Hessian
+    estimate, starting at the identity.  A row whose direction is not uphill,
+    or whose line search finds no gain, restarts from H = I; a failed search
+    along the gradient itself ends the row.  A row's next search starts at
+    twice its last accepted step, at most the full quasi-Newton step 1.
+    Rows share only the batched kernel calls, and every per-row product is a
+    batched product with one operand per row, so a row's trajectory is that
+    of a one-row call on its start.
     """
     T = np.array(T0, dtype=float)
-    r = np.full(len(T), -np.inf)
-    iters = np.zeros(len(T), dtype=int)
-    g = np.ones(len(T))
+    S, p = T.shape
+    r = np.full(S, -np.inf)
+    iters = np.zeros(S, dtype=int)
+    g = np.ones(S)
     sub = np.zeros_like(T)
 
     def refresh(rows):
@@ -236,7 +320,10 @@ def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, cfg: SolverConf
     def objective(X):
         return _rowwise(c[None], X)[:, 0]
 
-    nrm = np.linalg.norm(T, axis=1)
+    def gradient(rows):
+        return (c - r[rows, None] * sub[rows]) / g[rows, None]
+
+    nrm = _norms(T)
     live = nrm >= TOL.zero_norm
     T[live] /= nrm[live, None]
     refresh(np.flatnonzero(live))
@@ -251,51 +338,50 @@ def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, cfg: SolverConf
     refresh(neg)
     r[neg] = -r[neg]
 
-    step = np.full(len(T), cfg.step_init)
-    flat = np.zeros(len(T), dtype=int)
+    H = np.tile(np.eye(p), (S, 1, 1))
+    fresh = np.ones(S, dtype=bool)  # H is the identity: the direction is the gradient
+
+    def restart(rows):
+        H[rows] = np.eye(p)
+        fresh[rows] = True
+
+    step = np.full(S, cfg.step_init)
+    flat = np.zeros(S, dtype=int)
     for it in range(1, cfg.max_iter + 1):
         rows = np.flatnonzero(live)
         if not len(rows):
             break
         iters[rows] = it
-        grad = (c - r[rows, None] * sub[rows]) / g[rows, None]
-        done = np.linalg.norm(grad, axis=1) < TOL.ascent_grad * np.maximum(1.0, np.abs(r[rows]))
+        grad = gradient(rows)
+        done = _norms(grad) < TOL.ascent_grad * np.maximum(1.0, np.abs(r[rows]))
         live[rows[done]] = False
         rows, grad = rows[~done], grad[~done]
 
-        # line search: each row halves its own step until a trial gains;
-        # j indexes the rows still searching
-        base, st = T[rows], step[rows]
+        d = _rowwise(H[rows], grad)
+        downhill = np.add.reduce(d * grad, axis=1) <= 0.0
+        restart(rows[downhill])
+        d[downhill] = grad[downhill]
+
         bar = r[rows] + TOL.ascent_accept * np.maximum(1.0, np.abs(r[rows]))
-        tn = np.empty_like(grad)
-        rn = np.empty(len(rows))
-        accepted = np.zeros(len(rows), dtype=bool)
-        j = np.flatnonzero(st >= cfg.step_min)
-        while len(j):
-            trial = base[j] + st[j, None] * grad[j]
-            trial /= np.linalg.norm(trial, axis=1)[:, None]
-            gn = cons.norms(trial)
-            num = objective(trial)
-            zero = gn < TOL.zero_norm
-            if zero.any():
-                _check_bounded(num, gn)
-                gn = np.where(zero, 1.0, gn)
-            rt = num / gn
-            ok = ~zero & (rt > bar[j])
-            tn[j[ok]], rn[j[ok]] = trial[ok], rt[ok]
-            accepted[j[ok]] = True
-            j = j[~ok]
-            st[j] *= 0.5
-            j = j[st[j] >= cfg.step_min]
-        step[rows] = st
-        live[rows[~accepted]] = False
+        accepted, tn, rn, st = _line_search(
+            objective, cons, T[rows], d, step[rows], bar, cfg.step_min
+        )
+        # a failed quasi-Newton search retries along the gradient next round
+        failed = rows[~accepted]
+        live[failed[fresh[failed]]] = False
+        retry = failed[~fresh[failed]]
+        restart(retry)
+        step[retry] = cfg.step_init
 
         acc = rows[accepted]
         gain = rn[accepted] - r[acc]
+        s = tn[accepted] - T[acc]
         T[acc] = tn[accepted]
         refresh(acc)
         r[acc] = objective(T[acc]) / g[acc]
-        step[acc] = np.minimum(step[acc] * 2.0, 1e3)
+        H[acc], updated = _bfgs_update(H[acc], fresh[acc], s, grad[accepted] - gradient(acc))
+        fresh[acc[updated]] = False
+        step[acc] = np.minimum(2.0 * st[accepted], 1.0)
         stalled = gain < cfg.tol * np.maximum(1.0, np.abs(r[acc]))
         flat[acc] = np.where(stalled, flat[acc] + 1, 0)
         live[acc[flat[acc] >= 3]] = False

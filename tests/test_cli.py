@@ -215,7 +215,11 @@ def test_iso_enumerate_rejects_lambda_for_several_depths(capsys):
     assert captured.out == "" and "--lambda" in captured.err
 
 
-@pytest.mark.parametrize("content", [None, "{", "[1,2]"], ids=["missing", "malformed", "list"])
+@pytest.mark.parametrize(
+    "content",
+    [None, "{", "[1,2]", '{"subcommand": "distance", "params": {}}'],
+    ids=["missing", "malformed", "list", "wrong-subcommand"],
+)
 def test_config_file_errors_are_usage_errors(tmp_path, capsys, content):
     path = tmp_path / "exp.json"
     if content is not None:

@@ -4,7 +4,8 @@ Each line of ``data/cli_records.jsonl`` holds an ``argv``, its exit status and
 the records it printed.  Keys, strings, ints and bools must match exactly;
 floats to 1e-12 relative (scale ``max(1, |x|)``), so a different BLAS does not
 flake.  When a change to the records is intended, regenerate the file with
-``PYTHONPATH=src python tests/test_cli_records.py``.
+``PYTHONPATH=src python tests/test_cli_records.py``; it prints every path that
+changes beyond that tolerance as ``old -> new`` before it rewrites the file.
 """
 
 import contextlib
@@ -21,20 +22,20 @@ CASES = [json.loads(line) for line in DATA.read_text().splitlines()]
 
 
 def _mismatches(got, want, path="$"):
-    """Every difference between two parsed JSON values, as readable lines."""
+    """Every difference between two parsed JSON values, as ``want -> got`` lines."""
     if type(got) is not type(want):
-        return [f"{path}: {got!r} != {want!r}"]
+        return [f"{path}: {want!r} -> {got!r}"]
     if isinstance(want, dict):
         if sorted(got) != sorted(want):
-            return [f"{path}: keys {sorted(got)} != {sorted(want)}"]
+            return [f"{path}: keys {sorted(want)} -> {sorted(got)}"]
         return [m for k in want for m in _mismatches(got[k], want[k], f"{path}.{k}")]
     if isinstance(want, list):
         if len(got) != len(want):
-            return [f"{path}: length {len(got)} != {len(want)}"]
+            return [f"{path}: length {len(want)} -> {len(got)}"]
         return [m for i, (g, w) in enumerate(zip(got, want)) for m in _mismatches(g, w, f"{path}[{i}]")]
     if isinstance(want, float) and abs(got - want) <= 1e-12 * max(1.0, abs(got), abs(want)):
         return []
-    return [] if got == want else [f"{path}: {got!r} != {want!r}"]
+    return [] if got == want else [f"{path}: {want!r} -> {got!r}"]
 
 
 def _run(argv):
@@ -55,8 +56,11 @@ def test_cli_records_match(case):
 
 if __name__ == "__main__":
     lines = []
-    for case in CASES:
+    for i, case in enumerate(CASES):
         code, records = _run(case["argv"])
+        old = {"exit": case["exit"], "records": case["records"]}
+        for change in _mismatches({"exit": code, "records": records}, old):
+            print(f"{i:02d}-{case['argv'][0]} {change}")
         lines.append(json.dumps({"argv": case["argv"], "exit": code, "records": records},
                                 sort_keys=True))
     DATA.write_text("\n".join(lines) + "\n")

@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 
@@ -248,8 +250,9 @@ def test_kernel_rejects_non_antihermitian_stack(rng):
         mt._ConstraintMap(B)
 
 
-def test_lockstep_rows_equal_solo_runs(cantor3, rng):
-    c, B = _cantor_stack(cantor3)
+@pytest.mark.parametrize("family", ["cantor", "uhf"])
+def test_lockstep_rows_equal_solo_runs(family, uhf3, cantor3, rng):
+    c, B = _cantor_stack(cantor3) if family == "cantor" else _uhf_stack(uhf3, rng)
     cons = mt._ConstraintMap(B)
     cfg = mt.SolverConfig()
     T0 = np.vstack([c, np.zeros_like(c), -c, rng.normal(size=(5, len(c)))])
@@ -274,6 +277,25 @@ def test_lockstep_raises_on_unbounded_objective(b):
     assert cons.real == (not np.any(b.imag))
     with pytest.raises(UnboundedObjectiveError):
         mt._ascend(c, cons, np.array([[0.3, 1.0], [1.0, 0.0]]), mt.SolverConfig())
+
+
+def test_cantor_split_classes_have_equal_distances():
+    """Tree portraits act transitively on the leaf pairs of one split class, so
+    the isometry statement on the Cantor set makes their distances equal; the
+    ascent must resolve that to near rounding, with no start cut at max_iter."""
+    depth = 3
+    triple = tr.build_triple(al.cantor(depth), al.UniformState(), tr.dirac_geometric(1 / 3, depth))
+    cfg = mt.SolverConfig()
+    classes = {}
+    for x, y in combinations(product((0, 1), repeat=depth), 2):
+        problem = mt.DistanceProblem(triple, al.CharacterState(x), al.CharacterState(y))
+        res = mt.distance(mt.reduce_search_level(problem), cfg)
+        assert all(s["iterations"] < cfg.max_iter for s in res.diagnostics["per_start"])
+        split = next(i for i, (a, b) in enumerate(zip(x, y), start=1) if a != b)
+        classes.setdefault(split, []).append(res.lower_bound)
+    assert sorted(len(v) for v in classes.values()) == [4, 8, 16]
+    for vals in classes.values():
+        assert max(vals) - min(vals) <= 1e-13 * max(vals)
 
 
 # ---------------------------------------------------------------------------
