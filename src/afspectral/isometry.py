@@ -563,7 +563,6 @@ def flip_demo(
         identity_residual = max(identity_residual, float(np.max(np.abs(lhs - rhs))))
 
     max_dev = 0.0
-    max_identity_auto_dev = 0.0
     max_oracle_gap = 0.0
     for _ in range(n_pairs):
         bloch = rng.normal(size=(2, 3))
@@ -573,9 +572,7 @@ def flip_demo(
         c_flip = c * np.array([1.0, -1.0, -1.0])  # Bloch action of the flip
         d_plain = mt._brute_force_core(c[:2], b_stack, points=4000, seed=seed)
         d_flip = mt._brute_force_core(c_flip[:2], b_stack, points=4000, seed=seed)
-        d_ident = mt._brute_force_core((c * np.ones(3))[:2], b_stack, points=4000, seed=seed)
         max_dev = max(max_dev, abs(d_plain - d_flip))
-        max_identity_auto_dev = max(max_identity_auto_dev, abs(d_plain - d_ident))
         analytic = float(np.hypot(c[0], c[1]) / abs(d2 - d1))
         max_oracle_gap = max(max_oracle_gap, abs(d_plain - analytic))
 
@@ -589,7 +586,6 @@ def flip_demo(
         "n_pairs": n_pairs,
         "max_distance_deviation": max_dev,
         "max_oracle_vs_analytic": max_oracle_gap,
-        "identity_automorphism_deviation": max_identity_auto_dev,
     }
 
 

@@ -22,8 +22,16 @@ triples, where the B_i are real antisymmetric) stay in real arithmetic and
 read the norm off the Gram matrix M(t)^T M(t); complex stacks are
 anti-Hermitian, and the norm is the spectral radius of the Hermitian
 H(t) = i sum_i t_i B_i.  Each start keeps its own inverse-Hessian estimate,
-step, stopping rules and line search, so its trajectory is that of a solo
-run.
+step, stopping rules and line search, so its trajectory is a prefix of that
+of a solo run.
+
+The ratio is quasi-concave (its superlevel sets are convex cones), so every
+start climbs to the same value, and the starts need not all run until they
+stall.  Once the start with the best ratio has stopped on its own, a
+weak-duality certificate is built at its point: a matrix Y with
+<B_i, Y> = c_i bounds the distance by its nuclear norm.  When that bound is
+within the solver tolerance of the start's ratio, every start still running
+is retired.
 
 Every reported lower bound is certified by an explicit feasible witness,
 re-evaluated through the public operations.  Exact upper bounds are
@@ -211,6 +219,41 @@ class _ConstraintMap:
         sub[g < TOL.zero_norm] = 0.0
         return g, sub
 
+    def dual_bound(self, c: np.ndarray, t: np.ndarray):
+        """Weak-duality certificate at one parameter row t: (||Y||_*, Y).
+
+        Any Y with <B_i, Y> = Re tr(B_i^H Y) = c_i bounds the distance:
+        c . s = <M(s), Y> <= ||M(s)|| ||Y||_* for every s.  At an optimum
+        Y = U Z V^H on the top singular space of the image at t (M on a real
+        stack, H = iM on a complex one), with Z positive semidefinite, so Y
+        is built there: U, V span the singular vectors whose value is in the
+        kernel's top band, a symmetric (Hermitian on a complex stack) Z is
+        fitted by least squares to <B_i, U Z V^H> = c_i, and the
+        minimum-norm correction sum_i alpha_i B_i, alpha from the stack's
+        Gram matrix, makes Y feasible.  The excess ||Y||_* - (c . t)/||M(t)||
+        is of the order of the fit's residual, so it closes only where the
+        ascent gradient is small.  Y is returned in the frame of the B_i.
+        """
+        u, s, vh = np.linalg.svd(self.images(np.asarray(t, dtype=float)[None])[0])
+        k = int(np.count_nonzero(s >= s[0] - max(TOL.top_band * s[0], TOL.top_band_abs)))
+        u, vh = u[:, :k], vh[:k]
+        conj = np.conj(self.flat)
+        # P[i, j, l] = <flat_i, u_j vh_l> before the real part; Z = X + X^H
+        P = conj @ (u.T[:, None, :, None] * vh[None, :, None, :]).reshape(k * k, -1).T
+        P = P.reshape(-1, k, k)
+        cols = [(P + P.transpose(0, 2, 1)).real.reshape(-1, k * k)]
+        if not self.real:
+            cols.append(-(P - P.transpose(0, 2, 1)).imag.reshape(-1, k * k))
+        # an antisymmetric stack maps some symmetric Z exactly to zero: drop
+        # those directions rather than fit rounding noise with huge weights
+        x = np.linalg.lstsq(np.hstack(cols), c, rcond=TOL.top_band)[0]
+        X = x[: k * k].reshape(k, k) + (0 if self.real else 1j * x[k * k :].reshape(k, k))
+        w = (u @ (X + np.conj(X).T) @ vh).reshape(-1)
+        gram = np.real(conj @ self.flat.T)
+        w = w + np.linalg.lstsq(gram, c - np.real(conj @ w), rcond=None)[0] @ self.flat
+        w = w.reshape(self.shape)
+        return float(np.linalg.svd(w, compute_uv=False).sum()), (w if self.real else -1j * w)
+
 
 def _check_bounded(num: np.ndarray, norms: np.ndarray):
     """Refuse a nonzero objective along a zero-norm (Dirac-commuting) direction."""
@@ -230,8 +273,9 @@ def _line_search(objective, cons, base, d, st, bar, step_min):
     takes the first whose normalized trial has a value above bar_j.  Pass k
     evaluates the next 2^k steps of every row still searching in one kernel
     call, so a search that halves m times costs about log2(m) calls and ends
-    where a one-trial-per-call search would.  Every evaluated trial passes
-    through the boundedness check.
+    where a one-trial-per-call search would.  Steps below step_min are not
+    evaluated, and every evaluated trial passes through the boundedness
+    check.
 
     Returns (accepted, trials, values, steps); only accepted rows of the
     last three are set.
@@ -245,16 +289,18 @@ def _line_search(objective, cons, base, d, st, bar, step_min):
     while len(j):
         sk = st[j, None] * 0.5 ** np.arange(m)
         trial = base[j, None] + sk[:, :, None] * d[j, None]  # (rows, m, p)
-        flat = trial.reshape(-1, trial.shape[2])
-        flat /= _norms(flat)[:, None]
-        gn = cons.norms(flat)
-        num = objective(flat)
+        ok = sk >= step_min  # a prefix of each row's run: only these are evaluated
+        x = trial[ok]
+        x /= _norms(x)[:, None]
+        trial[ok] = x
+        gn = cons.norms(x)
+        num = objective(x)
         zero = gn < TOL.zero_norm
         if zero.any():
             _check_bounded(num, gn)
-            gn = np.where(zero, 1.0, gn)
-        rt = (num / gn).reshape(sk.shape)
-        gains = ~zero.reshape(sk.shape) & (rt > bar[j, None]) & (sk >= step_min)
+        rt = np.full(sk.shape, -np.inf)
+        rt[ok] = np.where(zero, -np.inf, num / np.where(zero, 1.0, gn))
+        gains = rt > bar[j, None]
         hit = gains.any(axis=1)
         k = gains.argmax(axis=1)[hit]
         a = j[hit]
@@ -296,15 +342,22 @@ def _bfgs_update(H: np.ndarray, fresh: np.ndarray, s: np.ndarray, y: np.ndarray)
 def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, cfg: SolverConfig):
     """Maximize (c . t)/||M(t)|| from every row of T0 in lockstep.
 
-    Returns per-row (values, T, iterations).  Each row steps along the
-    quasi-Newton direction H grad, where H is its own BFGS inverse-Hessian
-    estimate, starting at the identity.  A row whose direction is not uphill,
-    or whose line search finds no gain, restarts from H = I; a failed search
-    along the gradient itself ends the row.  A row's next search starts at
-    twice its last accepted step, at most the full quasi-Newton step 1.
-    Rows share only the batched kernel calls, and every per-row product is a
-    batched product with one operand per row, so a row's trajectory is that
-    of a one-row call on its start.
+    Returns per-row (values, T, iterations) and the dual bound that stopped
+    the run, or None.  Each row steps along the quasi-Newton direction
+    H grad, where H is its own BFGS inverse-Hessian estimate, starting at
+    the identity.  A row whose direction is not uphill, or whose line search
+    finds no gain, restarts from H = I; a failed search along the gradient
+    itself ends the row.  A row's next search starts at twice its last
+    accepted step, at most the full quasi-Newton step 1.
+
+    Certified stop: after each round, if the row with the largest ratio has
+    retired, has no certificate yet and other rows are still live, its dual
+    bound is computed; when the bound is within cfg.tol * max(1, |ratio|) of
+    its ratio, every row retires.  Rows share only the batched kernel calls
+    and this stop, and every per-row product is a batched product with one
+    operand per row, so a row's trajectory is that of a one-row call on its
+    start cut at the row's iteration count.  A one-row call never stops
+    early.
     """
     T = np.array(T0, dtype=float)
     S, p = T.shape
@@ -347,6 +400,8 @@ def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, cfg: SolverConf
 
     step = np.full(S, cfg.step_init)
     flat = np.zeros(S, dtype=int)
+    certified = np.zeros(S, dtype=bool)
+    dual = None
     for it in range(1, cfg.max_iter + 1):
         rows = np.flatnonzero(live)
         if not len(rows):
@@ -385,7 +440,17 @@ def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, cfg: SolverConf
         stalled = gain < cfg.tol * np.maximum(1.0, np.abs(r[acc]))
         flat[acc] = np.where(stalled, flat[acc] + 1, 0)
         live[acc[flat[acc] >= 3]] = False
-    return r, T, iters
+
+        # certified stop: a retired incumbent whose dual bound closes its gap
+        # ends every row still running
+        b = int(np.argmax(r))
+        if not live[b] and not certified[b] and live.any():
+            certified[b] = True
+            upper = cons.dual_bound(c, T[b])[0]
+            if upper - r[b] <= cfg.tol * max(1.0, abs(r[b])):
+                live[:] = False
+                dual = upper
+    return r, T, iters, dual
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +490,10 @@ def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> Dista
     The returned ``lower_bound`` is |s1(w) - s2(w)| for the explicit witness
     ``w``, rescaled to unit commutator norm through the public operations, so
     it holds independently of solver quality.  ``upper_bound`` is populated
-    only when a matching certificate exists (identical states).
+    only when a matching certificate exists (identical states).  The ascent
+    stops all starts once the best one is certified within ``cfg.tol``; the
+    certificate that did so is ``diagnostics["dual_bound"]`` (None when the
+    starts all stopped on their own).
     """
     cfg = cfg or SolverConfig()
     if problem.search_level == 0:
@@ -450,7 +518,7 @@ def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> Dista
         rng = np.random.default_rng([cfg.seed, k])
         starts.append((f"random-{k}", rng.normal(size=p)))
 
-    vals, T, iters = _ascend(c, cons, np.stack([t0 for _, t0 in starts]), cfg)
+    vals, T, iters, dual = _ascend(c, cons, np.stack([t0 for _, t0 in starts]), cfg)
     per_start = [
         {"start": kind, "objective": float(v), "iterations": int(n)}
         for (kind, _), v, n in zip(starts, vals, iters)
@@ -460,7 +528,7 @@ def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> Dista
 
     # polish the incumbent with a finer stopping rule
     polish_cfg = replace(cfg, tol=cfg.tol * 1e-4, step_init=1e-2)
-    vals, T, iters = _ascend(c, cons, best_t[None], polish_cfg)
+    vals, T, iters, _ = _ascend(c, cons, best_t[None], polish_cfg)
     per_start.append({"start": "polish", "objective": float(vals[0]), "iterations": int(iters[0])})
     if vals[0] > best_val:
         best_val, best_t = vals[0], T[0]
@@ -480,6 +548,7 @@ def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> Dista
         "best_start": starts[best][0],
         "per_start": per_start,
         "solver_objective": float(best_val),
+        "dual_bound": dual,
         "certificate": "lower-bound only",
     }
     return DistanceResult(float(lower), None, witness, diagnostics)

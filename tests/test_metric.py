@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations, product
 
 import numpy as np
@@ -152,6 +153,14 @@ def _cantor_stack(cantor3):
     return c, B
 
 
+def _car_stack(uhf3):
+    """Matched vector state 1 (x) v_3 against the trace: criterion 1's problem."""
+    phi = al.VectorState(al.shift_embed(mt.car_vector(F3, 3), 1))
+    p = mt.reduce_search_level(mt.DistanceProblem(uhf3, phi, al.TraceState()))
+    c, B, _ = mt._search_space(p)
+    return c, B
+
+
 @pytest.mark.parametrize("family", ["uhf", "cantor", "product"])
 def test_search_space_matches_per_element_commutators(family, uhf3, cantor3, rng):
     if family == "cantor":
@@ -250,20 +259,34 @@ def test_kernel_rejects_non_antihermitian_stack(rng):
         mt._ConstraintMap(B)
 
 
-@pytest.mark.parametrize("family", ["cantor", "uhf"])
+@pytest.mark.parametrize("family", ["cantor", "uhf", "car"])
 def test_lockstep_rows_equal_solo_runs(family, uhf3, cantor3, rng):
-    c, B = _cantor_stack(cantor3) if family == "cantor" else _uhf_stack(uhf3, rng)
+    """Each row equals its solo run cut at the row's own iteration count: rows
+    that retired on their own equal the unrestricted solo run, and rows the
+    certified stop ended are a prefix of it.  A solo run never stops early,
+    since no other row is live when its only row retires."""
+    if family == "cantor":
+        c, B = _cantor_stack(cantor3)
+    elif family == "uhf":
+        c, B = _uhf_stack(uhf3, rng)
+    else:
+        c, B = _car_stack(uhf3)
     cons = mt._ConstraintMap(B)
     cfg = mt.SolverConfig()
     T0 = np.vstack([c, np.zeros_like(c), -c, rng.normal(size=(5, len(c)))])
-    vals, T, iters = mt._ascend(c, cons, T0, cfg)
+    vals, T, iters, dual = mt._ascend(c, cons, T0, cfg)
     assert vals[1] == -np.inf and iters[1] == 0
     assert vals[2] > 0  # started with c . t < 0, so the start flipped sign
     for k, t0 in enumerate(T0):
-        v1, t1, n1 = mt._ascend(c, cons, t0[None], cfg)
+        v1, t1, n1, d1 = mt._ascend(c, cons, t0[None], replace(cfg, max_iter=int(iters[k])))
         assert vals[k] == v1[0]
         assert np.array_equal(T[k], t1[0])
         assert iters[k] == n1[0]
+        assert d1 is None
+    if family == "car":
+        # the objective start is optimal here, so its certificate ends the run
+        # after the first round
+        assert dual is not None and np.all(iters[iters > 0] == 1)
 
 
 @pytest.mark.parametrize(
@@ -296,6 +319,59 @@ def test_cantor_split_classes_have_equal_distances():
     assert sorted(len(v) for v in classes.values()) == [4, 8, 16]
     for vals in classes.values():
         assert max(vals) - min(vals) <= 1e-13 * max(vals)
+
+
+# ---------------------------------------------------------------------------
+# dual certificate
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", ["cantor", "uhf"])
+def test_dual_certificate_is_feasible(family, uhf3, cantor3, rng):
+    c, B = _uhf_stack(uhf3, rng) if family == "uhf" else _cantor_stack(cantor3)
+    cons = mt._ConstraintMap(B)
+    for t in np.vstack([c, rng.normal(size=(4, len(c)))]):
+        _, Y = cons.dual_bound(c, t)
+        got = np.real(np.einsum("iab,ab->i", np.conj(B), Y))
+        assert np.max(np.abs(got - c)) <= 1e-12 * np.max(np.abs(c))
+
+
+def test_dual_bound_above_brute_force(uhf1):
+    p = mt.DistanceProblem(uhf1, al.VectorState(mt.car_vector(F1, 1)), al.TraceState())
+    c, B, _ = mt._search_space(p)
+    res = mt.distance(p, FAST)
+    upper, _ = mt._ConstraintMap(B).dual_bound(c, res.witness.coeffs[1:].real)
+    assert upper >= mt.brute_force_distance(p)
+    assert upper == pytest.approx(res.lower_bound, rel=1e-9)
+
+
+def test_dual_bound_above_lower_bound_on_cantor_pairs():
+    """Weak duality on all 28 depth-3 character pairs, at the witness and, where
+    the certified stop fired, for the bound that stopped the ascent; the
+    slack covers only the rounding of the two evaluations."""
+    triple = tr.build_triple(al.cantor(3), al.UniformState(), tr.dirac_geometric(1 / 3, 3))
+    stopped = 0
+    for x, y in combinations(product((0, 1), repeat=3), 2):
+        problem = mt.DistanceProblem(triple, al.CharacterState(x), al.CharacterState(y))
+        c, B, _ = mt._search_space(problem)
+        res = mt.distance(problem)
+        slack = 1e-13 * max(1.0, res.lower_bound)
+        upper, _ = mt._ConstraintMap(B).dual_bound(c, res.witness.coeffs[1:].real)
+        assert upper >= res.lower_bound - slack
+        dual = res.diagnostics["dual_bound"]
+        if dual is not None:
+            stopped += 1
+            assert dual >= res.lower_bound - slack
+    assert stopped > 0
+
+
+def test_dual_bound_matches_car_upper_bound():
+    """Criterion 1's nine cases: the bound that stopped the ascent is the exact
+    value 1/lambda_{n+1}."""
+    for n in range(3):
+        for l in (1, 2, 3):
+            rec = mt.car_golden_case([1.0, 2.0, 4.0, 8.0], n, l)
+            assert rec["diagnostics"]["dual_bound"] == pytest.approx(rec["upper_bound"], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
