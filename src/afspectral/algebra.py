@@ -210,7 +210,8 @@ def decompose(filtration: Filtration, level: int, mats) -> np.ndarray:
     if m.shape[len(lead) :] != stack.shape[1:]:
         raise InvalidInputError(f"element shape {m.shape}, expected (..., {stack.shape[1:]})")
     flat = np.conj(stack).reshape(len(stack), -1)
-    coeffs = m.reshape(-1, flat.shape[1]) @ flat.T / stack.shape[1]
+    coeffs = m.reshape(-1, flat.shape[1]) @ flat.T
+    coeffs /= stack.shape[1]
     return coeffs.reshape(*lead, len(stack))
 
 

@@ -8,7 +8,9 @@ A runner takes a plain dict keyed by flag dests (``RUNNERS``).  Exit
 status: 0 when every asserted record passes, 1 on a failed assertion, 2 on
 usage errors (a missing required option is named), 3 when the answer is
 numerically undecidable (a verdict residual inside the guard band, or an
-objective unbounded along a Dirac-commuting direction).  A JSON config file
+objective unbounded along a Dirac-commuting direction); exit 3 also writes
+one ``undecidable`` record with the error, and for a verdict its residual
+and guard band.  A JSON config file
 (``{"subcommand": ..., "params": {...}}`` or bare params) can prefill any
 subcommand's options; explicit flags override it.  Records go to stdout or
 to --output (relative paths resolve under $AFSPECTRAL_OUTDIR when set);
@@ -582,6 +584,7 @@ def main(argv=None) -> int:
         and val is not None and val is not False
     }
 
+    undecidable = False
     try:
         loaded = _read_config(args.config) if args.config else {}
         if loaded.get("subcommand", args.subcommand) != args.subcommand:
@@ -599,7 +602,10 @@ def main(argv=None) -> int:
         return 2
     except (AmbiguousVerdictError, UnboundedObjectiveError) as exc:
         print(f"undecidable: {exc}", file=sys.stderr)
-        return 3
+        records = [{"record": "undecidable", "ok": False, "error": str(exc)}]
+        if isinstance(exc, AmbiguousVerdictError):
+            records[0].update(residual=exc.residual, guard_band=list(exc.guard_band))
+        undecidable = True
 
     lines = [json.dumps(rec, sort_keys=True) for rec in records]
     text = "\n".join(lines) + "\n"
@@ -620,6 +626,8 @@ def main(argv=None) -> int:
             )
             print(f"[{status}] {rec.get('record')}: {fields}")
 
+    if undecidable:
+        return 3
     return 0 if all(rec.get("ok", True) for rec in records) else 1
 
 

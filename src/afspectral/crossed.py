@@ -34,7 +34,7 @@ from .errors import (
     PreconditionError,
     WindowTooSmallError,
 )
-from .linalg import TOL, operator_norm
+from .linalg import TOL, norm_exceeds, operator_norm
 
 # ---------------------------------------------------------------------------
 # actions of the integers
@@ -111,7 +111,7 @@ class Cocycle:
     chi: complex
 
     def __post_init__(self):
-        if abs(abs(complex(self.chi)) - 1.0) > 1e-12:
+        if abs(abs(complex(self.chi)) - 1.0) > TOL.cocycle_unit:
             raise InvalidInputError("character must have unit modulus")
 
     def value(self, g: int) -> complex:
@@ -292,16 +292,19 @@ def lifted_unitary(
     base = lifted.base
     if beta is None:
         u_beta = np.eye(base.dim, dtype=complex)
-    else:
-        if check_rigidity and not iso.iso_check(base, beta).in_iso:
+    elif check_rigidity:
+        verdict = iso.iso_check(base, beta)
+        if not verdict.in_iso:
             raise PreconditionError("beta is not in the rigid group of the base triple")
-        u_beta = iso.implementing_unitary(base, beta)
+        u_beta = verdict.implementing_unitary
+    else:
+        u_beta = iso.implementing_unitary(base, iso.act(beta, base.filtration, base.gns.stack))
 
     # intertwining on the generator, beta o alpha_1 = alpha_{sigma(1)} o beta,
     # through the implementing unitaries: U_beta V = V^{sigma(1)} U_beta
     rad = lifted.window.radius
     v, v_sigma = lifted.v_powers[rad + 1], lifted.v_powers[rad + (1 if sigma == "id" else -1)]
-    if operator_norm(u_beta @ v - v_sigma @ u_beta) > TOL.structural:
+    if norm_exceeds(u_beta @ v - v_sigma @ u_beta, TOL.structural):
         raise PreconditionError("intertwining beta o alpha_g = alpha_{sigma(g)} o beta fails")
 
     sites = lifted.window.sites
@@ -357,5 +360,5 @@ def crossed_commutator_stability(base: tr.TruncatedTriple, action, x: CrossedEle
         lifted = build_lifted(base, action, rad, r)
         norms.append(_interior_commutator_norm(lifted, represent_crossed(lifted, x)))
     diffs = [abs(b - a) for a, b in zip(norms, norms[1:])]
-    stable = all(d <= 1e-8 for d in diffs[1:]) if len(diffs) > 1 else True
+    stable = all(d <= TOL.lift_stable for d in diffs[1:]) if len(diffs) > 1 else True
     return {"radii": radii, "norms": norms, "differences": diffs, "stabilized": stable}

@@ -26,7 +26,15 @@ class NoUnitaryError(ValueError):
 
 
 class AmbiguousVerdictError(RuntimeError):
-    """Commutation residual falls inside the guard band between pass and fail."""
+    """Commutation residual falls inside the guard band between pass and fail.
+
+    ``residual`` is the residual and ``guard_band`` the (low, high) band it fell in.
+    """
+
+    def __init__(self, message: str, residual: float, guard_band: tuple):
+        super().__init__(message)
+        self.residual = residual
+        self.guard_band = guard_band
 
 
 class UnboundedObjectiveError(RuntimeError):

@@ -15,6 +15,7 @@ one-sided shift stretches commutator norms by an explicit eigenvalue ratio.
 
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -29,7 +30,7 @@ from .errors import (
     PreconditionError,
     UnsupportedError,
 )
-from .linalg import TOL, operator_norm, random_unitary
+from .linalg import TOL, norm_exceeds, operator_norm, random_unitary
 
 # ---------------------------------------------------------------------------
 # automorphism specifications
@@ -255,10 +256,12 @@ def invert(spec):
 # ---------------------------------------------------------------------------
 
 
-def automorphism_residual(spec, filtration: al.Filtration):
-    """Largest defect of multiplicativity and *-preservation on basis pairs.
+@lru_cache(maxsize=None)
+def _pair_products(filtration: al.Filtration):
+    """The basis pairs (i, j) the residual samples and the coefficients of e_i e_j.
 
-    All pairs when there are at most 400, else 40 seeded random pairs.
+    All pairs when there are at most 400, else 40 seeded random pairs.  Both
+    depend on the filtration alone, so they are computed once per filtration.
     """
     n = filtration.depth
     dim = filtration.dim(n)
@@ -269,26 +272,45 @@ def automorphism_residual(spec, filtration: al.Filtration):
         pairs = [tuple(rng.integers(0, dim, size=2)) for _ in range(40)]
     i, j = np.array(pairs).T
     stack = al.basis_stack(filtration, n)
-    a = coefficient_images(spec, filtration)
-    images = np.tensordot(a.T, stack, axes=1)  # alpha(e_j), read back from A
+    products = al.decompose(filtration, n, al.mat_product(filtration, stack[i], stack[j]))
+    for arr in (i, j, products):
+        arr.setflags(write=False)
+    return i, j, products
+
+
+def automorphism_residual(a: np.ndarray, filtration: al.Filtration):
+    """Largest defect of multiplicativity and *-preservation on basis pairs.
+
+    ``a`` is the coefficient-image matrix of :func:`coefficient_images`.  All
+    pairs when there are at most 400, else 40 seeded random pairs.
+    """
+    n = filtration.depth
+    i, j, products = _pair_products(filtration)
+    # alpha(e_j), read back from A
+    images = np.tensordot(a.T, al.basis_stack(filtration, n), axes=1)
     # alpha(e_i e_j) by linearity through A, against alpha(e_i) alpha(e_j)
-    lhs = al.decompose(filtration, n, al.mat_product(filtration, stack[i], stack[j])) @ a.T
+    lhs = products @ a.T
     rhs = al.decompose(filtration, n, al.mat_product(filtration, images[i], images[j]))
     # the basis is self-adjoint, so images must be too
     used = a[:, np.unique(np.concatenate([i, j]))]
     return max(float(np.max(np.abs(lhs - rhs))), float(np.max(np.abs(np.conj(used) - used))))
 
 
-def coefficient_images(spec, filtration: al.Filtration) -> np.ndarray:
-    """Matrix A with column j the canonical coefficients of the image of e_j."""
-    n = filtration.depth
-    return al.decompose(filtration, n, act(spec, filtration, al.basis_stack(filtration, n))).T
+def coefficient_images(filtration: al.Filtration, image: np.ndarray) -> np.ndarray:
+    """Matrix A with column j the canonical coefficients of alpha(e_j).
+
+    ``image`` is the automorphism's image of the basis stack, ``act(spec,
+    filtration, basis_stack)``, or of any stack with the same values.
+    """
+    return al.decompose(filtration, filtration.depth, image).T
 
 
-def filtration_check(spec, filtration: al.Filtration):
-    """Per-level truth of "the automorphism maps the level into itself", levels 1..N."""
+def filtration_check(a: np.ndarray, filtration: al.Filtration):
+    """Per-level truth of "the automorphism maps the level into itself", levels 1..N.
+
+    ``a`` is the coefficient-image matrix of :func:`coefficient_images`.
+    """
     n = filtration.depth
-    a = coefficient_images(spec, filtration)
     grades = np.array([ix.grade for ix in al.canonical_basis(filtration, n)])
     out = []
     for lev in range(1, n + 1):
@@ -299,15 +321,21 @@ def filtration_check(spec, filtration: al.Filtration):
     return out
 
 
-def implementing_unitary(triple: tr.TruncatedTriple, spec) -> np.ndarray:
-    """Unitary sending b xi to alpha(b) xi; exists iff the state is preserved."""
+def implementing_unitary(triple: tr.TruncatedTriple, image: np.ndarray) -> np.ndarray:
+    """Unitary sending b xi to alpha(b) xi; exists iff the state is preserved.
+
+    ``image`` is the automorphism's image of the GNS basis stack,
+    ``act(spec, triple.filtration, triple.gns.stack)``.
+    """
     gns = triple.gns
-    u = gns.coordinates(act(spec, triple.filtration, gns.stack))
+    u = gns.coordinates(image)
     eye = np.eye(gns.dim)
     # b_0 is the identity, so row 0 holds ref(alpha(b_j)), which must be ref(b_j) = delta_0j
     if np.max(np.abs(u[0] - eye[0])) > TOL.structural:
         raise NoUnitaryError("automorphism does not preserve the reference state")
-    if operator_norm(np.conj(u).T @ u - eye) > TOL.structural:
+    gram = np.conj(u).T @ u
+    gram -= eye
+    if norm_exceeds(gram, TOL.structural):
         raise NoUnitaryError("induced map is not a unitary")
     return u
 
@@ -331,21 +359,38 @@ class IsoVerdict:
 
 
 def iso_check(triple: tr.TruncatedTriple, spec) -> IsoVerdict:
-    """Decide unitary rigidity of an automorphism for the triple."""
-    filt = triple.filtration
-    resid = automorphism_residual(spec, filt)
+    """Decide unitary rigidity of an automorphism for the triple.
+
+    One image per verdict: the automorphism acts on the basis stack once, and
+    the coefficient-image matrix A read off that image feeds both the
+    *-automorphism residual and the level check.  For trace and uniform
+    references the GNS stack holds the basis stack's values, so the same
+    image also gives the implementing unitary; a product-state reference has
+    its own GNS stack and gets its own image.
+    """
+    filt, gns = triple.filtration, triple.gns
+    own_stack = isinstance(gns.state, al.ProductState)
+    image = act(spec, filt, al.basis_stack(filt, filt.depth) if own_stack else gns.stack)
+    a = coefficient_images(filt, image)
+    resid = automorphism_residual(a, filt)
     if resid > TOL.structural:
         raise InvalidInputError(f"spec is not a *-automorphism (residual {resid:.2e})")
-    levels = filtration_check(spec, filt)
+    levels = filtration_check(a, filt)
+    del a
+    if own_stack:
+        image = act(spec, filt, gns.stack)
     try:
-        u = implementing_unitary(triple, spec)
+        u = implementing_unitary(triple, image)
     except NoUnitaryError:
         return IsoVerdict(False, levels, None, None, False)
+    del image
     d = triple.d_diag
     resid = operator_norm(d[:, None] * u - u * d[None, :])
     if TOL.iso_residual < resid < TOL.iso_ambiguous:
         raise AmbiguousVerdictError(
-            f"commutation residual {resid:.3e} falls in the guard band"
+            f"commutation residual {resid:.3e} falls in the guard band",
+            float(resid),
+            (TOL.iso_residual, TOL.iso_ambiguous),
         )
     return IsoVerdict(True, levels, u, float(resid), resid <= TOL.iso_residual)
 

@@ -1,9 +1,13 @@
 """Dense complex linear algebra used by every other module.
 
 All operators are plain ``numpy.ndarray`` with complex entries; matrices are
-row-major 2-d arrays.  Norms are exact (full SVD), and orthonormalization runs
-against a caller-supplied inner product so the same routine serves matrix
-algebras and function spaces.
+row-major 2-d arrays.  Reported norms are exact (full SVD).  A threshold
+decision ``||m|| > tol`` goes through :func:`norm_exceeds`, which skips the
+SVD when the Frobenius norm, an upper bound of the spectral norm, already
+lies below the threshold and otherwise decides by the SVD, so it answers
+exactly as the SVD comparison does.  Orthonormalization runs against a
+caller-supplied inner product so the same routine serves matrix algebras and
+function spaces.
 """
 
 from dataclasses import dataclass
@@ -23,6 +27,8 @@ class Tolerances:
     iso_residual : Dirac commutation residual below which a verdict is "in"
     iso_ambiguous: upper edge of the guard band above iso_residual
     crossed      : residual bound for group-window identities
+    cocycle_unit : allowed deviation of a cocycle character's modulus from 1
+    lift_stable  : change between window radii below which commutator norms count as settled
     zero_norm    : vector or commutator norm treated as zero by the distance solver
     unbounded    : objective |c . t| on a zero-norm direction that means unbounded
     ascent_grad  : relative ascent-gradient norm at which an ascent stops
@@ -38,6 +44,8 @@ class Tolerances:
     iso_residual: float = 1e-9
     iso_ambiguous: float = 1e-3
     crossed: float = 1e-10
+    cocycle_unit: float = 1e-12
+    lift_stable: float = 1e-8
     zero_norm: float = 1e-14
     unbounded: float = 1e-10
     ascent_grad: float = 1e-13
@@ -60,6 +68,21 @@ def operator_norm(m) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def norm_exceeds(m, tol: float) -> bool:
+    """Exactly ``operator_norm(m) > tol``, without the SVD when ``||m||_F`` settles it.
+
+    ``||m||_2 <= ||m||_F``, so a Frobenius norm below ``tol`` decides "no".
+    The factor ``1 - 1e-6`` covers the relative rounding of both computed
+    norms, which stays orders of magnitude smaller at any matrix size used
+    here.  Every other case, a NaN or inf norm included, falls through to
+    :func:`operator_norm`, which rejects non-finite entries.
+    """
+    a = np.asarray(m)
+    if a.ndim == 2 and np.linalg.norm(a) <= tol * (1 - 1e-6):
+        return False
+    return operator_norm(a) > tol
 
 
 def orthonormalize(vectors, gram):

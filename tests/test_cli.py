@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from afspectral import cli
+from afspectral.errors import UnboundedObjectiveError
 
 
 def run_cli(capsys, argv):
@@ -178,8 +179,25 @@ def test_undecidable_verdict_exit_code(capsys):
                      "--lambda", "1,1.0000001,2", "--auto", "switch:1,2"])
     captured = capsys.readouterr()
     assert code == 3
-    assert captured.out == ""
-    assert "guard band" in captured.err
+    (rec,) = [json.loads(line) for line in captured.out.splitlines()]
+    assert sorted(rec) == ["error", "guard_band", "ok", "record", "residual"]
+    assert rec["record"] == "undecidable" and rec["ok"] is False
+    assert "guard band" in rec["error"] and "guard band" in captured.err
+    low, high = rec["guard_band"]
+    assert low < rec["residual"] < high
+
+
+def test_unbounded_objective_record(capsys, monkeypatch):
+    def unbounded(_params):
+        raise UnboundedObjectiveError("nonzero objective along a Dirac-commuting direction")
+
+    monkeypatch.setitem(cli.RUNNERS, "distance", unbounded)
+    code = cli.main(["distance", "--family", "cantor", "--depth", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    (rec,) = [json.loads(line) for line in captured.out.splitlines()]
+    assert rec == {"record": "undecidable", "ok": False,
+                   "error": "nonzero objective along a Dirac-commuting direction"}
 
 
 def test_progress_goes_to_stderr(capsys):

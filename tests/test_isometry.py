@@ -8,7 +8,7 @@ from afspectral import isometry as iso
 from afspectral import metric as mt
 from afspectral import triple as tr
 from afspectral.errors import InvalidInputError, NoUnitaryError, PreconditionError
-from afspectral.linalg import operator_norm
+from afspectral.linalg import operator_norm, random_unitary
 
 from conftest import random_element
 
@@ -17,19 +17,29 @@ F3 = al.uhf(2, 3)
 C3 = al.cantor(3)
 
 
+def _unitary(triple, spec):
+    """implementing_unitary on the automorphism's image of the GNS stack."""
+    return iso.implementing_unitary(triple, iso.act(spec, triple.filtration, triple.gns.stack))
+
+
+def _images(spec, filt):
+    """coefficient_images on the automorphism's image of the basis stack."""
+    return iso.coefficient_images(filt, iso.act(spec, filt, al.basis_stack(filt, filt.depth)))
+
+
 # ---------------------------------------------------------------------------
 # implementing unitaries
 # ---------------------------------------------------------------------------
 
 
 def test_identity_implements_identity(uhf3):
-    u = iso.implementing_unitary(uhf3, iso.identity_slot_automorphism(3))
+    u = _unitary(uhf3, iso.identity_slot_automorphism(3))
     assert operator_norm(u - np.eye(uhf3.dim)) < 1e-12
 
 
 def test_local_unitaries_implemented(uhf3, rng):
     spec = iso.random_local_automorphism(F3, rng)
-    u = iso.implementing_unitary(uhf3, spec)
+    u = _unitary(uhf3, spec)
     assert operator_norm(np.conj(u).T @ u - np.eye(uhf3.dim)) < 1e-10
     # cyclic vector fixed: the identity element is the first basis vector
     assert np.allclose(u[:, 0], np.eye(uhf3.dim)[0], atol=1e-10)
@@ -48,7 +58,7 @@ def test_state_breaking_automorphism_has_no_unitary(rng):
         (1, 2), (al.slot_basis(2)[0], np.eye(2, dtype=complex))
     )
     with pytest.raises(NoUnitaryError):
-        iso.implementing_unitary(t, flip_first)
+        _unitary(t, flip_first)
     verdict = iso.iso_check(t, flip_first)
     assert not verdict.state_preserved and not verdict.in_iso
     assert verdict.implementing_unitary is None
@@ -139,12 +149,12 @@ def test_round_trip_equivalence(uhf3, cantor3, rng):
 
 
 def test_filtration_check_portraits_and_leafperms(cantor3, rng):
-    assert all(iso.filtration_check(iso.random_portrait(3, rng), C3))
-    assert iso.filtration_check(iso.switch(1, 2, 3), F3) == [False, True, True]
+    assert all(iso.filtration_check(_images(iso.random_portrait(3, rng), C3), C3))
+    assert iso.filtration_check(_images(iso.switch(1, 2, 3), F3), F3) == [False, True, True]
     # leaf permutations: compare against an independent span test
     for _ in range(10):
         spec = iso.random_leaf_permutation(3, rng)
-        reported = iso.filtration_check(spec, C3)
+        reported = iso.filtration_check(_images(spec, C3), C3)
         g = iso.leaf_permutation_array(spec, 3)
         for lev, ok in enumerate(reported, start=1):
             # brute subspace check: images of depth-lev indicators must be
@@ -191,7 +201,7 @@ def test_single_slot_algebras_preserved_by_rigid_autos(uhf3, rng):
     for _ in range(20):
         spec = iso.random_local_automorphism(F3, rng)
         assert iso.iso_check(uhf3, spec).in_iso
-        a = iso.coefficient_images(spec, F3)
+        a = _images(spec, F3)
         for slot in range(1, 4):
             cols = [
                 i
@@ -429,7 +439,7 @@ def test_implementing_unitary_intertwines(case, uhf3, cantor3, rng):
     """u pi(a) u* = pi(alpha(a)), and column j of u is alpha(b_j) xi."""
     triple, spec = _batched_case(case, uhf3, cantor3, rng)
     filt = triple.filtration
-    u = iso.implementing_unitary(triple, spec)
+    u = _unitary(triple, spec)
     assert operator_norm(np.conj(u).T @ u - np.eye(triple.dim)) < 1e-10
     for j, b in enumerate(triple.gns.basis_elements):
         column = triple.vector_of(iso.apply_automorphism(spec, b))
@@ -446,7 +456,7 @@ def test_coefficient_images_match_single_elements(case, uhf3, cantor3, rng):
     triple, spec = _batched_case(case, uhf3, cantor3, rng)
     filt = triple.filtration
     n = filt.depth
-    a = iso.coefficient_images(spec, filt)
+    a = _images(spec, filt)
     for j, e in enumerate(np.eye(filt.dim(n))):
         image = iso.apply_automorphism(spec, al.AlgebraElement(filt, n, e))
         assert np.max(np.abs(a[:, j] - image.coeffs)) < 1e-10
@@ -470,8 +480,72 @@ def test_automorphism_residual_flags_non_automorphisms(filt, rng):
             expected = max(expected, float(np.max(np.abs(defect.coeffs))))
     for img in images:
         expected = max(expected, float(np.max(np.abs((img.adjoint() - img).coeffs))))
-    assert iso.automorphism_residual(spec, filt) == pytest.approx(expected, abs=1e-10)
+    residual = iso.automorphism_residual(_images(spec, filt), filt)
+    assert residual == pytest.approx(expected, abs=1e-10)
     if filt.family == "uhf":
         assert expected > 1.0
         with pytest.raises(InvalidInputError):
             iso.iso_check(tr.build_triple(filt, al.TraceState(), tr.dirac_explicit([1.0, 2.0])), spec)
+
+
+# ---------------------------------------------------------------------------
+# one image per verdict against the separately called checks
+# ---------------------------------------------------------------------------
+
+
+def _specs(filt, rng):
+    """Portrait and leafperm specs (cantor); local, permuted-local, switch and global-block (uhf)."""
+    n = filt.depth
+    if filt.family == "cantor":
+        return {"portrait": iso.random_portrait(n, rng), "leafperm": iso.random_leaf_permutation(n, rng)}
+    return {
+        "local": iso.random_local_automorphism(filt, rng),
+        "permuted-local": iso.random_local_automorphism(filt, rng, permute=True),
+        "switch": iso.switch(1, 2, n),
+        "global-block": iso.SlotAutomorphism(
+            tuple(range(1, n + 1)), None, ((1, random_unitary(filt.k ** min(n, 3), rng)),)
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["uhf3", "cantor3", "uhf4", "product-phases"])
+def test_iso_check_equals_separate_checks_bitwise(name, request, rng):
+    """iso_check's one image gives bit for bit what the four public checks give alone."""
+    triple = _product_triple() if name == "product-phases" else request.getfixturevalue(name)
+    filt = triple.filtration
+    specs = _specs(filt, rng)
+    if name == "product-phases":
+        specs["phases"] = _diagonal_phases(filt, rng)
+    for kind, spec in specs.items():
+        verdict = iso.iso_check(triple, spec)
+        a = _images(spec, filt)
+        assert iso.automorphism_residual(a, filt) <= 1e-10, kind
+        assert verdict.filtration_levels_preserved == iso.filtration_check(a, filt), kind
+        try:
+            u = _unitary(triple, spec)
+        except NoUnitaryError:
+            assert verdict.implementing_unitary is None and not verdict.state_preserved, kind
+            continue
+        assert np.array_equal(verdict.implementing_unitary, u), kind
+        d = triple.d_diag
+        resid = operator_norm(d[:, None] * u - u * d[None, :])
+        assert verdict.commutator_residual == resid, kind
+
+
+@pytest.mark.parametrize(
+    "filt", [F2, F3, al.uhf(2, 4), al.uhf(3, 2), C3, al.cantor(4)],
+    ids=["uhf2", "uhf3", "uhf4", "uhf3x2", "cantor3", "cantor4"],
+)
+def test_cached_pair_products_equal_fresh(filt):
+    i, j, products = iso._pair_products(filt)
+    assert iso._pair_products(filt)[2] is products
+    fresh = iso._pair_products.__wrapped__(filt)
+    for cached, new in zip((i, j, products), fresh):
+        assert np.array_equal(cached, new)
+    n = filt.depth
+    assert len(i) == (filt.dim(n) ** 2 if filt.dim(n) ** 2 <= 400 else 40)
+    # each row is the coefficient vector of the product of two basis elements
+    for row in range(0, len(i), max(1, len(i) // 10)):
+        ei = al.AlgebraElement(filt, n, np.eye(filt.dim(n))[i[row]])
+        ej = al.AlgebraElement(filt, n, np.eye(filt.dim(n))[j[row]])
+        assert np.max(np.abs((ei * ej).coeffs - products[row])) < 1e-12

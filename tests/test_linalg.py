@@ -3,7 +3,9 @@ import pytest
 
 from afspectral import algebra as al
 from afspectral.errors import DegeneracyError, InvalidInputError
+from afspectral import linalg
 from afspectral.linalg import (
+    norm_exceeds,
     operator_norm,
     orthonormalize,
     random_unitary,
@@ -88,3 +90,62 @@ def test_commutator_spectrum_real_for_selfadjoint(uhf3, rng):
     assert operator_norm(h - np.conj(h).T) < 1e-12 * max(operator_norm(h), 1.0)
     w = np.linalg.eigvalsh(h)
     assert np.all(np.isreal(w))
+
+
+# ---------------------------------------------------------------------------
+# the Frobenius gate in front of the SVD threshold test
+# ---------------------------------------------------------------------------
+
+TOL_GATE = 1e-10
+
+
+def _counting_svd(monkeypatch):
+    """Count the SVD fall-throughs of norm_exceeds."""
+    calls = []
+
+    def counted(m):
+        calls.append(1)
+        return operator_norm(m)
+
+    monkeypatch.setattr(linalg, "operator_norm", counted)
+    return calls
+
+
+def test_gate_falls_through_when_frobenius_exceeds(monkeypatch):
+    # ||delta I_64||_F = 8 delta = 4 tol, above tol; the spectral norm tol/2 is below it
+    m = (TOL_GATE / 2) * np.eye(64)
+    calls = _counting_svd(monkeypatch)
+    assert np.linalg.norm(m) > TOL_GATE and operator_norm(m) < TOL_GATE
+    assert norm_exceeds(m, TOL_GATE) is False
+    assert len(calls) == 1
+
+
+def test_gate_rank_one_deviation(rng):
+    u = rng.normal(size=32) + 1j * rng.normal(size=32)
+    v = rng.normal(size=32) + 1j * rng.normal(size=32)
+    dev = np.outer(u, np.conj(v)) / (np.linalg.norm(u) * np.linalg.norm(v))
+    for scale in (3.0, 1.01, 0.99, 0.3):
+        m = scale * TOL_GATE * dev
+        assert norm_exceeds(m, TOL_GATE) == (operator_norm(m) > TOL_GATE) == (scale > 1)
+
+
+def test_gate_matches_svd_on_a_sweep(monkeypatch, rng):
+    calls = _counting_svd(monkeypatch)
+    skipped = 0
+    for _ in range(200):
+        rows, cols = (int(v) for v in rng.integers(1, 40, size=2))
+        m = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        m *= TOL_GATE * 10 ** rng.uniform(-1.5, 0.5) / np.linalg.norm(m)
+        before = len(calls)
+        assert norm_exceeds(m, TOL_GATE) == (operator_norm(m) > TOL_GATE)
+        skipped += len(calls) == before
+    # the sweep straddles tol: some cases are settled by the Frobenius norm alone
+    assert 0 < skipped < 200
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gate_rejects_nonfinite(bad):
+    m = np.zeros((4, 4), dtype=complex)
+    m[1, 2] = bad
+    with pytest.raises(InvalidInputError):
+        norm_exceeds(m, TOL_GATE)
