@@ -20,6 +20,14 @@ compressing onto interior columns, where no truncation occurs.  A character
 cocycle chi, a rigid base automorphism beta and a label-preserving group
 automorphism sigma lift to a unitary commuting with the lifted Dirac; sigma
 = negation flips the label and serves as the designed failure case.
+
+The lifted unitary is block-monomial: column site h holds one d x d block,
+a cocycle phase times U_beta, in row site sigma(h).  The covariance check
+applies it through those blocks instead of dense window products.  Interior
+commutator norms split along the exact-zero d x d site blocks of the
+operator: its norm is the largest over the connected components of the
+nonzero block pattern, so a block-monomial unitary costs one batched SVD of
+d x d blocks and a banded crossed element one SVD of its nonzero rows.
 """
 
 from dataclasses import dataclass, field
@@ -32,6 +40,7 @@ from . import triple as tr
 from .errors import (
     InvalidInputError,
     PreconditionError,
+    UnsupportedError,
     WindowTooSmallError,
 )
 from .linalg import TOL, norm_exceeds, operator_norm
@@ -218,12 +227,26 @@ class LiftedTriple:
         return np.repeat(self.window.interior_mask(), self.base.dim)
 
 
+# largest dense half-window operator (complex128) a window may need
+MAX_WINDOW_BYTES = 512 * 2**20
+
+
 def build_lifted(
     base: tr.TruncatedTriple, action, radius: int, margin: int = 2
 ) -> LiftedTriple:
-    """Assemble the lifted Dirac diagonal and the powers of the generator's unitary."""
+    """Assemble the lifted Dirac diagonal and the powers of the generator's unitary.
+
+    A window whose dense half-window operator would exceed
+    ``MAX_WINDOW_BYTES`` is refused before anything is allocated.
+    """
     if radius < 2:
         raise InvalidInputError("window radius must be at least 2")
+    need = 16 * (base.dim * (2 * radius + 1)) ** 2
+    if need > MAX_WINDOW_BYTES:
+        raise UnsupportedError(
+            f"radius {radius} needs a {need / 2**20:.3g} MiB dense half-window operator,"
+            f" over the {MAX_WINDOW_BYTES // 2**20} MiB limit"
+        )
     report, v = _verified_generator(action, base)
     window = GroupWindow(radius, margin)
     # site-major flat index: site * dim + basis vector
@@ -260,32 +283,58 @@ def represent_crossed(lifted: LiftedTriple, x: CrossedElement) -> np.ndarray:
     return out.reshape(lifted.half_dim, lifted.half_dim)
 
 
+def _block_components(pattern: np.ndarray) -> list:
+    """Connected components of a boolean block pattern (row sites x column sites).
+
+    Each is a pair (row sites, column sites); sites whose blocks are all zero
+    belong to none.
+    """
+    link = (pattern.T.astype(int) @ pattern) > 0  # column sites sharing a row site
+    while True:
+        wider = (link.astype(int) @ link) > 0
+        if np.array_equal(wider, link):
+            break
+        link = wider
+    comps = dict.fromkeys(tuple(np.flatnonzero(row)) for row in link if row.any())
+    return [(np.flatnonzero(pattern[:, c].any(axis=1)), np.array(c)) for c in comps]
+
+
 def _interior_commutator_norm(lifted: LiftedTriple, op: np.ndarray) -> float:
     """||[D_l, op (+) op]|| on interior columns.
 
     The commutator is anti-block-diagonal with the Hadamard blocks
     [diag(t), op] and [diag(conj t), op], so its norm is the larger of theirs.
+    Each Hadamard block is zero wherever a d x d site block of op is, so up to
+    a permutation of sites it is the direct sum of op's connected components,
+    and its norm is the largest of theirs.  Components of one shape share one
+    batched SVD: a block-monomial op splits into single site blocks, a banded
+    one is a single component.
     """
-    cols = lifted.interior_columns()
-    oc = op[:, cols]
-    return max(
-        operator_norm(t[:, None] * oc - oc * t[cols][None, :])
-        for t in (lifted.t, np.conj(lifted.t))
-    )
+    s, d = lifted.window.size, lifted.base.dim
+    inner = np.flatnonzero(lifted.window.interior_mask())
+    # blocks[r, c]: the d x d block of op in row site r and interior column site c
+    blocks = op.reshape(s, d, s, d)[:, :, inner, :].transpose(0, 2, 1, 3)
+    t = lifted.t.reshape(s, d)
+    shapes = {}
+    for rows, cols in _block_components(np.any(blocks != 0, axis=(2, 3))):
+        shapes.setdefault((rows.size, cols.size), []).append((rows, cols))
+    norm = 0.0
+    for (a, b), comps in shapes.items():
+        rows, cols = (np.array(v) for v in zip(*comps))
+        part = blocks[rows[:, :, None], cols[:, None, :]].transpose(0, 1, 3, 2, 4)
+        part = part.reshape(-1, a * d, b * d)
+        t_r, t_c = t[rows].reshape(-1, a * d, 1), t[inner[cols]].reshape(-1, 1, b * d)
+        comm = np.concatenate([t_r * part - part * t_c,
+                               np.conj(t_r) * part - part * np.conj(t_c)])
+        norm = max(norm, operator_norm(comm))
+    return norm
 
 
-def lifted_unitary(
-    lifted: LiftedTriple,
-    cocycle: Cocycle,
-    beta,
-    sigma: str = "id",
-    check_rigidity: bool = True,
-) -> np.ndarray:
-    """Unitary xi (x) delta_g -> (c_{sigma(-g)}* U_beta xi) (x) delta_{sigma(g)}.
+def _lift_blocks(lifted: LiftedTriple, cocycle: Cocycle, beta, sigma: str, check_rigidity: bool):
+    """Site blocks ``(rows, phase, u_beta)`` of the lifted unitary.
 
-    ``beta`` is an automorphism spec of the base (None for the identity).
-    With ``check_rigidity`` the base verdict must be in the rigid group; the
-    designed failure cases pass False to build the unitary anyway.
+    Column site h holds the one block phase[h] * u_beta, in row site rows[h].
+    Runs the rigidity and intertwining checks of :func:`lifted_unitary`.
     """
     if sigma not in ("id", "neg"):
         raise InvalidInputError("sigma must be 'id' or 'neg'")
@@ -310,8 +359,27 @@ def lifted_unitary(
     sites = lifted.window.sites
     tgt = sites if sigma == "id" else -sites
     # coefficient c_{sigma(-g)}^* = c_{-sigma(g)}^* on the site block (sigma(g), g)
-    site = np.zeros((lifted.window.size, lifted.window.size), dtype=complex)
-    site[tgt + rad, sites + rad] = np.conj([cocycle.value(-int(g)) for g in tgt])
+    phase = np.conj([cocycle.value(-int(g)) for g in tgt])
+    return tgt + rad, phase, u_beta
+
+
+def lifted_unitary(
+    lifted: LiftedTriple,
+    cocycle: Cocycle,
+    beta,
+    sigma: str = "id",
+    check_rigidity: bool = True,
+) -> np.ndarray:
+    """Unitary xi (x) delta_g -> (c_{sigma(-g)}* U_beta xi) (x) delta_{sigma(g)}.
+
+    ``beta`` is an automorphism spec of the base (None for the identity).
+    With ``check_rigidity`` the base verdict must be in the rigid group; the
+    designed failure cases pass False to build the unitary anyway.
+    """
+    rows, phase, u_beta = _lift_blocks(lifted, cocycle, beta, sigma, check_rigidity)
+    s = lifted.window.size
+    site = np.zeros((s, s), dtype=complex)
+    site[rows, np.arange(s)] = phase
     return np.kron(site, u_beta)
 
 
@@ -341,11 +409,27 @@ def covariance_check(
     x: CrossedElement,
     check_rigidity: bool = True,
 ) -> dict:
-    """Interior residual of pi(Phi(x)) U - U pi(x) on one block."""
-    u = lifted_unitary(lifted, cocycle, beta, sigma, check_rigidity)
+    """Interior residual of pi(Phi(x)) U - U pi(x) on one block.
+
+    U is applied through its site blocks: the interior column h of
+    pi(Phi(x)) U is column site rows[h] of pi(Phi(x)) times phase[h] U_beta,
+    and row site rows[c] of U pi(x) is phase[c] U_beta times row site c of
+    pi(x).  Row sites where the residual is exactly zero are dropped before
+    the SVD; they do not change its singular values.
+    """
+    rows, phase, u_beta = _lift_blocks(lifted, cocycle, beta, sigma, check_rigidity)
     lhs = represent_crossed(lifted, automorphism_image(lifted, cocycle, beta, sigma, x))
     rhs = represent_crossed(lifted, x)
-    resid = operator_norm((lhs @ u - u @ rhs)[:, lifted.interior_columns()])
+    s, d = lifted.window.size, lifted.base.dim
+    inner = np.flatnonzero(lifted.window.interior_mask())
+    n = inner.size * d
+    gathered = lhs.reshape(s, d, s, d)[:, :, rows[inner], :] * phase[inner][:, None]
+    lhs_u = (gathered.reshape(-1, d) @ u_beta).reshape(s, d, n)
+    right = rhs.reshape(s, d, s, d)[:, :, inner, :].reshape(s, d, n)
+    u_rhs = np.empty_like(lhs_u)
+    u_rhs[rows] = phase[:, None, None] * (u_beta @ right)
+    diff = lhs_u - u_rhs
+    resid = operator_norm(diff[np.any(diff != 0, axis=(1, 2))].reshape(-1, n))
     return {"residual": float(resid), "passes": bool(resid <= TOL.crossed)}
 
 

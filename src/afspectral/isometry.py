@@ -293,7 +293,8 @@ def automorphism_residual(a: np.ndarray, filtration: al.Filtration):
     rhs = al.decompose(filtration, n, al.mat_product(filtration, images[i], images[j]))
     # the basis is self-adjoint, so images must be too
     used = a[:, np.unique(np.concatenate([i, j]))]
-    return max(float(np.max(np.abs(lhs - rhs))), float(np.max(np.abs(np.conj(used) - used))))
+    # np.maximum, unlike Python's max, passes a NaN term through to the gate
+    return float(np.maximum(np.max(np.abs(lhs - rhs)), np.max(np.abs(np.conj(used) - used))))
 
 
 def coefficient_images(filtration: al.Filtration, image: np.ndarray) -> np.ndarray:
@@ -373,7 +374,7 @@ def iso_check(triple: tr.TruncatedTriple, spec) -> IsoVerdict:
     image = act(spec, filt, al.basis_stack(filt, filt.depth) if own_stack else gns.stack)
     a = coefficient_images(filt, image)
     resid = automorphism_residual(a, filt)
-    if resid > TOL.structural:
+    if not resid <= TOL.structural:  # a NaN residual fails too
         raise InvalidInputError(f"spec is not a *-automorphism (residual {resid:.2e})")
     levels = filtration_check(a, filt)
     del a

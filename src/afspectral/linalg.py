@@ -1,7 +1,9 @@
 """Dense complex linear algebra used by every other module.
 
 All operators are plain ``numpy.ndarray`` with complex entries; matrices are
-row-major 2-d arrays.  Reported norms are exact (full SVD).  A threshold
+row-major 2-d arrays.  Reported norms are exact (full SVD).  A block-diagonal
+operator may be passed as the 3-d stack of its equal-shape blocks, whose
+norm :func:`operator_norm` takes with one batched SVD.  A threshold
 decision ``||m|| > tol`` goes through :func:`norm_exceeds`, which skips the
 SVD when the Frobenius norm, an upper bound of the spectral norm, already
 lies below the threshold and otherwise decides by the SVD, so it answers
@@ -59,15 +61,19 @@ TOL = Tolerances()
 
 
 def operator_norm(m) -> float:
-    """Largest singular value of a (possibly rectangular) matrix; rejects non-finite entries."""
+    """Largest singular value of a (possibly rectangular) matrix; rejects non-finite entries.
+
+    A 3-d array is a stack of equal-shape matrices read as their direct sum,
+    so the result is the largest singular value over the stack.
+    """
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise InvalidInputError(f"expected a matrix, got ndim={a.ndim}")
+    if a.ndim not in (2, 3):
+        raise InvalidInputError(f"expected a matrix or a stack of matrices, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("matrix has non-finite entries")
     if a.size == 0:
         return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    return float(np.linalg.svd(a, compute_uv=False)[..., 0].max())
 
 
 def norm_exceeds(m, tol: float) -> bool:

@@ -1,16 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from afspectral import algebra as al
+from afspectral import cli
 from afspectral import crossed as cx
 from afspectral import isometry as iso
 from afspectral import triple as tr
 from afspectral.errors import (
     InvalidInputError,
     PreconditionError,
+    UnsupportedError,
     WindowTooSmallError,
 )
-from afspectral.linalg import operator_norm
+from afspectral.linalg import operator_norm, random_unitary
 
 from conftest import random_element
 
@@ -297,9 +301,10 @@ def _iso_power_lift(rng):
     return cx.build_lifted(base, cx.IsoPowerAction(gen), radius=4, margin=2), gen
 
 
-def test_commutation_check_matches_dense_definition(odo_lift, triv_lift, rng):
+def _lift_cases(odo_lift, triv_lift, rng):
+    """(lifted, cocycle, beta, sigma, commutation passes) over both actions and controls."""
     pow_lift, gen = _iso_power_lift(rng)
-    cases = [
+    return [
         (odo_lift, cx.Cocycle(1.0), None, "id", True),
         (odo_lift, cx.Cocycle(1j), iso.odometer_portrait(3), "id", True),
         (triv_lift, cx.Cocycle(CHI5), iso.random_local_automorphism(F2, rng), "id", True),
@@ -308,12 +313,66 @@ def test_commutation_check_matches_dense_definition(odo_lift, triv_lift, rng):
         (triv_lift, cx.Cocycle(1.0), None, "neg", False),
         (triv_lift, cx.Cocycle(1.0), iso.switch(1, 2, 2), "id", False),
     ]
-    for lifted, coc, beta, sigma, passes in cases:
+
+
+def test_commutation_check_matches_dense_definition(odo_lift, triv_lift, rng):
+    for lifted, coc, beta, sigma, passes in _lift_cases(odo_lift, triv_lift, rng):
         u = cx.lifted_unitary(lifted, coc, beta, sigma, check_rigidity=False)
         rep = cx.lift_commutation_check(lifted, u)
         ref = _dense_interior_commutator(lifted, u)
         assert rep["passes"] is passes
         assert abs(rep["residual"] - ref) <= 1e-12 * max(ref, 1.0)
+
+
+def test_covariance_check_matches_dense_definition(odo_lift, triv_lift, rng):
+    for lifted, coc, beta, sigma, _ in _lift_cases(odo_lift, triv_lift, rng):
+        filt = lifted.base.filtration
+        x = cx.CrossedElement({g: random_element(filt, filt.depth, rng) for g in range(-2, 3)})
+        u = cx.lifted_unitary(lifted, coc, beta, sigma, check_rigidity=False)
+        lhs = cx.represent_crossed(lifted, cx.automorphism_image(lifted, coc, beta, sigma, x))
+        rhs = cx.represent_crossed(lifted, x)
+        ref = operator_norm((lhs @ u - u @ rhs)[:, lifted.interior_columns()])
+        rep = cx.covariance_check(lifted, coc, beta, sigma, x, check_rigidity=False)
+        assert abs(rep["residual"] - ref) <= 1e-12 * max(ref, 1.0)
+
+
+def test_commutation_check_of_a_dense_unitary(triv_lift, rng):
+    # no zero site block: the whole interior is one component
+    u = random_unitary(triv_lift.half_dim, rng)
+    ref = _dense_interior_commutator(triv_lift, u)
+    rep = cx.lift_commutation_check(triv_lift, u)
+    assert abs(rep["residual"] - ref) <= 1e-12 * max(ref, 1.0)
+    assert not rep["passes"]
+
+
+def test_commutation_check_rejects_non_finite_entries(triv_lift, rng):
+    block = cx.lifted_unitary(triv_lift, cx.Cocycle(CHI5), None, "id")
+    dense = random_unitary(triv_lift.half_dim, rng)
+    col = np.flatnonzero(triv_lift.interior_columns())[3]
+    for u in (block, dense):
+        u = u.copy()
+        u[col, col] = np.nan
+        with pytest.raises(InvalidInputError):
+            cx.lift_commutation_check(triv_lift, u)
+
+
+def test_oversized_window_refused_before_allocation():
+    base = tr.build_triple(al.cantor(1), al.UniformState(), tr.dirac_explicit([1.0]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedError, match=r"MiB dense half-window operator"):
+            cx.build_lifted(base, cx.OdometerAction(), radius=10**6, margin=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_oversized_window_exits_with_usage_error(capsys):
+    argv = ["crossed-lift", "--action", "odometer", "--depth", "1", "--lambda", "1",
+            "--radius", str(10**6)]
+    assert cli.main(argv) == 2
+    assert "MiB dense half-window operator" in capsys.readouterr().err
 
 
 def test_stability_norms_match_dense_definition(odo_lift, rng):

@@ -177,6 +177,15 @@ def test_invalid_permutation_rejected():
         iso.LeafPermutation(2, (0, 1, 1, 3))
 
 
+def test_non_finite_spec_fails_automorphism_gate(uhf3):
+    # every comparison with NaN is False, so the gate must not read "resid > tol"
+    nan = np.full((2, 2), np.nan, dtype=complex)
+    eye = np.eye(2, dtype=complex)
+    spec = iso.SlotAutomorphism((1, 2, 3), (nan, eye, eye))
+    with pytest.raises(InvalidInputError, match=r"not a \*-automorphism"):
+        iso.iso_check(uhf3, spec)
+
+
 def test_group_closure_portraits(cantor3, rng):
     for _ in range(10):
         p1, p2 = iso.random_portrait(3, rng), iso.random_portrait(3, rng)

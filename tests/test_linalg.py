@@ -36,6 +36,21 @@ def test_operator_norm_rejects_nonfinite():
         operator_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def test_operator_norm_of_a_stack_is_the_direct_sum_norm(rng):
+    stack = rng.normal(size=(4, 3, 5)) + 1j * rng.normal(size=(4, 3, 5))
+    direct_sum = np.zeros((12, 20), dtype=complex)
+    for i, m in enumerate(stack):
+        direct_sum[3 * i:3 * (i + 1), 5 * i:5 * (i + 1)] = m
+    assert operator_norm(stack) == pytest.approx(operator_norm(direct_sum), abs=1e-12)
+    assert operator_norm(stack) == max(operator_norm(m) for m in stack)
+    assert operator_norm(np.zeros((0, 3, 3))) == 0.0
+    stack[2, 1, 4] = np.inf
+    with pytest.raises(InvalidInputError):
+        operator_norm(stack)
+    with pytest.raises(InvalidInputError):
+        operator_norm(np.zeros((2, 2, 2, 2)))
+
+
 def test_operator_norm_unitary_invariance(rng):
     m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     u = random_unitary(5, rng)
