@@ -59,7 +59,7 @@ from .isometry import (
     switch,
     switch_iso_violation,
 )
-from .linalg import TOL, Tolerances, operator_norm, orthonormalize
+from .linalg import TOL, Tolerances, operator_norm
 from .metric import (
     DistanceProblem,
     DistanceResult,

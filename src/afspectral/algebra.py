@@ -377,36 +377,47 @@ def shift_embed(x: AlgebraElement, n: int) -> AlgebraElement:
 
 
 class State:
-    """Positive unital linear functional, evaluable on :class:`AlgebraElement`."""
+    """Positive unital linear functional, given by its values on the canonical basis.
+
+    A subclass implements :meth:`basis_values`; :meth:`value` extends it
+    linearly.  The level-n basis is a prefix of every deeper one, so the
+    level-m values are a prefix of the level-n values for m <= n.
+    """
+
+    def basis_values(self, filtration: Filtration, level: int) -> np.ndarray:
+        """Complex values on the level-``level`` canonical basis, in basis order."""
+        raise NotImplementedError
 
     def value(self, x: AlgebraElement) -> complex:
-        raise NotImplementedError
+        return complex(self.basis_values(x.filtration, x.level) @ x.coeffs)
 
 
 class TraceState(State):
-    """Normalized trace on a uhf filtration."""
+    """Normalized trace on a uhf filtration: 1 on the identity, 0 on every other basis element."""
 
-    def value(self, x):
-        if x.filtration.family != "uhf":
+    def basis_values(self, filtration, level):
+        if filtration.family != "uhf":
             raise InvalidInputError("trace applies to uhf filtrations")
-        return complex(x.coeffs[0])
+        return identity_element(filtration, level).coeffs
 
 
 class UniformState(State):
-    """Uniform measure on a cantor filtration."""
+    """Uniform measure on a cantor filtration: 1 on the scaling function, 0 on the wavelets."""
 
-    def value(self, x):
-        if x.filtration.family != "cantor":
+    def basis_values(self, filtration, level):
+        if filtration.family != "cantor":
             raise InvalidInputError("uniform measure applies to cantor filtrations")
-        return complex(x.coeffs[0])
+        return identity_element(filtration, level).coeffs
 
 
 class VectorState(State):
     """State a -> <v xi, a v xi> in the reference representation.
 
     ``v`` is a level-n element normalized so the reference state gives
-    ref(v* v) = 1; deficit tensor slots of the argument are filled with
-    the identity.
+    ref(v* v) = 1.  Basis elements and ``v`` are materialized at the deeper
+    of the two levels (deficit tensor slots filled with the identity), and
+    the value on e_i is tr(v* e_i v) / k^n (uhf) or the mean of
+    |v|^2 e_i over the leaves (cantor).
     """
 
     def __init__(self, v: AlgebraElement):
@@ -416,41 +427,41 @@ class VectorState(State):
         if abs(norm - 1.0) > TOL.structural:
             raise InvalidInputError(f"vector not normalized: ref(v*v) = {norm}")
 
-    def value(self, x):
-        if x.filtration != self.v.filtration:
+    def basis_values(self, filtration, level):
+        if filtration != self.v.filtration:
             raise InvalidInputError("filtration mismatch")
-        lev = max(self.level, x.level)
-        if x.filtration.family == "uhf":
-            vm = self.v.materialize(lev)
-            xm = x.materialize(lev)
-            size = x.filtration.k**lev
-            return complex(np.trace(np.conj(vm).T @ xm @ vm) / size)
+        lev = max(self.level, level)
         vm = self.v.materialize(lev)
-        xm = x.materialize(lev)
-        return complex(np.mean(np.conj(vm) * xm * vm))
+        stack = basis_stack(filtration, lev)[: filtration.dim(level)]
+        if filtration.family == "uhf":
+            return np.trace(np.conj(vm).T @ stack @ vm, axis1=1, axis2=2) / len(vm)
+        return np.mean(np.conj(vm) * stack * vm, axis=1)
 
 
 class CharacterState(State):
-    """Point evaluation at the sequence starting with ``word`` (cantor only)."""
+    """Point evaluation at the sequence starting with ``word`` (cantor only).
+
+    Its basis values are the leaf column of the Haar stack.
+    """
 
     def __init__(self, word):
         self.word = tuple(int(b) for b in word)
         if any(b not in (0, 1) for b in self.word):
             raise InvalidInputError("character word must be binary")
 
-    def value(self, x):
-        if x.filtration.family != "cantor":
+    def basis_values(self, filtration, level):
+        if filtration.family != "cantor":
             raise InvalidInputError("characters apply to cantor filtrations")
-        if x.level > len(self.word):
+        if level > len(self.word):
             raise InvalidInputError(
-                f"character word of length {len(self.word)} cannot evaluate level {x.level}"
+                f"character word of length {len(self.word)} cannot evaluate level {level}"
             )
-        vals = x.materialize()
-        return complex(vals[leaf_index(self.word[: x.level])])
+        leaf = leaf_index(self.word[:level])
+        return basis_stack(filtration, level)[:, leaf].astype(complex)
 
 
 class ProductState(State):
-    """Tensor product of single-slot densities on a uhf filtration."""
+    """Tensor product of single-slot densities on a uhf filtration: e_i -> tr(rho e_i)."""
 
     def __init__(self, densities):
         self.densities = [np.asarray(d, dtype=complex) for d in densities]
@@ -475,22 +486,21 @@ class ProductState(State):
             rho = np.kron(rho, d)
         return rho
 
-    def value(self, x):
-        if x.filtration.family != "uhf":
+    def basis_values(self, filtration, level):
+        if filtration.family != "uhf":
             raise InvalidInputError("product states apply to uhf filtrations")
-        return complex(np.trace(self.density(x.level) @ x.materialize()))
+        stack = basis_stack(filtration, level)
+        # tr(rho e_i) = sum_jk e_i[j, k] rho[k, j]
+        return stack.reshape(len(stack), -1) @ self.density(level).T.reshape(-1)
+
+
+def basis_grades(filtration: Filtration, level: int) -> np.ndarray:
+    """Grade of each level-``level`` canonical basis index, in basis order."""
+    return np.array([ix.grade for ix in canonical_basis(filtration, level)])
 
 
 def vanishing_level(state: State, filtration: Filtration) -> int:
     """Smallest m with state(e) = 0 for every full-depth basis index of grade > m."""
     n = filtration.depth
-    idxs = canonical_basis(filtration, n)
-    m = 0
-    for pos, ix in enumerate(idxs):
-        if ix.grade == 0:
-            continue
-        c = np.zeros(len(idxs), dtype=complex)
-        c[pos] = 1.0
-        if abs(state.value(AlgebraElement(filtration, n, c))) > 1e-12:
-            m = max(m, ix.grade)
-    return m
+    nonzero = np.abs(state.basis_values(filtration, n)) > 1e-12
+    return int(np.max(basis_grades(filtration, n)[nonzero], initial=0))

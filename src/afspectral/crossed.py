@@ -40,10 +40,9 @@ from . import triple as tr
 from .errors import (
     InvalidInputError,
     PreconditionError,
-    UnsupportedError,
     WindowTooSmallError,
 )
-from .linalg import TOL, norm_exceeds, operator_norm
+from .linalg import TOL, check_dense_bytes, norm_exceeds, operator_norm
 
 # ---------------------------------------------------------------------------
 # actions of the integers
@@ -227,26 +226,19 @@ class LiftedTriple:
         return np.repeat(self.window.interior_mask(), self.base.dim)
 
 
-# largest dense half-window operator (complex128) a window may need
-MAX_WINDOW_BYTES = 512 * 2**20
-
-
 def build_lifted(
     base: tr.TruncatedTriple, action, radius: int, margin: int = 2
 ) -> LiftedTriple:
     """Assemble the lifted Dirac diagonal and the powers of the generator's unitary.
 
     A window whose dense half-window operator would exceed
-    ``MAX_WINDOW_BYTES`` is refused before anything is allocated.
+    ``linalg.MAX_DENSE_BYTES`` is refused before anything is allocated.
     """
     if radius < 2:
         raise InvalidInputError("window radius must be at least 2")
-    need = 16 * (base.dim * (2 * radius + 1)) ** 2
-    if need > MAX_WINDOW_BYTES:
-        raise UnsupportedError(
-            f"radius {radius} needs a {need / 2**20:.3g} MiB dense half-window operator,"
-            f" over the {MAX_WINDOW_BYTES // 2**20} MiB limit"
-        )
+    check_dense_bytes(
+        16 * (base.dim * (2 * radius + 1)) ** 2, f"radius {radius}", "dense half-window operator"
+    )
     report, v = _verified_generator(action, base)
     window = GroupWindow(radius, margin)
     # site-major flat index: site * dim + basis vector

@@ -312,7 +312,7 @@ def filtration_check(a: np.ndarray, filtration: al.Filtration):
     ``a`` is the coefficient-image matrix of :func:`coefficient_images`.
     """
     n = filtration.depth
-    grades = np.array([ix.grade for ix in al.canonical_basis(filtration, n)])
+    grades = al.basis_grades(filtration, n)
     out = []
     for lev in range(1, n + 1):
         cols = grades <= lev
@@ -524,7 +524,7 @@ def _detect_bloch_label(v: al.AlgebraElement) -> int:
     """The Pauli label l with phi_v(sigma_l) = 1; error when v is not of that shape."""
     filt = v.filtration
     phi = al.VectorState(v if v.level >= 1 else v.embed(1))
-    vals = [complex(phi.value(al.basis_element(filt, 1, (j,)))) for j in (1, 2, 3)]
+    vals = phi.basis_values(filt, 1)[1:4]  # the level-1 words (1,), (2,), (3,)
     labels = [j for j, z in zip((1, 2, 3), vals) if abs(z - 1.0) <= 1e-9]
     if len(labels) != 1 or any(
         abs(z) > 1e-9 for j, z in zip((1, 2, 3), vals) if j != labels[0]
@@ -753,14 +753,21 @@ def m_invariance_experiment(gamma: float, depth: int, cfg: mt.SolverConfig | Non
 
 
 class PulledBackState(al.State):
-    """The state x -> base(alpha(x))."""
+    """The state x -> base(alpha(x)).
+
+    alpha(e_j) has the coefficient column A[:, j], so the full-depth values
+    are the base state's full-depth values times A, from one image of the
+    basis stack; a shallower level's values are their prefix.
+    """
 
     def __init__(self, base: al.State, spec):
         self.base = base
         self.spec = spec
 
-    def value(self, x):
-        return self.base.value(apply_automorphism(self.spec, x))
+    def basis_values(self, filtration, level):
+        n = filtration.depth
+        a = coefficient_images(filtration, act(self.spec, filtration, al.basis_stack(filtration, n)))
+        return (self.base.basis_values(filtration, n) @ a)[: filtration.dim(level)]
 
 
 def random_local_automorphism(

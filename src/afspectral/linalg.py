@@ -7,16 +7,16 @@ norm :func:`operator_norm` takes with one batched SVD.  A threshold
 decision ``||m|| > tol`` goes through :func:`norm_exceeds`, which skips the
 SVD when the Frobenius norm, an upper bound of the spectral norm, already
 lies below the threshold and otherwise decides by the SVD, so it answers
-exactly as the SVD comparison does.  Orthonormalization runs against a
-caller-supplied inner product so the same routine serves matrix algebras and
-function spaces.
+exactly as the SVD comparison does.  ``MAX_DENSE_BYTES`` is the one limit
+on a dense array: :func:`check_dense_bytes` refuses an input whose estimated
+array exceeds it, before the array is allocated.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, InvalidInputError
+from .errors import InvalidInputError, UnsupportedError
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,6 @@ class Tolerances:
     """Central numerical tolerances.
 
     structural   : exact operator identities (projections, homomorphisms)
-    gram_pivot   : smallest acceptable Gram-Schmidt pivot
     hermitian    : relative asymmetry allowed in Hermitian inputs
     iso_residual : Dirac commutation residual below which a verdict is "in"
     iso_ambiguous: upper edge of the guard band above iso_residual
@@ -41,7 +40,6 @@ class Tolerances:
     """
 
     structural: float = 1e-10
-    gram_pivot: float = 1e-10
     hermitian: float = 1e-12
     iso_residual: float = 1e-9
     iso_ambiguous: float = 1e-3
@@ -58,6 +56,20 @@ class Tolerances:
 
 
 TOL = Tolerances()
+
+# largest dense array (bytes) an input may make the package allocate
+MAX_DENSE_BYTES = 512 * 2**20
+
+
+def check_dense_bytes(need: int, subject: str, what: str):
+    """Refuse with :class:`UnsupportedError` when ``subject`` needs a dense
+    ``what`` of ``need`` bytes, over ``MAX_DENSE_BYTES``; the message names
+    the estimate."""
+    if need > MAX_DENSE_BYTES:
+        raise UnsupportedError(
+            f"{subject} needs a {need / 2**20:.3g} MiB {what},"
+            f" over the {MAX_DENSE_BYTES / 2**20:.3g} MiB limit"
+        )
 
 
 def operator_norm(m) -> float:
@@ -89,31 +101,6 @@ def norm_exceeds(m, tol: float) -> bool:
     if a.ndim == 2 and np.linalg.norm(a) <= tol * (1 - 1e-6):
         return False
     return operator_norm(a) > tol
-
-
-def orthonormalize(vectors, gram):
-    """Gram-Schmidt against the inner product callback ``gram(a, b)``.
-
-    ``gram`` must be linear in its second argument and conjugate-linear in the
-    first.  The output spans the same space, has identity Gram matrix, and
-    keeps the direction of the first vector.  A pivot below
-    ``TOL.gram_pivot`` raises :class:`DegeneracyError`.
-    """
-    out = []
-    for k, vec in enumerate(vectors):
-        w = np.array(vec, dtype=complex)
-        # two MGS passes for numerical stability
-        for _ in range(2):
-            for f in out:
-                w = w - gram(f, w) * f
-        nrm2 = gram(w, w)
-        if abs(nrm2.imag) > 1e-8 * max(1.0, abs(nrm2)):
-            raise InvalidInputError("inner product is not positive (complex norm)")
-        piv = float(np.sqrt(max(nrm2.real, 0.0)))
-        if piv < TOL.gram_pivot:
-            raise DegeneracyError(f"vector {k} numerically dependent (pivot {piv:.3e})")
-        out.append(w / piv)
-    return out
 
 
 def random_unitary(n: int, rng) -> np.ndarray:

@@ -51,7 +51,7 @@ from .errors import (
     UnboundedObjectiveError,
     UnsupportedError,
 )
-from .linalg import TOL, operator_norm
+from .linalg import TOL, check_dense_bytes, operator_norm
 
 # ---------------------------------------------------------------------------
 # problem and configuration records
@@ -65,8 +65,9 @@ class SolverConfig:
     tol: float = 1e-8
     seed: int = 0
     step_init: float = 1.0
-    step_min: float = 1e-13
-    param_cap: int = 20000
+
+
+STEP_MIN = 1e-13  # smallest line-search step the ascent evaluates
 
 
 @dataclass
@@ -97,23 +98,24 @@ class DistanceResult:
 
 
 def _search_space(problem: DistanceProblem):
-    """Objective vector c and commutator stack B over the traceless level basis."""
+    """Objective vector c and commutator stack B over the traceless level basis.
+
+    A stack whose (p, dim, dim) intermediate, the action of the p traceless
+    level elements on the GNS basis, would exceed the dense-array limit is
+    refused before anything is allocated.
+    """
     t3 = problem.triple
     sl = problem.search_level
     filt = t3.filtration
     idxs = al.canonical_basis(filt, sl)
     dim_sl = len(idxs)
+    check_dense_bytes(16 * (dim_sl - 1) * t3.dim**2, f"search level {sl}", "commutator stack")
     mask = t3.gns.grades <= sl
 
-    c = np.empty(dim_sl - 1)
-    for pos in range(1, dim_sl):
-        coeffs = np.zeros(dim_sl, dtype=complex)
-        coeffs[pos] = 1.0
-        e = al.AlgebraElement(filt, sl, coeffs)
-        diff = complex(problem.s1.value(e) - problem.s2.value(e))
-        if abs(diff.imag) > 1e-9:
-            raise InvalidInputError("state difference not real on the self-adjoint basis")
-        c[pos - 1] = diff.real
+    diff = problem.s1.basis_values(filt, sl)[1:] - problem.s2.basis_values(filt, sl)[1:]
+    if np.any(np.abs(diff.imag) > 1e-9):
+        raise InvalidInputError("state difference not real on the self-adjoint basis")
+    c = diff.real.copy()  # contiguous: the ascent's products take their BLAS path from it
     # the level-sl basis is a prefix of the full-depth basis stack
     comms = t3.dirac_commutator(t3.represent_stack(al.basis_stack(filt, t3.depth)[1:dim_sl]))
     # locality: grade <= sl elements commute with all higher-grade blocks
@@ -266,14 +268,14 @@ def _norms(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(X * X, axis=1))
 
 
-def _line_search(objective, cons, base, d, st, bar, step_min):
+def _line_search(objective, cons, base, d, st, bar):
     """Backtracking search along d from every row of base, in lockstep.
 
-    Row j tries the steps st_j, st_j/2, st_j/4, ... down to step_min and
+    Row j tries the steps st_j, st_j/2, st_j/4, ... down to STEP_MIN and
     takes the first whose normalized trial has a value above bar_j.  Pass k
     evaluates the next 2^k steps of every row still searching in one kernel
     call, so a search that halves m times costs about log2(m) calls and ends
-    where a one-trial-per-call search would.  Steps below step_min are not
+    where a one-trial-per-call search would.  Steps below STEP_MIN are not
     evaluated, and every evaluated trial passes through the boundedness
     check.
 
@@ -284,12 +286,12 @@ def _line_search(objective, cons, base, d, st, bar, step_min):
     tn = np.empty_like(base)
     rn = np.empty(len(base))
     accepted = np.zeros(len(base), dtype=bool)
-    j = np.flatnonzero(st >= step_min)
+    j = np.flatnonzero(st >= STEP_MIN)
     m = 1
     while len(j):
         sk = st[j, None] * 0.5 ** np.arange(m)
         trial = base[j, None] + sk[:, :, None] * d[j, None]  # (rows, m, p)
-        ok = sk >= step_min  # a prefix of each row's run: only these are evaluated
+        ok = sk >= STEP_MIN  # a prefix of each row's run: only these are evaluated
         x = trial[ok]
         x /= _norms(x)[:, None]
         trial[ok] = x
@@ -308,7 +310,7 @@ def _line_search(objective, cons, base, d, st, bar, step_min):
         accepted[a] = True
         j = j[~hit]
         st[j] *= 0.5**m
-        j = j[st[j] >= step_min]
+        j = j[st[j] >= STEP_MIN]
         m *= 2
     return accepted, tn, rn, st
 
@@ -418,9 +420,7 @@ def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, cfg: SolverConf
         d[downhill] = grad[downhill]
 
         bar = r[rows] + TOL.ascent_accept * np.maximum(1.0, np.abs(r[rows]))
-        accepted, tn, rn, st = _line_search(
-            objective, cons, T[rows], d, step[rows], bar, cfg.step_min
-        )
+        accepted, tn, rn, st = _line_search(objective, cons, T[rows], d, step[rows], bar)
         # a failed quasi-Newton search retries along the gradient next round
         failed = rows[~accepted]
         live[failed[fresh[failed]]] = False
@@ -493,7 +493,9 @@ def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> Dista
     only when a matching certificate exists (identical states).  The ascent
     stops all starts once the best one is certified within ``cfg.tol``; the
     certificate that did so is ``diagnostics["dual_bound"]`` (None when the
-    starts all stopped on their own).
+    starts all stopped on their own).  A problem whose commutator stack would
+    exceed ``linalg.MAX_DENSE_BYTES`` raises :class:`UnsupportedError`, naming
+    the estimate, before the stack is allocated.
     """
     cfg = cfg or SolverConfig()
     if problem.search_level == 0:
@@ -501,8 +503,6 @@ def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> Dista
 
     c, B, _ = _search_space(problem)
     p = len(c)
-    if p > cfg.param_cap:
-        raise UnsupportedError(f"parameter count {p} exceeds cap {cfg.param_cap}")
     if np.linalg.norm(c) < TOL.zero_norm:
         return _zero_result(problem, {"reason": "states agree on the search level"})
     cons = _ConstraintMap(B)

@@ -2,8 +2,10 @@
 
 The level-N algebra acts by left multiplication on the completion of itself
 under <a, b> = ref(a* b).  The canonical basis is orthonormal for the trace
-and the uniform measure; for product states each tensor slot is Gram-Schmidt
-orthonormalized (identity first), which keeps the graded structure intact.
+and the uniform measure.  For product states each tensor slot's system,
+identity first, is orthonormalized in closed form: with the slot Gram matrix
+G = L L^H (Cholesky), the frame is the system times L^{-H}, which is what
+Gram-Schmidt in that order gives, so the graded structure stays intact.
 Ordering is grade-major, so the projection P_n onto the span of elements of
 grade <= n is a leading principal block and the Dirac operator
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import algebra as al
 from .errors import DegeneracyError, InvalidInputError
-from .linalg import operator_norm, orthonormalize
+from .linalg import check_dense_bytes, operator_norm
 
 # ---------------------------------------------------------------------------
 # Dirac eigenvalue sequences
@@ -103,14 +105,10 @@ class GNSSpace:
         return dual @ np.swapaxes(xs.reshape(*lead, -1), -1, -2)
 
 
-def _grades(filtration: al.Filtration) -> np.ndarray:
-    return np.array([ix.grade for ix in al.canonical_basis(filtration, filtration.depth)])
-
-
 def _trace_gns(filtration: al.Filtration, state: al.State) -> GNSSpace:
     stack = al.basis_stack(filtration, filtration.depth).astype(complex, copy=False)
     dual = np.conj(stack) / stack.shape[1]
-    return GNSSpace(filtration, state, _grades(filtration), stack, dual)
+    return GNSSpace(filtration, state, al.basis_grades(filtration, filtration.depth), stack, dual)
 
 
 def _product_gns(filtration: al.Filtration, state: al.ProductState) -> GNSSpace:
@@ -121,18 +119,20 @@ def _product_gns(filtration: al.Filtration, state: al.ProductState) -> GNSSpace:
     if not state.is_faithful_reference():
         raise DegeneracyError("product state densities must be positive definite")
 
-    # per-slot Gram-Schmidt, identity first so grades survive
+    # identity first so grades survive; frame = system L^{-H}, i.e. frame_b =
+    # sum_a conj(L^{-1})[b, a] system_a, with G_ab = tr(rho a_a* a_b) = L L^H
     slots = al.slot_basis(k)
+    system = np.concatenate([slots[-1:], slots[:-1]]).reshape(k * k, -1)
     slot_frames = []
     for rho in state.densities[:n]:
-        ordered = [np.eye(k, dtype=complex)] + [slots[j] for j in range(k * k - 1)]
-        frame = orthonormalize(ordered, lambda a, b: np.trace(rho @ np.conj(a).T @ b))
-        slot_frames.append(np.stack([*frame[1:], frame[0]]))  # back to identity-last labeling
+        gram = np.conj(system) @ (system.reshape(-1, k, k) @ rho).reshape(k * k, -1).T
+        frame = np.linalg.solve(np.conj(np.linalg.cholesky(gram)), system).reshape(-1, k, k)
+        slot_frames.append(np.concatenate([frame[1:], frame[:1]]))  # back to identity-last
 
     stack = al.kron_words(k, slot_frames)
     # <b_i, x> = tr(rho b_i* x), so dual[i] = (rho b_i*)^T = conj(b_i) rho^T
     dual = np.conj(stack) @ state.density(n).T
-    return GNSSpace(filtration, state, _grades(filtration), stack, dual)
+    return GNSSpace(filtration, state, al.basis_grades(filtration, filtration.depth), stack, dual)
 
 
 # ---------------------------------------------------------------------------
@@ -239,5 +239,8 @@ def build_triple(filtration: al.Filtration, state: al.State, dirac: DiracSpec) -
     name, family, gns_of = ref
     if filtration.family != family:
         raise InvalidInputError(f"{name} reference needs a {family} filtration")
+    # the GNS stack holds dim elements of dim entries each (k^n x k^n matrices or 2^n leaves)
+    n = filtration.depth
+    check_dense_bytes(16 * filtration.dim(n) ** 2, f"depth {n}", "basis stack")
     gns = gns_of(filtration, state)
     return TruncatedTriple(gns, dirac, np.asarray(dirac.lambdas)[gns.grades])

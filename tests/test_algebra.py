@@ -322,3 +322,162 @@ def test_vanishing_levels():
     # a unitary conjugation of the trace is the trace again: level 0
     assert al.vanishing_level(al.VectorState(al.basis_element(F3, 1, (3,))), F3) == 0
     assert al.vanishing_level(al.CharacterState((0, 0, 0)), C3) == 3
+
+
+# ---------------------------------------------------------------------------
+# basis values: one evaluation path for every state
+# ---------------------------------------------------------------------------
+
+RHO_A = np.array([[0.6, 0.1 + 0.05j], [0.1 - 0.05j, 0.4]])
+RHO_B = np.array([[0.3, -0.2j], [0.2j, 0.7]])
+
+
+def _unit_vector(filt, level, rng):
+    v = random_element(filt, level, rng)
+    ref = al.TraceState() if filt.family == "uhf" else al.UniformState()
+    return v * (1.0 / np.sqrt(ref.value(v.adjoint() * v).real))
+
+
+def _dense_pair(v, x):
+    """v and x materialized at the deeper of their levels, deficit slots filled with the identity."""
+    lev = max(v.level, x.level)
+    return v.materialize(lev), x.materialize(lev)
+
+
+def _dense_vector_uhf(v):
+    def value(x):
+        vm, xm = _dense_pair(v, x)
+        return np.trace(np.conj(vm).T @ xm @ vm) / len(vm)
+
+    return value
+
+
+def _dense_vector_cantor(v):
+    def value(x):
+        vm, xm = _dense_pair(v, x)
+        return np.mean(np.abs(vm) ** 2 * xm)
+
+    return value
+
+
+def _dense_character(word):
+    return lambda x: x.materialize()[al.leaf_index(word[: x.level])]
+
+
+def _dense_product(densities):
+    def value(x):
+        rho = np.eye(1)
+        for d in densities[: x.level]:
+            rho = np.kron(rho, d)
+        return np.trace(rho @ x.materialize())
+
+    return value
+
+
+def _dense_pullback(filt, spec, base_dense):
+    """base(alpha(x)) with alpha(x) from the conjugating unitary or the leaf permutation."""
+    from afspectral import isometry as iso
+
+    n = filt.depth
+
+    def value(x):
+        xm = x.materialize(n)
+        if filt.family == "uhf":
+            u = iso.global_unitary(spec, filt)
+            image = u @ xm @ np.conj(u).T
+        else:
+            image = np.empty_like(xm)
+            image[iso.leaf_permutation_array(spec, n)] = xm
+        return base_dense(al.AlgebraElement(filt, n, al.decompose(filt, n, image)))
+
+    return value
+
+
+def _state_cases(rng):
+    """(name, state, filtration, dense definition of its value)."""
+    from afspectral import isometry as iso
+
+    v_uhf = _unit_vector(F3, 2, rng)
+    v_cantor = _unit_vector(C3, 2, rng)
+    base = al.VectorState(v_uhf)
+    spec_uhf = iso.random_local_automorphism(F3, rng, permute=True)
+    spec_cantor = iso.random_portrait(3, rng)
+    return [
+        ("trace", al.TraceState(), F3, lambda x: np.trace(x.materialize()) / 2**x.level),
+        ("uniform", al.UniformState(), C3, lambda x: np.mean(x.materialize())),
+        ("vector-uhf", al.VectorState(v_uhf), F3, _dense_vector_uhf(v_uhf)),
+        ("vector-cantor", al.VectorState(v_cantor), C3, _dense_vector_cantor(v_cantor)),
+        ("character", al.CharacterState((1, 0, 1)), C3, _dense_character((1, 0, 1))),
+        ("product", al.ProductState([RHO_A, RHO_B, RHO_A]), F3,
+         _dense_product([RHO_A, RHO_B, RHO_A])),
+        ("pullback-uhf", iso.PulledBackState(base, spec_uhf), F3,
+         _dense_pullback(F3, spec_uhf, _dense_vector_uhf(v_uhf))),
+        ("pullback-cantor", iso.PulledBackState(al.CharacterState((0, 1, 1)), spec_cantor), C3,
+         _dense_pullback(C3, spec_cantor, _dense_character((0, 1, 1)))),
+    ]
+
+
+def test_state_values_match_dense_definitions(rng):
+    for name, state, filt, dense in _state_cases(rng):
+        for level in range(filt.depth + 1):
+            for _ in range(3):
+                x = random_element(filt, level, rng)
+                got, want = state.value(x), complex(dense(x))
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (name, level)
+
+
+def test_basis_values_are_prefixes(rng):
+    for name, state, filt, _ in _state_cases(rng):
+        values = [state.basis_values(filt, level) for level in range(filt.depth + 1)]
+        for level, vals in enumerate(values):
+            assert vals.dtype == complex and vals.shape == (filt.dim(level),), name
+            for deeper in values[level:]:
+                assert np.max(np.abs(deeper[: len(vals)] - vals)) <= 1e-14, (name, level)
+
+
+def test_state_evaluation_errors(rng):
+    v = _unit_vector(F3, 1, rng)
+    cases = [
+        (al.TraceState(), C3, 1, "trace applies to uhf filtrations"),
+        (al.UniformState(), F3, 1, "uniform measure applies to cantor filtrations"),
+        (al.VectorState(v), F2, 1, "filtration mismatch"),
+        (al.CharacterState((0, 1)), F3, 1, "characters apply to cantor filtrations"),
+        (al.CharacterState((0, 1)), C3, 3, "character word of length 2 cannot evaluate level 3"),
+        (al.ProductState([RHO_A]), C3, 1, "product states apply to uhf filtrations"),
+        (al.ProductState([RHO_A]), F3, 2, "not enough densities for the requested level"),
+        (al.TraceState(), F3, 4, "level 4 outside 0..3"),
+        (al.VectorState(v), F3, 4, "level 4 outside 0..3"),
+        (al.ProductState([RHO_A] * 3), F3, 4, "level 4 outside 0..3"),
+        (al.UniformState(), C3, 4, "level 4 outside 0..3"),
+        (al.CharacterState((0, 1, 1)), C3, -1, "level -1 outside 0..3"),
+    ]
+    for state, filt, level, message in cases:
+        with pytest.raises(InvalidInputError, match=message):
+            state.basis_values(filt, level)
+        if 0 <= level <= filt.depth:
+            with pytest.raises(InvalidInputError, match=message):
+                state.value(al.identity_element(filt, level))
+
+
+def _vanishing_level_by_elements(state, filt):
+    n = filt.depth
+    m = 0
+    for pos, ix in enumerate(al.canonical_basis(filt, n)):
+        e = al.AlgebraElement(filt, n, np.eye(filt.dim(n))[pos])
+        if ix.grade > 0 and abs(state.value(e)) > 1e-12:
+            m = max(m, ix.grade)
+    return m
+
+
+def test_vanishing_level_matches_element_loop(rng):
+    states = [(state, filt) for _, state, filt, _ in _state_cases(rng)]
+    for level in range(4):
+        states.append((al.VectorState(_unit_vector(F3, level, rng)), F3))
+        states.append((al.VectorState(_unit_vector(C3, level, rng)), C3))
+    states.append((al.VectorState(al.shift_embed(al.basis_element(F3, 1, (3,)), 2)), F3))
+    levels = set()
+    for state, filt in states:
+        got = al.vanishing_level(state, filt)
+        assert got == _vanishing_level_by_elements(state, filt)
+        levels.add(got)
+    assert levels == {0, 1, 2, 3}

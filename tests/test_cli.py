@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from afspectral import algebra as al
 from afspectral import cli
+from afspectral import linalg
 from afspectral.errors import UnboundedObjectiveError
 
 
@@ -282,3 +284,20 @@ def test_readme_cli_examples_parse():
         assert words[0] == "afspectral", line
         args = parser.parse_args(words[1:])
         assert args.subcommand in cli.RUNNERS
+
+
+def test_oversized_distance_exits_with_usage_error(capsys, monkeypatch):
+    # carvec:3:2 factors through level 3: 63 elements acting on 64 basis vectors
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 2**20)
+    argv = ["distance", "--depth", "3", "--lambda", "1,2,4", "--state1", "carvec:3:2",
+            "--state2", "trace"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "search level 3 needs a 3.94 MiB commutator stack, over the 1 MiB limit" in err
+
+
+def test_oversized_depth_exits_with_usage_error(capsys, monkeypatch):
+    # uhf depth 7: a 4.3 GB basis stack, refused before it is built
+    monkeypatch.setattr(al, "_uhf_stack", None)
+    assert cli.main(["iso-check", "--depth", "7", "--auto", "identity"]) == 2
+    assert "depth 7 needs a 4.1e+03 MiB basis stack" in capsys.readouterr().err

@@ -2,16 +2,9 @@ import numpy as np
 import pytest
 
 from afspectral import algebra as al
-from afspectral.errors import DegeneracyError, InvalidInputError
+from afspectral.errors import InvalidInputError
 from afspectral import linalg
-from afspectral.linalg import (
-    norm_exceeds,
-    operator_norm,
-    orthonormalize,
-    random_unitary,
-)
-
-SIGMA = al.slot_basis(2)
+from afspectral.linalg import norm_exceeds, operator_norm, random_unitary
 
 
 def test_operator_norm_diagonal():
@@ -58,44 +51,6 @@ def test_operator_norm_unitary_invariance(rng):
     assert operator_norm(u @ m @ v) == pytest.approx(operator_norm(m), abs=1e-10)
     assert operator_norm(np.conj(m).T) == pytest.approx(operator_norm(m), abs=1e-12)
     assert operator_norm(2.5j * m) == pytest.approx(2.5 * operator_norm(m), abs=1e-10)
-
-
-def _gram(rho):
-    return lambda a, b: complex(np.trace(rho @ np.conj(a).T @ b))
-
-
-def test_orthonormalize_fixed_point():
-    # an already orthonormal family comes back unchanged
-    rho = np.eye(2) / 2.0
-    out = orthonormalize(list(SIGMA), _gram(rho))
-    for a, b in zip(out, SIGMA):
-        assert np.max(np.abs(a - b)) < 1e-12
-
-
-def test_orthonormalize_weighted_state():
-    rho = np.diag([0.75, 0.25])
-    one = np.eye(2, dtype=complex)
-    out = orthonormalize([one, SIGMA[2]], _gram(rho))
-    # frozen by hand: f2 = (sigma_3 - 1/2) / sqrt(3/4)
-    expected = (SIGMA[2] - 0.5 * one) / np.sqrt(0.75)
-    assert np.max(np.abs(out[1] - expected)) < 1e-12
-    g = np.array([[_gram(rho)(a, b) for b in out] for a in out])
-    assert np.max(np.abs(g - np.eye(2))) < 1e-10
-
-
-def test_orthonormalize_haar_depth2():
-    h = al._haar_stack(2)
-    weights = np.full(4, 0.25)
-    gram = lambda a, b: complex(np.sum(weights * np.conj(a) * b))
-    out = orthonormalize([row.astype(complex) for row in h], gram)
-    g = np.array([[gram(a, b) for b in out] for a in out])
-    assert np.max(np.abs(g - np.eye(4))) < 1e-10
-
-
-def test_orthonormalize_degenerate_input():
-    one = np.eye(2, dtype=complex)
-    with pytest.raises(DegeneracyError):
-        orthonormalize([one, 1.0000000001 * one], _gram(np.eye(2) / 2.0))
 
 
 def test_commutator_spectrum_real_for_selfadjoint(uhf3, rng):

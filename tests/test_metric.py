@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations, product
 
@@ -6,6 +7,7 @@ import pytest
 
 from afspectral import algebra as al
 from afspectral import isometry as iso
+from afspectral import linalg
 from afspectral import metric as mt
 from afspectral import triple as tr
 from afspectral.errors import (
@@ -120,10 +122,91 @@ def test_constraint_homogeneity(uhf3, rng):
     assert cons.norm(-t) == pytest.approx(cons.norm(t), rel=1e-13)
 
 
-def test_parameter_cap(uhf3):
+def test_parameter_cap(uhf3, monkeypatch):
+    # the full-level stack acts 63 traceless elements on 64 basis vectors:
+    # 63 * 64**2 complex entries, 4,128,768 bytes
+    need = 16 * 63 * 64**2
     p = mt.DistanceProblem(uhf3, al.TraceState(), al.VectorState(mt.car_vector(F3, 3)))
-    with pytest.raises(UnsupportedError):
-        mt.distance(p, mt.SolverConfig(param_cap=5))
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", need - 1)
+    with pytest.raises(UnsupportedError, match=r"search level 3 needs a 3\.94 MiB commutator stack"):
+        mt.distance(p)
+    with pytest.raises(UnsupportedError, match=r"3\.94 MiB"):
+        mt.brute_force_distance(p)
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", need)
+    assert mt._search_space(p)[1].shape == (63, 64, 64)
+
+
+def _refuse_stack(*_):
+    raise AssertionError("the commutator stack was assembled")
+
+
+def test_memory_limit_refuses_before_allocation(monkeypatch):
+    # uhf depth 5 at full level: 1023 * 1024**2 * 16 bytes, about 17 GB; a
+    # patched represent_stack makes a missing guard fail instead of allocating
+    monkeypatch.setattr(tr.TruncatedTriple, "represent_stack", _refuse_stack)
+    f5 = al.uhf(2, 5)
+    t5 = tr.build_triple(f5, al.TraceState(), tr.dirac_power(2.0, 5))
+    p = mt.DistanceProblem(t5, al.VectorState(mt.car_vector(f5, 3)), al.TraceState())
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedError, match=r"search level 5 needs a 1\.64e\+04 MiB"):
+            mt.distance(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_memory_limit_allows_uhf_depth4_full_level(uhf4, monkeypatch):
+    # 255 * 256**2 * 16 bytes, about 267 MB, is under the limit: the guard
+    # lets it through to the stack assembly (stubbed here)
+    assert 16 * 255 * 256**2 <= linalg.MAX_DENSE_BYTES
+    monkeypatch.setattr(tr.TruncatedTriple, "represent_stack", _refuse_stack)
+    p = mt.DistanceProblem(uhf4, al.VectorState(mt.car_vector(uhf4.filtration, 3)), al.TraceState())
+    with pytest.raises(AssertionError, match="assembled"):
+        mt.distance(p)
+
+
+def _c_by_elements(problem):
+    """The objective vector one basis element at a time, as s1(e) - s2(e)."""
+    filt, sl = problem.triple.filtration, problem.search_level
+    c = []
+    for pos in range(1, filt.dim(sl)):
+        e = al.AlgebraElement(filt, sl, np.eye(filt.dim(sl))[pos])
+        c.append(complex(problem.s1.value(e) - problem.s2.value(e)).real)
+    return np.array(c)
+
+
+def test_objective_matches_element_loop(uhf3, cantor3, rng):
+    t2 = tr.build_triple(al.uhf(2, 2), al.TraceState(), tr.dirac_explicit([1.0, 2.0]))
+    cases = [
+        (cantor3, al.CharacterState((0, 1, 0)), al.UniformState()),
+        (cantor3, al.CharacterState((0, 1, 0)), al.CharacterState((1, 1, 0))),
+        (uhf3, al.VectorState(_normalized_vector(F3, 2, rng)), al.TraceState()),
+        (uhf3, al.VectorState(al.shift_embed(mt.car_vector(F3, 1), 1)),
+         al.VectorState(mt.car_vector(F3, 2))),
+        (t2, iso.PulledBackState(al.VectorState(_normalized_vector(al.uhf(2, 2), 1, rng)),
+                                 iso.random_local_automorphism(al.uhf(2, 2), rng)),
+         al.TraceState()),
+    ]
+    for triple, s1, s2 in cases:
+        for problem in (mt.DistanceProblem(triple, s1, s2),
+                        mt.reduce_search_level(mt.DistanceProblem(triple, s1, s2))):
+            c = mt._search_space(problem)[0]
+            assert c.dtype == float and c.flags.c_contiguous
+            assert np.array_equal(c, _c_by_elements(problem))
+
+
+def test_objective_rejects_non_real_difference(uhf3):
+    # a functional with an imaginary value on a self-adjoint basis element
+    class Skewed(al.State):
+        def basis_values(self, filtration, level):
+            vals = al.TraceState().basis_values(filtration, level).copy()
+            vals[1] = 1j
+            return vals
+
+    with pytest.raises(InvalidInputError, match="state difference not real"):
+        mt._search_space(mt.DistanceProblem(uhf3, Skewed(), al.TraceState()))
 
 
 def test_solver_determinism(uhf3, rng):

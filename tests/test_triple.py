@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from afspectral import algebra as al
+from afspectral import linalg
 from afspectral import triple as tr
-from afspectral.errors import DegeneracyError, InvalidInputError
+from afspectral.errors import DegeneracyError, InvalidInputError, UnsupportedError
 from afspectral.linalg import operator_norm
 
 from conftest import random_element
@@ -220,3 +223,51 @@ def test_vector_of_is_first_column(reference, uhf3, cantor3, rng):
     for level in range(filt.depth + 1):
         a = random_element(filt, level, rng)
         assert np.max(np.abs(t.vector_of(a) - t.represent(a)[:, 0])) < 1e-10
+
+
+def test_product_gns_of_half_identity_is_trace_gns(uhf3):
+    # rho = I/2 makes every slot Gram matrix the identity: the frames are the slot system
+    t = tr.build_triple(F3, al.ProductState([np.eye(2) / 2] * 3), tr.dirac_explicit([1.0, 2.0, 4.0]))
+    assert np.max(np.abs(t.gns.stack - uhf3.gns.stack)) < 1e-12
+    assert np.max(np.abs(t.gns.dual_stack - uhf3.gns.dual_stack)) < 1e-12
+
+
+def test_product_frame_of_a_diagonal_density():
+    rho = np.diag([0.75, 0.25])
+    t = tr.build_triple(F1, al.ProductState([rho]), tr.dirac_explicit([1.0]))
+    sigma = al.slot_basis(2)
+    one = np.eye(2)
+    # identity first: <1, sigma_3> = tr(rho sigma_3) = 1/2 and ||sigma_3 - 1/2||^2 = 3/4
+    assert np.max(np.abs(t.gns.stack[0] - one)) < 1e-12
+    assert np.max(np.abs(t.gns.stack[3] - (sigma[2] - 0.5 * one) / np.sqrt(0.75))) < 1e-12
+    # sigma_1 is already a unit vector orthogonal to the identity
+    assert np.max(np.abs(t.gns.stack[1] - sigma[0])) < 1e-12
+
+
+def _refuse_uhf_stack(*_):
+    raise AssertionError("the basis stack was built")
+
+
+def test_build_triple_refuses_an_oversized_basis_stack(monkeypatch):
+    # depth 3: 64 matrices of 8 x 8 complex entries, 65,536 bytes
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 16 * 64**2 - 1)
+    with pytest.raises(UnsupportedError, match=r"depth 3 needs a 0\.0625 MiB basis stack"):
+        tr.build_triple(F3, al.TraceState(), tr.dirac_explicit([1.0, 2.0, 4.0]))
+    with pytest.raises(UnsupportedError, match=r"depth 7 needs a 0\.25 MiB basis stack, over the 0\.0625 MiB limit"):
+        tr.build_triple(al.cantor(7), al.UniformState(), tr.dirac_power(2.0, 7))
+    monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", 16 * 64**2)
+    assert tr.build_triple(F3, al.TraceState(), tr.dirac_explicit([1.0, 2.0, 4.0])).dim == 64
+
+
+def test_build_triple_refuses_uhf_depth7_before_allocation(monkeypatch):
+    # uhf depth 7 needs 16384 * 128**2 * 16 bytes (4.3 GB); depth 6 (268 MB) is allowed
+    assert 16 * 4096**2 <= linalg.MAX_DENSE_BYTES
+    monkeypatch.setattr(al, "_uhf_stack", _refuse_uhf_stack)
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedError, match=r"depth 7 needs a 4\.1e\+03 MiB basis stack"):
+            tr.build_triple(al.uhf(2, 7), al.TraceState(), tr.dirac_power(2.0, 7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
