@@ -23,7 +23,10 @@ automorphism sigma lift to a unitary commuting with the lifted Dirac; sigma
 
 The lifted unitary is block-monomial: column site h holds one d x d block,
 a cocycle phase times U_beta, in row site sigma(h).  The covariance check
-applies it through those blocks instead of dense window products.  Interior
+applies it through those blocks instead of dense window products, and builds
+only the site blocks of pi(x) and pi(Phi(x)) it reads: each term's
+conjugates at the row sites the interior columns reach.  represent_crossed
+is the dense scatter of the same conjugates over every site.  Interior
 commutator norms split along the exact-zero d x d site blocks of the
 operator: its norm is the largest over the connected components of the
 nonzero block pattern, so a block-monomial unitary costs one batched SVD of
@@ -119,7 +122,7 @@ class Cocycle:
     chi: complex
 
     def __post_init__(self):
-        if abs(abs(complex(self.chi)) - 1.0) > TOL.cocycle_unit:
+        if not abs(abs(complex(self.chi)) - 1.0) <= TOL.cocycle_unit:  # NaN fails too
             raise InvalidInputError("character must have unit modulus")
 
     def value(self, g: int) -> complex:
@@ -251,23 +254,40 @@ def build_lifted(
     return LiftedTriple(base, action, window, t, v_powers, report)
 
 
-def represent_crossed(lifted: LiftedTriple, x: CrossedElement) -> np.ndarray:
-    """Action of a crossed element on one copy of H (x) l2(window)."""
+def _site_images(lifted: LiftedTriple, x: CrossedElement, sites) -> np.ndarray:
+    """Images V^-k pi(a_g) V^k of the terms of ``x`` at the row sites k asked for.
+
+    ``sites`` broadcasts against ``(n_terms, 1)``: one row of sites shared by
+    every term, or one row per term in ``x.terms`` order.  The result has the
+    broadcast shape followed by ``(d, d)``.  The terms are represented with
+    one ``represent_stack`` call.
+    """
     r_max = x.support_radius
     if r_max > lifted.window.margin:
         raise WindowTooSmallError(
             f"support radius {r_max} exceeds the window margin {lifted.window.margin}"
         )
     base = lifted.base
-    filt, n = base.filtration, base.depth
+    filt, n, d = base.filtration, base.depth, base.dim
     if any(a.filtration != filt for a in x.terms.values()):
         raise InvalidInputError("filtration mismatch")
-    coeffs = np.array([a.embed(n).coeffs for a in x.terms.values()]).reshape(-1, filt.dim(n))
+    if not x.terms:
+        return np.zeros(np.broadcast_shapes((0, 1), np.shape(sites)) + (d, d), dtype=complex)
+    coeffs = np.array([a.embed(n).coeffs for a in x.terms.values()])
     pa = base.represent_stack(np.tensordot(coeffs, al.basis_stack(filt, n), axes=1))
-    vp = lifted.v_powers
-    # images[i, tgt + L] = pi(alpha_{-tgt}(a_i)) = V^-tgt pi(a_i) V^tgt
-    images = vp[::-1] @ pa[:, None] @ vp
-    rad, d, s = lifted.window.radius, base.dim, lifted.window.size
+    # v_powers[L + k] = V^k, and v_powers[L - k] = V^-k
+    vp, rad = lifted.v_powers, lifted.window.radius
+    return vp[rad - sites] @ pa[:, None] @ vp[rad + sites]
+
+
+def represent_crossed(lifted: LiftedTriple, x: CrossedElement) -> np.ndarray:
+    """Action of a crossed element on one copy of H (x) l2(window).
+
+    The dense scatter of :func:`_site_images` over every site: term g fills
+    site block (k, k - g) with its image at row site k.
+    """
+    images = _site_images(lifted, x, lifted.window.sites)
+    rad, d, s = lifted.window.radius, lifted.base.dim, lifted.window.size
     out = np.zeros((s, d, s, d), dtype=complex)
     for i, g in enumerate(x.terms):
         tgt = np.arange(max(-rad, g - rad), min(rad, g + rad) + 1)
@@ -377,6 +397,10 @@ def lifted_unitary(
 
 def lift_commutation_check(lifted: LiftedTriple, u_half: np.ndarray) -> dict:
     """Interior residual of [D_l, U (+) U]; passes at the crossed tolerance."""
+    u_half = np.asarray(u_half)
+    n = lifted.half_dim
+    if u_half.shape != (n, n):
+        raise InvalidInputError(f"expected a ({n}, {n}) half-window operator, got {u_half.shape}")
     resid = _interior_commutator_norm(lifted, u_half)
     return {"residual": float(resid), "passes": bool(resid <= TOL.crossed)}
 
@@ -403,25 +427,28 @@ def covariance_check(
 ) -> dict:
     """Interior residual of pi(Phi(x)) U - U pi(x) on one block.
 
-    U is applied through its site blocks: the interior column h of
-    pi(Phi(x)) U is column site rows[h] of pi(Phi(x)) times phase[h] U_beta,
-    and row site rows[c] of U pi(x) is phase[c] U_beta times row site c of
-    pi(x).  Row sites where the residual is exactly zero are dropped before
-    the SVD; they do not change its singular values.
+    Only the nonzero site blocks are built.  Interior column c of U pi(x)
+    holds phase[k] U_beta times the image of term g at row site k = c + g,
+    placed in row site rows[k]; interior column c of pi(Phi(x)) U holds the
+    image of term g' of Phi(x) at row site rows[c] + g', times
+    phase[c] U_beta.  Row sites where the residual is exactly zero are
+    dropped before the SVD; they do not change its singular values.
     """
     rows, phase, u_beta = _lift_blocks(lifted, cocycle, beta, sigma, check_rigidity)
-    lhs = represent_crossed(lifted, automorphism_image(lifted, cocycle, beta, sigma, x))
-    rhs = represent_crossed(lifted, x)
-    s, d = lifted.window.size, lifted.base.dim
+    phi = automorphism_image(lifted, cocycle, beta, sigma, x)
+    s, d, rad = lifted.window.size, lifted.base.dim, lifted.window.radius
     inner = np.flatnonzero(lifted.window.interior_mask())
-    n = inner.size * d
-    gathered = lhs.reshape(s, d, s, d)[:, :, rows[inner], :] * phase[inner][:, None]
-    lhs_u = (gathered.reshape(-1, d) @ u_beta).reshape(s, d, n)
-    right = rhs.reshape(s, d, s, d)[:, :, inner, :].reshape(s, d, n)
-    u_rhs = np.empty_like(lhs_u)
-    u_rhs[rows] = phase[:, None, None] * (u_beta @ right)
-    diff = lhs_u - u_rhs
-    resid = operator_norm(diff[np.any(diff != 0, axis=(1, 2))].reshape(-1, n))
+    cols = np.arange(inner.size)
+    # row-site indices, one row per term: k = c + g for pi(x), rows[c] + g' for pi(Phi(x))
+    src = inner + np.array(list(x.terms), dtype=int)[:, None]
+    tgt = rows[inner] + np.array(list(phi.terms), dtype=int)[:, None]
+    diff = np.zeros((s, d, inner.size, d), dtype=complex)
+    blocks = _site_images(lifted, phi, tgt - rad) * phase[inner, None, None]
+    diff[tgt, :, cols, :] = (blocks.reshape(-1, d) @ u_beta).reshape(blocks.shape)
+    blocks = u_beta @ _site_images(lifted, x, src - rad)
+    diff[rows[src], :, cols, :] -= phase[src, None, None] * blocks
+    diff = diff[np.any(diff != 0, axis=(1, 2, 3))]
+    resid = operator_norm(diff.reshape(-1, inner.size * d))
     return {"residual": float(resid), "passes": bool(resid <= TOL.crossed)}
 
 

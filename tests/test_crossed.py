@@ -390,3 +390,111 @@ def test_represent_matches_per_site_automorphisms(odo_lift, rng):
         x = cx.CrossedElement({g: random_element(filt, filt.depth, rng) for g in (-2, -1, 0, 1, 2)})
         ref = _represent_by_automorphisms(lifted, x)
         assert operator_norm(cx.represent_crossed(lifted, x) - ref) <= 1e-12 * operator_norm(ref)
+
+
+# ---------------------------------------------------------------------------
+# covariance residuals from the nonzero site blocks
+# ---------------------------------------------------------------------------
+
+
+def _dense_covariance(lifted, coc, beta, sigma, x, image):
+    """||pi(image) U - U pi(x)|| on interior columns, from dense window operators."""
+    u = cx.lifted_unitary(lifted, coc, beta, sigma, check_rigidity=False)
+    lhs = cx.represent_crossed(lifted, image)
+    rhs = cx.represent_crossed(lifted, x)
+    return operator_norm((lhs @ u - u @ rhs)[:, lifted.interior_columns()])
+
+
+def _covariance_case(name, odo_lift, triv_lift, rng):
+    """(lifted, cocycle, beta, sigma, x) at margin 2 for one named case."""
+    def element(lifted, sites, level=None):
+        filt = lifted.base.filtration
+        return cx.CrossedElement(
+            {g: random_element(filt, filt.depth if level is None else level, rng) for g in sites}
+        )
+
+    local = iso.random_local_automorphism(F2, rng)
+    if name.startswith("radius"):
+        r = int(name[-1])
+        return triv_lift, cx.Cocycle(CHI5), local, "id", element(triv_lift, range(-r, r + 1))
+    if name == "gap":
+        return odo_lift, cx.Cocycle(1j), iso.odometer_portrait(3), "id", element(odo_lift, (-2, 2))
+    if name == "below-depth":
+        x = element(odo_lift, (-1, 1))
+        x.terms[0] = random_element(C3, 1, rng)
+        return odo_lift, cx.Cocycle(CHI5), None, "id", x
+    assert name == "neg-rigid"
+    return triv_lift, cx.Cocycle(CHI5), local, "neg", element(triv_lift, (-2, -1, 0, 2))
+
+
+COVARIANCE_CASES = ["radius0", "radius1", "radius2", "gap", "below-depth", "neg-rigid"]
+
+
+@pytest.mark.parametrize("name", COVARIANCE_CASES)
+def test_covariance_check_matches_dense_cases(name, odo_lift, triv_lift, rng):
+    lifted, coc, beta, sigma, x = _covariance_case(name, odo_lift, triv_lift, rng)
+    assert lifted.window.margin == 2
+    image = cx.automorphism_image(lifted, coc, beta, sigma, x)
+    ref = _dense_covariance(lifted, coc, beta, sigma, x, image)
+    rep = cx.covariance_check(lifted, coc, beta, sigma, x)
+    assert abs(rep["residual"] - ref) <= 1e-12 * max(ref, 1.0)
+    assert rep["passes"]
+
+
+@pytest.mark.parametrize("name", COVARIANCE_CASES)
+def test_covariance_check_measures_any_image(name, odo_lift, triv_lift, rng, monkeypatch):
+    # an unrelated image with its own support makes every block of the
+    # residual count: a dropped or misplaced block changes the norm
+    lifted, coc, beta, sigma, x = _covariance_case(name, odo_lift, triv_lift, rng)
+    filt = lifted.base.filtration
+    other = cx.CrossedElement({g: random_element(filt, filt.depth, rng) for g in (-2, 0, 1)})
+    monkeypatch.setattr(cx, "automorphism_image", lambda *args: other)
+    ref = _dense_covariance(lifted, coc, beta, sigma, x, other)
+    rep = cx.covariance_check(lifted, coc, beta, sigma, x)
+    assert ref > 0.1
+    assert abs(rep["residual"] - ref) <= 1e-12 * ref
+
+
+def test_zero_crossed_element(odo_lift, triv_lift, rng):
+    zero = cx.CrossedElement({})
+    for lifted in (odo_lift, triv_lift):
+        op = cx.represent_crossed(lifted, zero)
+        assert op.shape == (lifted.half_dim, lifted.half_dim) and not op.any()
+    beta = iso.random_local_automorphism(F2, rng)
+    rep = cx.covariance_check(triv_lift, cx.Cocycle(CHI5), beta, "neg", zero)
+    assert rep == {"residual": 0.0, "passes": True}
+    rep = cx.crossed_commutator_stability(odo_lift.base, cx.OdometerAction(), zero)
+    assert rep["norms"] and all(v == 0.0 for v in rep["norms"])
+    assert rep["stabilized"]
+
+
+@pytest.mark.parametrize("chi", ["nan", "nan+1j"])
+def test_nan_cocycle_rejected(chi, capsys):
+    with pytest.raises(InvalidInputError, match="unit modulus"):
+        cx.Cocycle(complex(chi))
+    argv = ["crossed-lift", "--action", "trivial", "--family", "uhf", "--k", "2",
+            "--depth", "2", "--lambda", "1,2", "--chi", chi]
+    assert cli.main(argv) == 2
+    assert "character must have unit modulus" in capsys.readouterr().err
+
+
+def test_commutation_check_rejects_wrong_shape(triv_lift):
+    n = triv_lift.half_dim
+    for u in (np.eye(n - 1), np.eye(n)[:, :-1], np.eye(n).ravel()):
+        with pytest.raises(InvalidInputError, match=rf"\({n}, {n}\)"):
+            cx.lift_commutation_check(triv_lift, u)
+
+
+def test_covariance_check_memory_below_two_dense_half_windows(triv_lift, rng):
+    # radius 4, uhf depth 2: one dense half-window operator is 16 half_dim^2 bytes
+    assert (triv_lift.window.radius, triv_lift.base.depth) == (4, 2)
+    x = cx.CrossedElement({g: random_element(F2, 2, rng) for g in (-1, 0, 1)})
+    args = (triv_lift, cx.Cocycle(CHI5), iso.random_local_automorphism(F2, rng), "id", x)
+    cx.covariance_check(*args, check_rigidity=False)  # fills the basis-stack caches
+    tracemalloc.start()
+    try:
+        cx.covariance_check(*args, check_rigidity=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 16 * triv_lift.half_dim**2 == 663_552
