@@ -199,18 +199,12 @@ def apply_automorphism(spec, x: al.AlgebraElement) -> al.AlgebraElement:
 
 
 def compose(outer, inner):
-    """Structural composition (outer after inner)."""
+    """Structural composition (outer after inner); two portraits compose to a portrait."""
+    out = ComposedAutomorphism(outer, inner)
     if isinstance(outer, TreePortrait) and isinstance(inner, TreePortrait):
-        return compose_portraits(outer, inner)
-    return ComposedAutomorphism(outer, inner)
-
-
-def compose_portraits(outer: TreePortrait, inner: TreePortrait) -> TreePortrait:
-    """Portrait of (outer after inner), read off the composed leaf permutation."""
-    n = outer.depth
-    return portrait_from_leaf_permutation(
-        leaf_permutation_array(ComposedAutomorphism(outer, inner), n), n
-    )
+        n = outer.depth
+        return portrait_from_leaf_permutation(leaf_permutation_array(out, n), n)
+    return out
 
 
 def portrait_from_leaf_permutation(perm, depth: int) -> TreePortrait:
@@ -505,11 +499,11 @@ def semidirect_structure_check(depth: int, samples: int = 25, seed: int = 0) -> 
             depth, (0,) * n_shallow + tuple(rng.integers(0, 2, size=n_deep))
         )
         any_p = TreePortrait(depth, tuple(rng.integers(0, 2, size=2**depth - 1)))
-        conj = compose_portraits(compose_portraits(any_p, deep), invert(any_p))
+        conj = compose(compose(any_p, deep), invert(any_p))
         if any(b != 0 for b in conj.bits[:n_shallow]):
             return False
         # the quotient projection (forget deepest bits) must be a homomorphism
-        prod = compose_portraits(any_p, deep)
+        prod = compose(any_p, deep)
         if prod.bits[:n_shallow] != any_p.bits[:n_shallow]:
             return False
     return True

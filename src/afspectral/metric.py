@@ -62,11 +62,11 @@ from .linalg import TOL, check_dense_bytes, operator_norm
 class SolverConfig:
     starts: int = 24
     max_iter: int = 500
-    tol: float = 1e-8
     seed: int = 0
-    step_init: float = 1.0
 
 
+ASCENT_TOL = 1e-8  # relative gain below which a round stalls; certified-stop gap
+STEP_INIT = 1.0  # first line-search step of a start, and of a restart along the gradient
 STEP_MIN = 1e-13  # smallest line-search step the ascent evaluates
 
 
@@ -341,7 +341,8 @@ def _bfgs_update(H: np.ndarray, fresh: np.ndarray, s: np.ndarray, y: np.ndarray)
     return H, ok
 
 
-def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, cfg: SolverConfig):
+def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, max_iter: int,
+            tol: float = ASCENT_TOL, step_init: float = STEP_INIT):
     """Maximize (c . t)/||M(t)|| from every row of T0 in lockstep.
 
     Returns per-row (values, T, iterations) and the dual bound that stopped
@@ -349,12 +350,14 @@ def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, cfg: SolverConf
     H grad, where H is its own BFGS inverse-Hessian estimate, starting at
     the identity.  A row whose direction is not uphill, or whose line search
     finds no gain, restarts from H = I; a failed search along the gradient
-    itself ends the row.  A row's next search starts at twice its last
-    accepted step, at most the full quasi-Newton step 1.
+    itself ends the row.  A row's first search, and one retried along the
+    gradient, starts at ``step_init``; its next search starts at twice its
+    last accepted step, at most the full quasi-Newton step 1.  A row retires
+    after three rounds in a row that each gain less than ``tol`` (relative).
 
     Certified stop: after each round, if the row with the largest ratio has
     retired, has no certificate yet and other rows are still live, its dual
-    bound is computed; when the bound is within cfg.tol * max(1, |ratio|) of
+    bound is computed; when the bound is within tol * max(1, |ratio|) of
     its ratio, every row retires.  Rows share only the batched kernel calls
     and this stop, and every per-row product is a batched product with one
     operand per row, so a row's trajectory is that of a one-row call on its
@@ -400,11 +403,11 @@ def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, cfg: SolverConf
         H[rows] = np.eye(p)
         fresh[rows] = True
 
-    step = np.full(S, cfg.step_init)
+    step = np.full(S, step_init)
     flat = np.zeros(S, dtype=int)
     certified = np.zeros(S, dtype=bool)
     dual = None
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, max_iter + 1):
         rows = np.flatnonzero(live)
         if not len(rows):
             break
@@ -426,7 +429,7 @@ def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, cfg: SolverConf
         live[failed[fresh[failed]]] = False
         retry = failed[~fresh[failed]]
         restart(retry)
-        step[retry] = cfg.step_init
+        step[retry] = step_init
 
         acc = rows[accepted]
         gain = rn[accepted] - r[acc]
@@ -437,7 +440,7 @@ def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, cfg: SolverConf
         H[acc], updated = _bfgs_update(H[acc], fresh[acc], s, grad[accepted] - gradient(acc))
         fresh[acc[updated]] = False
         step[acc] = np.minimum(2.0 * st[accepted], 1.0)
-        stalled = gain < cfg.tol * np.maximum(1.0, np.abs(r[acc]))
+        stalled = gain < tol * np.maximum(1.0, np.abs(r[acc]))
         flat[acc] = np.where(stalled, flat[acc] + 1, 0)
         live[acc[flat[acc] >= 3]] = False
 
@@ -447,7 +450,7 @@ def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, cfg: SolverConf
         if not live[b] and not certified[b] and live.any():
             certified[b] = True
             upper = cons.dual_bound(c, T[b])[0]
-            if upper - r[b] <= cfg.tol * max(1.0, abs(r[b])):
+            if upper - r[b] <= tol * max(1.0, abs(r[b])):
                 live[:] = False
                 dual = upper
     return r, T, iters, dual
@@ -491,7 +494,7 @@ def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> Dista
     ``w``, rescaled to unit commutator norm through the public operations, so
     it holds independently of solver quality.  ``upper_bound`` is populated
     only when a matching certificate exists (identical states).  The ascent
-    stops all starts once the best one is certified within ``cfg.tol``; the
+    stops all starts once the best one is certified within ``ASCENT_TOL``; the
     certificate that did so is ``diagnostics["dual_bound"]`` (None when the
     starts all stopped on their own).  A problem whose commutator stack would
     exceed ``linalg.MAX_DENSE_BYTES`` raises :class:`UnsupportedError`, naming
@@ -518,7 +521,7 @@ def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> Dista
         rng = np.random.default_rng([cfg.seed, k])
         starts.append((f"random-{k}", rng.normal(size=p)))
 
-    vals, T, iters, dual = _ascend(c, cons, np.stack([t0 for _, t0 in starts]), cfg)
+    vals, T, iters, dual = _ascend(c, cons, np.stack([t0 for _, t0 in starts]), cfg.max_iter)
     per_start = [
         {"start": kind, "objective": float(v), "iterations": int(n)}
         for (kind, _), v, n in zip(starts, vals, iters)
@@ -527,8 +530,7 @@ def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> Dista
     best_val, best_t = vals[best], T[best]
 
     # polish the incumbent with a finer stopping rule
-    polish_cfg = replace(cfg, tol=cfg.tol * 1e-4, step_init=1e-2)
-    vals, T, iters, _ = _ascend(c, cons, best_t[None], polish_cfg)
+    vals, T, iters, _ = _ascend(c, cons, best_t[None], cfg.max_iter, ASCENT_TOL * 1e-4, 1e-2)
     per_start.append({"start": "polish", "objective": float(vals[0]), "iterations": int(iters[0])})
     if vals[0] > best_val:
         best_val, best_t = vals[0], T[0]
@@ -600,7 +602,7 @@ def _brute_force_core(c: np.ndarray, B: np.ndarray, points: int = 10000, seed: i
     return best_val
 
 
-def brute_force_distance(problem: DistanceProblem, points: int = 10000, seed: int = 12345) -> float:
+def brute_force_distance(problem: DistanceProblem) -> float:
     """Independent oracle: dense direction scan plus shrinking local refinement.
 
     Only available for parameter dimension <= 4 after reduction.
@@ -608,7 +610,7 @@ def brute_force_distance(problem: DistanceProblem, points: int = 10000, seed: in
     if problem.search_level == 0:
         return 0.0
     c, B, _ = _search_space(problem)
-    return _brute_force_core(c, B, points=points, seed=seed)
+    return _brute_force_core(c, B)
 
 
 _CAR_VECTORS = {

@@ -109,6 +109,19 @@ def test_crossed_lift_negative_control(capsys):
     assert records[0]["commutation_residual"] > 0.1
 
 
+def test_failed_assertion_exit_code(capsys):
+    # a lift that commutes, asserted to fail: the record is not ok and the exit is 1
+    code, records = run_cli(
+        capsys,
+        ["crossed-lift", "--action", "trivial", "--depth", "2", "--lambda", "1,2",
+         "--radius", "3", "--margin", "1", "--chi", "1", "--expect-fail"],
+    )
+    assert code == 1
+    (rec,) = records
+    assert rec["ok"] is False and rec["expect_fail"] is True
+    assert rec["commutation_residual"] <= 1e-10
+
+
 def test_usage_error_exit_code(capsys):
     assert cli.main(["distance"]) == 2  # neither --car nor states given
     capsys.readouterr()

@@ -203,7 +203,7 @@ def test_lifted_group_law(odo_lift):
     u1 = cx.lifted_unitary(odo_lift, cx.Cocycle(1j), odo, "id")
     u2 = cx.lifted_unitary(odo_lift, cx.Cocycle(CHI5), odo, "id")
     combined = cx.lifted_unitary(
-        odo_lift, cx.Cocycle(1j * CHI5), iso.compose_portraits(odo, odo), "id"
+        odo_lift, cx.Cocycle(1j * CHI5), iso.compose(odo, odo), "id"
     )
     assert operator_norm(u1 @ u2 - combined) < 1e-10
 
@@ -498,3 +498,76 @@ def test_covariance_check_memory_below_two_dense_half_windows(triv_lift, rng):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 16 * triv_lift.half_dim**2 == 663_552
+
+
+# ---------------------------------------------------------------------------
+# the interior norm kernel and the one-window stability report
+# ---------------------------------------------------------------------------
+
+
+def test_interior_norm_columns_sharing_a_row_site(triv_lift, rng):
+    # every interior column holds one nonzero block, but the last two share a
+    # row site: the operator is not a direct sum of its blocks
+    s, d = triv_lift.window.size, triv_lift.base.dim
+    inner = np.flatnonzero(triv_lift.window.interior_mask())
+    rows = inner.copy()
+    rows[-1] = rows[-2]
+    op = np.zeros((s, d, s, d), dtype=complex)
+    for r, c in zip(rows, inner):
+        op[r, :, c, :] = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    op = op.reshape(triv_lift.half_dim, -1)
+    ref = _dense_interior_commutator(triv_lift, op)
+    rep = cx.lift_commutation_check(triv_lift, op)
+    assert abs(rep["residual"] - ref) <= 1e-12 * ref
+
+    # a split into single blocks would report the largest single-block norm
+    mask = triv_lift.interior_columns()
+    split = 0.0
+    for c in inner:
+        single = np.zeros_like(op)
+        cols = triv_lift.site_block(0, c - triv_lift.window.radius)[1]
+        single[:, cols] = op[:, cols]
+        split = max(split, _dense_interior_commutator(triv_lift, single))
+    assert ref > split + 0.1
+
+    blocks = cx._interior_blocks(triv_lift, op)
+    plain = cx._interior_norm(triv_lift, blocks, False)
+    assert abs(plain - operator_norm(op[:, mask])) <= 1e-12 * plain
+
+
+def _parity_split(rng):
+    # lambda_-1 and lambda_1 terms: even columns reach odd rows and odd columns even rows
+    return cx.CrossedElement({-1: random_element(C3, 3, rng), 1: random_element(C3, 3, rng)})
+
+
+def test_stability_parity_split_matches_dense(odo_lift, rng):
+    x = _parity_split(rng)
+    rep = cx.crossed_commutator_stability(odo_lift.base, cx.OdometerAction(), x)
+    for rad, norm in zip(rep["radii"], rep["norms"]):
+        lifted = cx.build_lifted(odo_lift.base, cx.OdometerAction(), rad, x.support_radius)
+        ref = _dense_interior_commutator(lifted, cx.represent_crossed(lifted, x))
+        assert abs(norm - ref) <= 1e-12 * max(ref, 1.0)
+
+
+def test_stability_two_terms_non_decreasing(odo_lift, rng):
+    # finite sections of one block-Toeplitz operator: norms grow with the window
+    rep = cx.crossed_commutator_stability(odo_lift.base, cx.OdometerAction(), _parity_split(rng))
+    norms = rep["norms"]
+    assert all(b >= a - 1e-12 * a for a, b in zip(norms, norms[1:]))
+    assert norms[-1] - norms[0] > 0.1
+    assert not rep["stabilized"]
+
+
+def test_stability_verifies_the_generator_once(odo_lift, rng, monkeypatch):
+    calls = []
+    real = iso.iso_check
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(iso, "iso_check", counted)
+    x = cx.CrossedElement({g: random_element(C3, 3, rng) for g in (-1, 0, 1)})
+    rep = cx.crossed_commutator_stability(odo_lift.base, cx.OdometerAction(), x)
+    assert len(rep["radii"]) == 5
+    assert len(calls) == 1

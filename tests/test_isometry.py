@@ -189,7 +189,7 @@ def test_non_finite_spec_fails_automorphism_gate(uhf3):
 def test_group_closure_portraits(cantor3, rng):
     for _ in range(10):
         p1, p2 = iso.random_portrait(3, rng), iso.random_portrait(3, rng)
-        assert iso.iso_check(cantor3, iso.compose_portraits(p1, p2)).in_iso
+        assert iso.iso_check(cantor3, iso.compose(p1, p2)).in_iso
         assert iso.iso_check(cantor3, iso.invert(p1)).in_iso
 
 

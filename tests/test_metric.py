@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 from itertools import combinations, product
 
 import numpy as np
@@ -355,13 +354,13 @@ def test_lockstep_rows_equal_solo_runs(family, uhf3, cantor3, rng):
     else:
         c, B = _car_stack(uhf3)
     cons = mt._ConstraintMap(B)
-    cfg = mt.SolverConfig()
+    max_iter = mt.SolverConfig().max_iter
     T0 = np.vstack([c, np.zeros_like(c), -c, rng.normal(size=(5, len(c)))])
-    vals, T, iters, dual = mt._ascend(c, cons, T0, cfg)
+    vals, T, iters, dual = mt._ascend(c, cons, T0, max_iter)
     assert vals[1] == -np.inf and iters[1] == 0
     assert vals[2] > 0  # started with c . t < 0, so the start flipped sign
     for k, t0 in enumerate(T0):
-        v1, t1, n1, d1 = mt._ascend(c, cons, t0[None], replace(cfg, max_iter=int(iters[k])))
+        v1, t1, n1, d1 = mt._ascend(c, cons, t0[None], int(iters[k]))
         assert vals[k] == v1[0]
         assert np.array_equal(T[k], t1[0])
         assert iters[k] == n1[0]
@@ -382,7 +381,7 @@ def test_lockstep_raises_on_unbounded_objective(b):
     cons = mt._ConstraintMap(B)
     assert cons.real == (not np.any(b.imag))
     with pytest.raises(UnboundedObjectiveError):
-        mt._ascend(c, cons, np.array([[0.3, 1.0], [1.0, 0.0]]), mt.SolverConfig())
+        mt._ascend(c, cons, np.array([[0.3, 1.0], [1.0, 0.0]]), mt.SolverConfig().max_iter)
 
 
 def test_cantor_split_classes_have_equal_distances():
