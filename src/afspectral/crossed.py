@@ -374,10 +374,10 @@ def lifted_unitary(
     designed failure cases pass False to build the unitary anyway.
     """
     rows, phase, u_beta = _lift_blocks(lifted, cocycle, beta, sigma, check_rigidity)
-    s = lifted.window.size
-    site = np.zeros((s, s), dtype=complex)
-    site[rows, np.arange(s)] = phase
-    return np.kron(site, u_beta)
+    s, d = lifted.window.size, lifted.base.dim
+    out = np.zeros((s, d, s, d), dtype=complex)
+    out[rows, :, np.arange(s), :] = phase[:, None, None] * u_beta
+    return out.reshape(lifted.half_dim, lifted.half_dim)
 
 
 def lift_commutation_check(lifted: LiftedTriple, u_half: np.ndarray) -> dict:

@@ -272,23 +272,30 @@ def _pair_products(filtration: al.Filtration):
     return i, j, products
 
 
-def automorphism_residual(a: np.ndarray, filtration: al.Filtration):
-    """Largest defect of multiplicativity and *-preservation on basis pairs.
-
-    ``a`` is the coefficient-image matrix of :func:`coefficient_images`.  All
-    pairs when there are at most 400, else 40 seeded random pairs.
-    """
-    n = filtration.depth
+def _residual(a: np.ndarray, images: np.ndarray, filtration: al.Filtration) -> float:
+    """Largest defect of multiplicativity on the sampled pairs and of
+    *-preservation on every column of ``a``; ``images[j]`` is alpha(e_j)."""
     i, j, products = _pair_products(filtration)
-    # alpha(e_j), read back from A
-    images = np.tensordot(a.T, al.basis_stack(filtration, n), axes=1)
     # alpha(e_i e_j) by linearity through A, against alpha(e_i) alpha(e_j)
     lhs = products @ a.T
-    rhs = al.decompose(filtration, n, al.mat_product(filtration, images[i], images[j]))
-    # the basis is self-adjoint, so images must be too
-    used = a[:, np.unique(np.concatenate([i, j]))]
-    # np.maximum, unlike Python's max, passes a NaN term through to the gate
-    return float(np.maximum(np.max(np.abs(lhs - rhs)), np.max(np.abs(np.conj(used) - used))))
+    rhs = al.decompose(filtration, filtration.depth, al.mat_product(filtration, images[i], images[j]))
+    # the basis is self-adjoint, so images must be too: |conj(A) - A| = 2 |Im A|
+    # (np.maximum, unlike Python's max, passes a NaN term through to the gate)
+    return float(np.maximum(np.max(np.abs(lhs - rhs)), 2 * np.max(np.abs(a.imag))))
+
+
+def automorphism_residual(a: np.ndarray, filtration: al.Filtration):
+    """Largest defect of multiplicativity on basis pairs and of *-preservation.
+
+    ``a`` is the coefficient-image matrix of :func:`coefficient_images`; the
+    images alpha(e_j) are read back from it.  Multiplicativity is checked on
+    all pairs when there are at most 400, else on 40 seeded random pairs;
+    *-preservation, ``2 max|Im A|``, on every column.  A zero imaginary part
+    is what lets :func:`implementing_unitary` return a real matrix on the
+    self-adjoint trace and uniform bases.
+    """
+    images = np.tensordot(a.T, al.basis_stack(filtration, filtration.depth), axes=1)
+    return _residual(a, images, filtration)
 
 
 def coefficient_images(filtration: al.Filtration, image: np.ndarray) -> np.ndarray:
@@ -320,10 +327,16 @@ def implementing_unitary(triple: tr.TruncatedTriple, image: np.ndarray) -> np.nd
     """Unitary sending b xi to alpha(b) xi; exists iff the state is preserved.
 
     ``image`` is the automorphism's image of the GNS basis stack,
-    ``act(spec, triple.filtration, triple.gns.stack)``.
+    ``act(spec, triple.filtration, triple.gns.stack)``.  When every
+    imaginary part is within ``TOL.structural`` of zero, as for every
+    *-automorphism on the self-adjoint trace and uniform bases, the unitary
+    is the real part and its checks run in real arithmetic; a product-state
+    frame keeps the complex matrix.
     """
     gns = triple.gns
     u = gns.coordinates(image)
+    if np.max(np.abs(u.imag)) <= TOL.structural:
+        u = u.real.copy()  # contiguous, and the complex array is freed
     eye = np.eye(gns.dim)
     # b_0 is the identity, so row 0 holds ref(alpha(b_j)), which must be ref(b_j) = delta_0j
     if np.max(np.abs(u[0] - eye[0])) > TOL.structural:
@@ -356,18 +369,21 @@ class IsoVerdict:
 def iso_check(triple: tr.TruncatedTriple, spec) -> IsoVerdict:
     """Decide unitary rigidity of an automorphism for the triple.
 
-    One image per verdict: the automorphism acts on the basis stack once, and
-    the coefficient-image matrix A read off that image feeds both the
-    *-automorphism residual and the level check.  For trace and uniform
-    references the GNS stack holds the basis stack's values, so the same
-    image also gives the implementing unitary; a product-state reference has
-    its own GNS stack and gets its own image.
+    One image per verdict: the automorphism acts on the basis stack once.
+    That image and the coefficient-image matrix A read off it give the
+    *-automorphism residual (without reading the images back from A) and
+    the level check.  For trace and uniform references the GNS stack holds
+    the basis stack's values, so the same image also gives the implementing
+    unitary; a product-state reference has its own GNS stack and gets its
+    own image.  On the self-adjoint trace and uniform bases the unitary is
+    real, and the unitarity and Dirac-commutation checks run in real
+    arithmetic.
     """
     filt, gns = triple.filtration, triple.gns
     own_stack = isinstance(gns.state, al.ProductState)
     image = act(spec, filt, al.basis_stack(filt, filt.depth) if own_stack else gns.stack)
     a = coefficient_images(filt, image)
-    resid = automorphism_residual(a, filt)
+    resid = _residual(a, image, filt)
     if not resid <= TOL.structural:  # a NaN residual fails too
         raise InvalidInputError(f"spec is not a *-automorphism (residual {resid:.2e})")
     levels = filtration_check(a, filt)

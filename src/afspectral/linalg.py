@@ -1,15 +1,16 @@
 """Dense complex linear algebra used by every other module.
 
-All operators are plain ``numpy.ndarray`` with complex entries; matrices are
-row-major 2-d arrays.  Reported norms are exact (full SVD).  A block-diagonal
-operator may be passed as the 3-d stack of its equal-shape blocks, whose
-norm :func:`operator_norm` takes with one batched SVD.  A threshold
-decision ``||m|| > tol`` goes through :func:`norm_exceeds`, which skips the
-SVD when the Frobenius norm, an upper bound of the spectral norm, already
-lies below the threshold and otherwise decides by the SVD, so it answers
-exactly as the SVD comparison does.  ``MAX_DENSE_BYTES`` is the one limit
-on a dense array: :func:`check_dense_bytes` refuses an input whose estimated
-array exceeds it, before the array is allocated.
+All operators are plain ``numpy.ndarray`` with complex entries, or real ones
+where the data is real; matrices are row-major 2-d arrays.  Reported norms
+are exact (full SVD, a real one for real input).  A block-diagonal operator
+may be passed as the 3-d stack of its equal-shape blocks, whose norm
+:func:`operator_norm` takes with one batched SVD.  A threshold decision
+``||m|| > tol`` goes through :func:`norm_exceeds`, which skips the SVD when
+the Frobenius norm, an upper bound of the spectral norm, already lies below
+the threshold and otherwise decides by the SVD, so it answers exactly as the
+SVD comparison does.  ``MAX_DENSE_BYTES`` is the one limit on a dense array:
+:func:`check_dense_bytes` refuses an input whose estimated array exceeds it,
+before the array is allocated.
 """
 
 from dataclasses import dataclass
@@ -76,9 +77,11 @@ def operator_norm(m) -> float:
     """Largest singular value of a (possibly rectangular) matrix; rejects non-finite entries.
 
     A 3-d array is a stack of equal-shape matrices read as their direct sum,
-    so the result is the largest singular value over the stack.
+    so the result is the largest singular value over the stack.  A real
+    array stays real and takes a real SVD; any other input is taken complex.
     """
-    a = np.asarray(m, dtype=complex)
+    a = np.asarray(m)
+    a = a.astype(float if a.dtype.kind in "biuf" else complex, copy=False)
     if a.ndim not in (2, 3):
         raise InvalidInputError(f"expected a matrix or a stack of matrices, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):

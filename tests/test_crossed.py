@@ -198,6 +198,36 @@ def test_covariance_negation_still_implements(triv_lift, rng):
     assert rep["passes"], rep
 
 
+@pytest.mark.parametrize("sigma", ["id", "neg"])
+def test_lifted_unitary_equals_kron_of_site_matrix(sigma, odo_lift, triv_lift, rng):
+    """The block scatter equals the Kronecker form, site matrix (x) U_beta."""
+    cases = [
+        (triv_lift, iso.random_local_automorphism(F2, rng)),
+        # the complement of every digit turns the odometer into its inverse
+        (odo_lift, iso.odometer_portrait(3) if sigma == "id" else iso.TreePortrait(3, (1,) * 7)),
+    ]
+    for lifted, beta in cases:
+        coc = cx.Cocycle(CHI5)
+        u = cx.lifted_unitary(lifted, coc, beta, sigma)
+        rows, phase, u_beta = cx._lift_blocks(lifted, coc, beta, sigma, True)
+        site = np.zeros((lifted.window.size,) * 2, dtype=complex)
+        site[rows, np.arange(lifted.window.size)] = phase
+        assert np.array_equal(u, np.kron(site, u_beta))
+
+
+def test_lifted_unitary_memory_below_kron_form(triv_lift, rng):
+    args = (triv_lift, cx.Cocycle(CHI5), iso.random_local_automorphism(F2, rng), "id")
+    cx.lifted_unitary(*args, check_rigidity=False)  # fills the basis-stack caches
+    tracemalloc.start()
+    try:
+        u = cx.lifted_unitary(*args, check_rigidity=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # np.kron of the dense site matrix peaks at 1.69 times the result
+    assert peak < 1.5 * u.nbytes
+
+
 def test_lifted_group_law(odo_lift):
     odo = iso.odometer_portrait(3)
     u1 = cx.lifted_unitary(odo_lift, cx.Cocycle(1j), odo, "id")

@@ -541,6 +541,36 @@ def test_iso_check_equals_separate_checks_bitwise(name, request, rng):
         assert verdict.commutator_residual == resid, kind
 
 
+def test_star_check_covers_every_column(rng):
+    """A non-self-adjoint image outside every sampled pair and product is caught."""
+    i, j, products = iso._pair_products(F3)
+    sampled = set(i) | set(j) | set(np.flatnonzero(np.abs(products).max(axis=0) > 0))
+    col = min(set(range(F3.dim(3))) - sampled)
+    a = np.real(_images(iso.random_local_automorphism(F3, rng), F3)) + 0j
+    assert iso.automorphism_residual(a, F3) <= 1e-10
+    a[:, col] += 1e-6j
+    assert iso.automorphism_residual(a, F3) >= 2e-6
+
+
+@pytest.mark.parametrize("name", ["uhf3", "cantor3", "uhf4", "product-phases"])
+def test_implementing_unitary_is_real_on_self_adjoint_bases(name, request, rng):
+    """Real unitaries on the trace and uniform bases; the commutation residual
+    agrees with the one taken from the complex coordinate matrix."""
+    triple = _product_triple() if name == "product-phases" else request.getfixturevalue(name)
+    filt, d = triple.filtration, triple.d_diag
+    specs = {"phases": _diagonal_phases(filt, rng)} if name == "product-phases" else _specs(filt, rng)
+    for kind, spec in specs.items():
+        verdict = iso.iso_check(triple, spec)
+        if verdict.implementing_unitary is None:
+            continue
+        u = verdict.implementing_unitary
+        assert u.dtype == (complex if name == "product-phases" else np.float64), kind
+        coords = triple.gns.coordinates(iso.act(spec, filt, triple.gns.stack))
+        ref = operator_norm(d[:, None] * coords - coords * d[None, :])
+        r = verdict.commutator_residual
+        assert abs(r - ref) <= 1e-14 * max(1.0, r), kind
+
+
 @pytest.mark.parametrize(
     "filt", [F2, F3, al.uhf(2, 4), al.uhf(3, 2), C3, al.cantor(4)],
     ids=["uhf2", "uhf3", "uhf4", "uhf3x2", "cantor3", "cantor4"],

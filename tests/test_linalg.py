@@ -44,6 +44,26 @@ def test_operator_norm_of_a_stack_is_the_direct_sum_norm(rng):
         operator_norm(np.zeros((2, 2, 2, 2)))
 
 
+def test_operator_norm_real_input_stays_real(rng, monkeypatch):
+    svd, seen = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(a.dtype) or svd(a, **kw))
+    for shape in ((6, 4), (3, 5, 5)):
+        m = rng.normal(size=shape)
+        real = operator_norm(m)
+        complex_cast = operator_norm(m.astype(complex))
+        assert seen[-2:] == [np.float64, np.complex128]
+        assert abs(real - complex_cast) <= 1e-15 * complex_cast
+    assert operator_norm(np.eye(3, dtype=int) * 2) == 2.0
+    for bad in (np.nan, np.inf):
+        for shape in ((3, 3), (2, 3, 3)):
+            m = np.zeros(shape)
+            m.flat[4] = bad
+            with pytest.raises(InvalidInputError):
+                operator_norm(m)
+    assert operator_norm(np.zeros((0, 3))) == 0.0
+    assert operator_norm(np.zeros((0, 3, 3))) == 0.0
+
+
 def test_operator_norm_unitary_invariance(rng):
     m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     u = random_unitary(5, rng)
