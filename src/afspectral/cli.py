@@ -12,9 +12,10 @@ objective unbounded along a Dirac-commuting direction); exit 3 also writes
 one ``undecidable`` record with the error, and for a verdict its residual
 and guard band.  A JSON config file
 (``{"subcommand": ..., "params": {...}}`` or bare params) can prefill any
-subcommand's options; explicit flags override it.  Records go to stdout or
-to --output (relative paths resolve under $AFSPECTRAL_OUTDIR when set);
-progress and errors go to stderr.
+subcommand's options, keyed by flag dest and checked as the flags are;
+explicit flags override it.  Records go to stdout or to --output (relative
+paths resolve under $AFSPECTRAL_OUTDIR when set); progress and errors go to
+stderr.
 """
 
 import argparse
@@ -39,14 +40,14 @@ from .linalg import random_unitary
 
 
 def _lambdas(p) -> list:
-    """The eigenvalue list: comma separated text from a flag, or a list from a config file."""
+    """The eigenvalue list: comma separated text from a flag or config, or a list from a runner."""
     lam = p["lambda"]
     return [float(v) for v in lam.split(",") if v.strip()] if isinstance(lam, str) else lam
 
 
 def _ints(p, key, default=None, count=None) -> list:
-    """The ints of option ``key``: comma separated text from a flag, or an int
-    from a config file.  ``[default]`` when absent; without a default a
+    """The ints of option ``key``: comma separated text from a flag or config,
+    or an int from a runner.  ``[default]`` when absent; without a default a
     missing option raises KeyError.  ``count`` fixes how many there are."""
     value = p[key] if default is None else p.get(key, default)
     try:
@@ -561,8 +562,28 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _read_config(path: str) -> dict:
-    """A JSON config file: ``{"subcommand": ..., "params": {...}}`` or bare params."""
+def _flag_value(flag: str, value, path: str):
+    """A config value parsed as ``--flag`` would parse its text; a usage error otherwise.
+
+    A store_true flag takes a JSON boolean, any other a string or a number (a
+    list of them for a comma separated flag) that passes its type and choices.
+    """
+    spec, items = OPTIONS[flag], value if isinstance(value, list) else [value]
+    try:
+        if spec.get("action") == "store_true":
+            if isinstance(value, bool):
+                return value
+        elif all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in items):
+            out = spec.get("type", str)(",".join(map(str, items)))
+            if out in spec.get("choices", (out,)):
+                return out
+    except ValueError:
+        pass
+    raise InvalidInputError(f"--{flag} in config {path}: invalid value {value!r}")
+
+
+def _read_config(path: str, subcommand: str) -> dict:
+    """A config file's options, keyed by flag dest and checked as the subcommand's flags are."""
     try:
         with open(path) as fh:
             loaded = json.load(fh)
@@ -570,7 +591,15 @@ def _read_config(path: str) -> dict:
         raise InvalidInputError(f"cannot read config {path}: {exc}") from None
     if not isinstance(loaded, dict) or not isinstance(loaded.get("params", {}), dict):
         raise InvalidInputError(f"config {path} is not a JSON object of options")
-    return loaded
+    if loaded.get("subcommand", subcommand) != subcommand:
+        raise InvalidInputError(f"config {path} is for subcommand {loaded['subcommand']!r}")
+    params = loaded.get("params", loaded)
+    stray = set(loaded) - {"subcommand", "params"} if params is not loaded else set()
+    known = {flag.replace("-", "_") for flag in SUBCOMMANDS[subcommand][2]} | {"seed", "subcommand"}
+    unknown = sorted(stray | (set(params) - known))
+    if unknown:
+        raise InvalidInputError(f"config {path}: not an option of {subcommand}: {', '.join(unknown)}")
+    return {k: _flag_value(_FLAG_OF[k], v, path) for k, v in params.items() if k != "subcommand"}
 
 
 def main(argv=None) -> int:
@@ -585,13 +614,7 @@ def main(argv=None) -> int:
 
     undecidable = False
     try:
-        loaded = _read_config(args.config) if args.config else {}
-        if loaded.get("subcommand", args.subcommand) != args.subcommand:
-            raise InvalidInputError(
-                f"config {args.config} is for subcommand {loaded['subcommand']!r}"
-            )
-        file_params = loaded.get("params", loaded)
-        file_params.pop("subcommand", None)
+        file_params = _read_config(args.config, args.subcommand) if args.config else {}
         records = RUNNERS[args.subcommand]({**file_params, **flags})
     except (InvalidInputError, ValueError, KeyError, FileNotFoundError) as exc:
         missing = exc.args[0] if isinstance(exc, KeyError) and exc.args else None

@@ -344,7 +344,8 @@ def _lift_blocks(lifted: LiftedTriple, cocycle: Cocycle, beta, sigma: str, check
             raise PreconditionError("beta is not in the rigid group of the base triple")
         u_beta = verdict.implementing_unitary
     else:
-        u_beta = iso.implementing_unitary(base, iso.act(beta, base.filtration, base.gns.stack))
+        image = iso.act(beta, base.filtration, base.gns.stack)
+        u_beta = iso.implementing_unitary(base, base.gns.coordinates(image))
 
     # intertwining on the generator, beta o alpha_1 = alpha_{sigma(1)} o beta,
     # through the implementing unitaries: U_beta V = V^{sigma(1)} U_beta

@@ -129,7 +129,8 @@ def slot_permutation_operator(k: int, perm) -> np.ndarray:
 
 
 def global_unitary(spec: SlotAutomorphism, filtration: al.Filtration) -> np.ndarray:
-    """The conjugating unitary of a slot automorphism at full depth."""
+    """The conjugating unitary V of a slot automorphism at full depth.  Only a
+    unitary V makes x -> V x V^H a *-automorphism, so any other is refused."""
     k, n = filtration.k, filtration.depth
     if len(spec.perm) != n:
         raise InvalidInputError("perm length does not match the depth")
@@ -149,6 +150,9 @@ def global_unitary(spec: SlotAutomorphism, filtration: al.Filtration) -> np.ndar
             np.eye(k ** (n - start - width + 1), dtype=complex),
         )
         v = emb @ v
+    resid = np.max(np.abs(np.conj(v).T @ v - np.eye(len(v))))
+    if not resid <= TOL.structural:  # a NaN residual fails too
+        raise InvalidInputError(f"spec is not a *-automorphism (residual {resid:.2e})")
     return v
 
 
@@ -272,72 +276,55 @@ def _pair_products(filtration: al.Filtration):
     return i, j, products
 
 
-def _residual(a: np.ndarray, images: np.ndarray, filtration: al.Filtration) -> float:
-    """Largest defect of multiplicativity on the sampled pairs and of
-    *-preservation on every column of ``a``; ``images[j]`` is alpha(e_j)."""
-    i, j, products = _pair_products(filtration)
-    # alpha(e_i e_j) by linearity through A, against alpha(e_i) alpha(e_j)
-    lhs = products @ a.T
-    rhs = al.decompose(filtration, filtration.depth, al.mat_product(filtration, images[i], images[j]))
-    # the basis is self-adjoint, so images must be too: |conj(A) - A| = 2 |Im A|
-    # (np.maximum, unlike Python's max, passes a NaN term through to the gate)
-    return float(np.maximum(np.max(np.abs(lhs - rhs)), 2 * np.max(np.abs(a.imag))))
-
-
 def automorphism_residual(a: np.ndarray, filtration: al.Filtration):
     """Largest defect of multiplicativity on basis pairs and of *-preservation.
 
     ``a`` is the coefficient-image matrix of :func:`coefficient_images`; the
     images alpha(e_j) are read back from it.  Multiplicativity is checked on
     all pairs when there are at most 400, else on 40 seeded random pairs;
-    *-preservation, ``2 max|Im A|``, on every column.  A zero imaginary part
-    is what lets :func:`implementing_unitary` return a real matrix on the
-    self-adjoint trace and uniform bases.
+    *-preservation, ``2 max|Im A|``, on every column.  Verdicts need no
+    residual: their specs are *-automorphisms by construction.
     """
-    images = np.tensordot(a.T, al.basis_stack(filtration, filtration.depth), axes=1)
-    return _residual(a, images, filtration)
+    i, j, products = _pair_products(filtration)
+    n = filtration.depth
+    # alpha(e_i e_j) by linearity through A, against alpha(e_i) alpha(e_j)
+    lhs = products @ a.T
+    img_i, img_j = (np.tensordot(a.T[idx], al.basis_stack(filtration, n), axes=1) for idx in (i, j))
+    rhs = al.decompose(filtration, n, al.mat_product(filtration, img_i, img_j))
+    # the basis is self-adjoint, so images must be too: |conj(A) - A| = 2 |Im A|
+    # (np.maximum, unlike Python's max, passes a NaN term through)
+    return float(np.maximum(np.max(np.abs(lhs - rhs)), 2 * np.max(np.abs(a.imag))))
 
 
 def coefficient_images(filtration: al.Filtration, image: np.ndarray) -> np.ndarray:
-    """Matrix A with column j the canonical coefficients of alpha(e_j).
-
-    ``image`` is the automorphism's image of the basis stack, ``act(spec,
-    filtration, basis_stack)``, or of any stack with the same values.
-    """
+    """Matrix A with column j the canonical coefficients of alpha(e_j), from the
+    automorphism's image of the basis stack, ``act(spec, filtration, basis_stack)``."""
     return al.decompose(filtration, filtration.depth, image).T
 
 
 def filtration_check(a: np.ndarray, filtration: al.Filtration):
     """Per-level truth of "the automorphism maps the level into itself", levels 1..N.
 
-    ``a`` is the coefficient-image matrix of :func:`coefficient_images`.
+    ``a`` is the coefficient-image matrix of :func:`coefficient_images`.  The
+    basis is grade-major, so level lev spans the first m = dim(lev) basis
+    elements and its leak is the block ``a[m:, :m]``.
     """
-    n = filtration.depth
-    grades = al.basis_grades(filtration, n)
-    out = []
-    for lev in range(1, n + 1):
-        cols = grades <= lev
-        rows = grades > lev
-        leak = np.max(np.abs(a[np.ix_(rows, cols)]), initial=0.0)
-        out.append(bool(leak <= TOL.structural))
-    return out
+    dims = [filtration.dim(lev) for lev in range(1, filtration.depth + 1)]
+    return [bool(np.max(np.abs(a[m:, :m]), initial=0.0) <= TOL.structural) for m in dims]
 
 
-def implementing_unitary(triple: tr.TruncatedTriple, image: np.ndarray) -> np.ndarray:
+def implementing_unitary(triple: tr.TruncatedTriple, u: np.ndarray) -> np.ndarray:
     """Unitary sending b xi to alpha(b) xi; exists iff the state is preserved.
 
-    ``image`` is the automorphism's image of the GNS basis stack,
-    ``act(spec, triple.filtration, triple.gns.stack)``.  When every
-    imaginary part is within ``TOL.structural`` of zero, as for every
-    *-automorphism on the self-adjoint trace and uniform bases, the unitary
-    is the real part and its checks run in real arithmetic; a product-state
-    frame keeps the complex matrix.
+    ``u`` is the automorphism's GNS coordinate matrix, ``gns.coordinates(act(
+    spec, filtration, gns.stack))``; on the trace and uniform references, whose
+    GNS basis is the canonical one, it is :func:`coefficient_images`.  When no
+    imaginary part exceeds ``TOL.structural``, as on those self-adjoint bases,
+    the unitary is the real part and its checks run in real arithmetic.
     """
-    gns = triple.gns
-    u = gns.coordinates(image)
     if np.max(np.abs(u.imag)) <= TOL.structural:
         u = u.real.copy()  # contiguous, and the complex array is freed
-    eye = np.eye(gns.dim)
+    eye = np.eye(triple.dim)
     # b_0 is the identity, so row 0 holds ref(alpha(b_j)), which must be ref(b_j) = delta_0j
     if np.max(np.abs(u[0] - eye[0])) > TOL.structural:
         raise NoUnitaryError("automorphism does not preserve the reference state")
@@ -369,32 +356,23 @@ class IsoVerdict:
 def iso_check(triple: tr.TruncatedTriple, spec) -> IsoVerdict:
     """Decide unitary rigidity of an automorphism for the triple.
 
-    One image per verdict: the automorphism acts on the basis stack once.
-    That image and the coefficient-image matrix A read off it give the
-    *-automorphism residual (without reading the images back from A) and
-    the level check.  For trace and uniform references the GNS stack holds
-    the basis stack's values, so the same image also gives the implementing
-    unitary; a product-state reference has its own GNS stack and gets its
-    own image.  On the self-adjoint trace and uniform bases the unitary is
-    real, and the unitarity and Dirac-commutation checks run in real
-    arithmetic.
+    Specs are *-automorphisms by construction (:func:`global_unitary` checks
+    a conjugator; leaf permutations and portraits are checked when built), so
+    a verdict takes no residual.  One coefficient matrix A per verdict gives
+    the level check and, on the trace and uniform references, the real
+    implementing unitary; a product-state reference takes the GNS coordinates
+    of its own image for the unitary.
     """
     filt, gns = triple.filtration, triple.gns
-    own_stack = isinstance(gns.state, al.ProductState)
-    image = act(spec, filt, al.basis_stack(filt, filt.depth) if own_stack else gns.stack)
-    a = coefficient_images(filt, image)
-    resid = _residual(a, image, filt)
-    if not resid <= TOL.structural:  # a NaN residual fails too
-        raise InvalidInputError(f"spec is not a *-automorphism (residual {resid:.2e})")
+    a = coefficient_images(filt, act(spec, filt, al.basis_stack(filt, filt.depth)))
     levels = filtration_check(a, filt)
-    del a
-    if own_stack:
-        image = act(spec, filt, gns.stack)
+    if isinstance(gns.state, al.ProductState):  # its GNS basis is not the canonical one
+        a = gns.coordinates(act(spec, filt, gns.stack))
     try:
-        u = implementing_unitary(triple, image)
+        u = implementing_unitary(triple, a)
     except NoUnitaryError:
         return IsoVerdict(False, levels, None, None, False)
-    del image
+    del a
     d = triple.d_diag
     resid = operator_norm(d[:, None] * u - u * d[None, :])
     if TOL.iso_residual < resid < TOL.iso_ambiguous:

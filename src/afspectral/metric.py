@@ -110,7 +110,6 @@ def _search_space(problem: DistanceProblem):
     idxs = al.canonical_basis(filt, sl)
     dim_sl = len(idxs)
     check_dense_bytes(16 * (dim_sl - 1) * t3.dim**2, f"search level {sl}", "commutator stack")
-    mask = t3.gns.grades <= sl
 
     diff = problem.s1.basis_values(filt, sl)[1:] - problem.s2.basis_values(filt, sl)[1:]
     if np.any(np.abs(diff.imag) > 1e-9):
@@ -118,8 +117,9 @@ def _search_space(problem: DistanceProblem):
     c = diff.real.copy()  # contiguous: the ascent's products take their BLAS path from it
     # the level-sl basis is a prefix of the full-depth basis stack
     comms = t3.dirac_commutator(t3.represent_stack(al.basis_stack(filt, t3.depth)[1:dim_sl]))
-    # locality: grade <= sl elements commute with all higher-grade blocks
-    return c, comms[:, mask][:, :, mask], idxs
+    # locality: grade <= sl elements commute with all higher-grade blocks, and
+    # the grade <= sl basis vectors are the first dim_sl (grade-major order)
+    return c, comms[:, :dim_sl, :dim_sl], idxs
 
 
 def _rowwise(A: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -149,8 +149,9 @@ class _ConstraintMap:
             raise InvalidInputError("constraint stack is not anti-Hermitian")
         self.shape = (d, d)
         self.real = not np.any(B.imag)
-        # row i is vec(B_i) on a real stack, vec(i B_i) on a complex one
-        self.flat = B.real.reshape(p, d * d) if self.real else (1j * B).reshape(p, d * d)
+        # row i is vec(B_i) on a real stack, vec(i B_i) on a complex one; contiguous for BLAS
+        flat = B.real.reshape(p, d * d) if self.real else (1j * B).reshape(p, d * d)
+        self.flat = np.ascontiguousarray(flat)
         self.flat_t = np.ascontiguousarray(self.flat.T)
 
     def images(self, T: np.ndarray) -> np.ndarray:
@@ -658,8 +659,7 @@ def car_certified_upper_bound(
         idxs = al.canonical_basis(filt, n + 1)
         target_word = (4,) * n + (l,)
         target_pos = next(i for i, ix in enumerate(idxs) if ix.word == target_word)
-        mask0 = triple.gns.grades == 0
-        maskn1 = triple.gns.grades == n + 1
+        top = slice(filt.dim(n), filt.dim(n + 1))  # the grade n+1 basis vectors
         worst = 0.0
         for _ in range(validate_samples):
             coeffs = rng.normal(size=len(idxs))
@@ -670,7 +670,7 @@ def car_certified_upper_bound(
             x = x * (1.0 / nx)
             xt = x - al.conditional_expectation(x, n).embed(n + 1)
             alpha = abs(x.coeffs[target_pos])
-            comp = operator_norm(triple.represent(xt)[np.ix_(mask0, maskn1)])
+            comp = operator_norm(triple.represent(xt)[:1, top])  # row 0: the grade-0 vector
             cn_t = triple.commutator_norm(xt)
             links = [
                 alpha - comp,

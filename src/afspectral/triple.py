@@ -201,13 +201,10 @@ class TruncatedTriple:
     def block_norms(self, a: al.AlgebraElement) -> np.ndarray:
         """Table of ||Q_i pi(a) Q_j|| over grades i, j = 0..N."""
         pa = self.represent(a)
-        n = self.depth
-        out = np.zeros((n + 1, n + 1))
-        for i in range(n + 1):
-            mi = self.grade_mask(i)
-            for j in range(n + 1):
-                out[i, j] = operator_norm(pa[np.ix_(mi, self.grade_mask(j))])
-        return out
+        # grade-major order: grade i is the index range dim(i-1)..dim(i)
+        ends = [0] + [self.filtration.dim(i) for i in range(self.depth + 1)]
+        grade = [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
+        return np.array([[operator_norm(pa[gi, gj]) for gj in grade] for gi in grade])
 
     def vector_of(self, a: al.AlgebraElement) -> np.ndarray:
         """GNS coefficients of a*xi, i.e. <b_i, a> in the reference inner product."""

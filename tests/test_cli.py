@@ -225,6 +225,40 @@ def test_progress_goes_to_stderr(capsys):
 
 
 @pytest.mark.parametrize(
+    "subcommand, params, flag",
+    [
+        ("crossed-lift", {"radius": 4.7}, "--radius"),
+        ("crossed-lift", {"expect_fail": "false"}, "--expect-fail"),
+        ("distance", {"car": "false", "lambda": "1,2"}, "--car"),
+        ("flip-demo", {"pairz": 5}, "pairz"),
+        ("crossed-lift", {"sigma": "flip"}, "--sigma"),
+        ("flip-demo", {"subcommand": "flip-demo", "params": {}, "pairs": 5}, "pairs"),
+    ],
+    ids=["float-for-int", "text-for-store-true", "text-car", "unknown-key", "choices",
+         "key-beside-params"],
+)
+def test_config_values_follow_flag_schema(tmp_path, capsys, monkeypatch, subcommand, params, flag):
+    # a config value passes its flag's checks before any runner starts
+    monkeypatch.setitem(cli.RUNNERS, subcommand, lambda p: pytest.fail(f"runner got {p}"))
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(params))
+    assert cli.main([subcommand, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and flag in captured.err
+
+
+def test_config_values_read_as_flag_text(tmp_path, capsys):
+    # JSON lists and numbers give the records the same flags give
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"car": True, "n": [0, 1], "lambda": [1, 2, 4], "seed": 7}))
+    code, from_file = run_cli(capsys, ["distance", "--config", str(path)])
+    argv = ["distance", "--car", "--n", "0,1", "--lambda", "1,2,4", "--seed", "7"]
+    assert code == 0 and from_file == run_cli(capsys, argv)[1]
+    assert [type(v) for v in from_file[0]["lambda"]] == [float]
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (["switch-violation"], "--lambda"),

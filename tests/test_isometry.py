@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from afspectral import algebra as al
+from afspectral import crossed as cx
 from afspectral import isometry as iso
 from afspectral import metric as mt
 from afspectral import triple as tr
@@ -18,8 +19,9 @@ C3 = al.cantor(3)
 
 
 def _unitary(triple, spec):
-    """implementing_unitary on the automorphism's image of the GNS stack."""
-    return iso.implementing_unitary(triple, iso.act(spec, triple.filtration, triple.gns.stack))
+    """implementing_unitary on the GNS coordinates of the automorphism's image of the GNS stack."""
+    image = iso.act(spec, triple.filtration, triple.gns.stack)
+    return iso.implementing_unitary(triple, triple.gns.coordinates(image))
 
 
 def _images(spec, filt):
@@ -184,6 +186,31 @@ def test_non_finite_spec_fails_automorphism_gate(uhf3):
     spec = iso.SlotAutomorphism((1, 2, 3), (nan, eye, eye))
     with pytest.raises(InvalidInputError, match=r"not a \*-automorphism"):
         iso.iso_check(uhf3, spec)
+
+
+def _act_users(spec):
+    """Every path that acts with an automorphism spec, on uhf(2, 2)."""
+    x = al.basis_element(F2, 2, (1, 2))
+    base = tr.build_triple(F2, al.TraceState(), tr.dirac_explicit([1.0, 2.0]))
+    lifted = cx.build_lifted(base, cx.TrivialAction(), 3)
+    coc = cx.Cocycle(1.0)
+    return {
+        "apply_automorphism": lambda: iso.apply_automorphism(spec, x),
+        "pullback": lambda: iso.PulledBackState(al.TraceState(), spec).basis_values(F2, 2),
+        "lifted_unitary": lambda: cx.lifted_unitary(lifted, coc, spec, check_rigidity=False),
+        "covariance_check": lambda: cx.covariance_check(
+            lifted, coc, spec, "id", cx.CrossedElement({0: x}), check_rigidity=False
+        ),
+    }
+
+
+@pytest.mark.parametrize("user", ["apply_automorphism", "pullback", "lifted_unitary",
+                                  "covariance_check"])
+def test_every_user_of_act_refuses_a_non_automorphism(user):
+    # conjugation by 2*identity scales by 4: not multiplicative, so not an automorphism
+    spec = iso.SlotAutomorphism((1, 2), None, ((1, 2.0 * np.eye(4)),))
+    with pytest.raises(InvalidInputError, match=r"not a \*-automorphism"):
+        _act_users(spec)[user]()
 
 
 def test_group_closure_portraits(cantor3, rng):
@@ -476,20 +503,29 @@ def test_automorphism_residual_flags_non_automorphisms(filt, rng):
     """Batched residual against the element-by-element defect of multiplicativity."""
     n = filt.depth
     if filt.family == "uhf":
-        # conjugation by 2*identity scales by 4, so alpha(ab) = alpha(a) alpha(b) / 4
+        # conjugation by 2*identity scales by 4, so alpha(ab) = alpha(a) alpha(b) / 4;
+        # act refuses that conjugator, so the map and its coefficient matrix are built here
         spec = iso.SlotAutomorphism((1, 2), None, ((1, 2.0 * np.eye(4)),))
+        a = 4.0 * np.eye(filt.dim(n), dtype=complex)
+
+        def alpha(x):
+            return x * 4.0
     else:
         spec = iso.random_portrait(2, rng)
+        a = _images(spec, filt)
+
+        def alpha(x):
+            return iso.apply_automorphism(spec, x)
     units = [al.AlgebraElement(filt, n, e) for e in np.eye(filt.dim(n))]
-    images = [iso.apply_automorphism(spec, e) for e in units]
+    images = [alpha(e) for e in units]
     expected = 0.0
     for i, x in enumerate(units):
         for j, y in enumerate(units):
-            defect = iso.apply_automorphism(spec, x * y) - images[i] * images[j]
+            defect = alpha(x * y) - images[i] * images[j]
             expected = max(expected, float(np.max(np.abs(defect.coeffs))))
     for img in images:
         expected = max(expected, float(np.max(np.abs((img.adjoint() - img).coeffs))))
-    residual = iso.automorphism_residual(_images(spec, filt), filt)
+    residual = iso.automorphism_residual(a, filt)
     assert residual == pytest.approx(expected, abs=1e-10)
     if filt.family == "uhf":
         assert expected > 1.0

@@ -99,6 +99,24 @@ def test_block_norms_sigma3(uhf1):
     assert bn[1, 0] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "name", ["uhf2", "uhf3", "cantor1", "cantor2", "cantor3", "cantor4", "product"]
+)
+def test_grades_are_prefix_ordered(name):
+    """Grade <= lev is the first dim(lev) basis vectors: the level slices rely on it."""
+    if name == "product":
+        filt = al.uhf(2, 3)
+        rho = np.array([[0.6, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]])
+        dirac = tr.dirac_explicit([1.0, 2.0, 4.0])
+        grades = tr.build_triple(filt, al.ProductState([rho] * 3), dirac).gns.grades
+    else:
+        filt = {"uhf2": al.uhf(2, 3), "uhf3": al.uhf(3, 2)}.get(name) or al.cantor(int(name[-1]))
+        grades = al.basis_grades(filt, filt.depth)
+    assert np.all(np.diff(grades) >= 0)
+    for lev in range(filt.depth + 1):
+        assert np.count_nonzero(grades <= lev) == filt.dim(lev)
+
+
 def test_commutator_diagonal_blocks_vanish(uhf3, rng):
     # every grade-diagonal block of [D, a] vanishes; in particular (n+1, n+1)
     x = random_element(F3, 2, rng)
