@@ -499,7 +499,7 @@ OPTIONS = {
     "l": {"help": "Bloch label 1..3; distance in car mode: comma separated labels"},
     "state1": {},
     "state2": {},
-    "starts": {"type": int},
+    "starts": {"type": int, "help": "cap on solver starts; more run only while the certified gap is open"},
     "max-iter": {"type": int},
     "auto": {"help": "switch:i,j | portrait:BITS | leafperm:... | locals:SEED | block:S,W,SEED | global:SEED | odometer | identity"},
     "round-trip": {"help": "N_STRUCT,N_ADV: batch equivalence check instead of one verdict"},

@@ -136,9 +136,13 @@ def global_unitary(spec: SlotAutomorphism, filtration: al.Filtration) -> np.ndar
         raise InvalidInputError("perm length does not match the depth")
     v = slot_permutation_operator(k, spec.perm)
     if spec.locals_ is not None:
+        locs = [np.asarray(u, dtype=complex) for u in spec.locals_]
+        if len(locs) != n or any(u.shape != (k, k) for u in locs):
+            shapes = [u.shape for u in locs]
+            raise InvalidInputError(f"spec locals must be {n} {k}x{k} unitaries, got shapes {shapes}")
         loc = np.eye(1, dtype=complex)
-        for u in spec.locals_:
-            loc = np.kron(loc, np.asarray(u, dtype=complex))
+        for u in locs:
+            loc = np.kron(loc, u)
         v = loc @ v
     for start, u in spec.blocks:
         u = np.asarray(u, dtype=complex)

@@ -26,12 +26,11 @@ step, stopping rules and line search, so its trajectory is a prefix of that
 of a solo run.
 
 The ratio is quasi-concave (its superlevel sets are convex cones), so every
-start climbs to the same value, and the starts need not all run until they
-stall.  Once the start with the best ratio has stopped on its own, a
-weak-duality certificate is built at its point: a matrix Y with
-<B_i, Y> = c_i bounds the distance by its nuclear norm.  When that bound is
-within the solver tolerance of the start's ratio, every start still running
-is retired.
+start climbs to the same value, and starts are spent only while a
+weak-duality certificate leaves the gap open (see ``distance``).  A matrix Y
+with <B_i, Y> = c_i bounds the distance by its nuclear norm; fitted on the
+top singular space of M(t) and then on the tangent space there, its excess
+over the ratio at t falls with the square of t's distance to the optimum.
 
 Every reported lower bound is certified by an explicit feasible witness,
 re-evaluated through the public operations.  Exact upper bounds are
@@ -60,12 +59,13 @@ from .linalg import TOL, check_dense_bytes, operator_norm
 
 @dataclass
 class SolverConfig:
-    starts: int = 24
+    starts: int = 24  # cap on the starts, objective and informed included; one random always runs
     max_iter: int = 500
     seed: int = 0
 
 
-ASCENT_TOL = 1e-8  # relative gain below which a round stalls; certified-stop gap
+ASCENT_TOL = 1e-8  # relative gain below which a round stalls
+POLISH_TOL = ASCENT_TOL * 1e-4  # the polish's stall gain; a certificate gap that ends the search
 STEP_INIT = 1.0  # first line-search step of a start, and of a restart along the gradient
 STEP_MIN = 1e-13  # smallest line-search step the ascent evaluates
 
@@ -153,6 +153,7 @@ class _ConstraintMap:
         flat = B.real.reshape(p, d * d) if self.real else (1j * B).reshape(p, d * d)
         self.flat = np.ascontiguousarray(flat)
         self.flat_t = np.ascontiguousarray(self.flat.T)
+        self.gram = np.real(np.conj(self.flat) @ self.flat.T)  # for dual_bound's correction
 
     def images(self, T: np.ndarray) -> np.ndarray:
         """sum_i t_i flat_i for every row t of T, shape (S, d, d): M(t) on a
@@ -229,31 +230,42 @@ class _ConstraintMap:
         c . s = <M(s), Y> <= ||M(s)|| ||Y||_* for every s.  At an optimum
         Y = U Z V^H on the top singular space of the image at t (M on a real
         stack, H = iM on a complex one), with Z positive semidefinite, so Y
-        is built there: U, V span the singular vectors whose value is in the
-        kernel's top band, a symmetric (Hermitian on a complex stack) Z is
-        fitted by least squares to <B_i, U Z V^H> = c_i, and the
-        minimum-norm correction sum_i alpha_i B_i, alpha from the stack's
-        Gram matrix, makes Y feasible.  The excess ||Y||_* - (c . t)/||M(t)||
-        is of the order of the fit's residual, so it closes only where the
-        ascent gradient is small.  Y is returned in the frame of the B_i.
+        is built there.  U, V span the singular vectors whose value is in the
+        kernel's top band, and a symmetric (Hermitian on a complex stack) Z
+        is fitted by least squares to <B_i, U Z V^H> = c_i.  The residual is
+        solved on the tangent projections
+        P_T(B) = U U^H B + B V V^H - U U^H B V V^H with their Gram matrix,
+        which moves the nuclear norm only at second order beyond the
+        top-space part, so the excess ||Y||_* - (c . t)/||M(t)|| falls with
+        the square of t's distance to the optimum.  The minimum-norm
+        correction sum_i alpha_i B_i, alpha from the stack's Gram matrix,
+        removes what is left and makes Y feasible.  Y is returned in the
+        frame of the B_i.
         """
         u, s, vh = np.linalg.svd(self.images(np.asarray(t, dtype=float)[None])[0])
         k = int(np.count_nonzero(s >= s[0] - max(TOL.top_band * s[0], TOL.top_band_abs)))
         u, vh = u[:, :k], vh[:k]
-        conj = np.conj(self.flat)
-        # P[i, j, l] = <flat_i, u_j vh_l> before the real part; Z = X + X^H
-        P = conj @ (u.T[:, None, :, None] * vh[None, :, None, :]).reshape(k * k, -1).T
-        P = P.reshape(-1, k, k)
-        cols = [(P + P.transpose(0, 2, 1)).real.reshape(-1, k * k)]
+        uh, v = np.conj(u).T, np.conj(vh).T
+        F = self.flat.reshape(-1, *self.shape)
+        A = uh @ F  # U^H F_i
+        E = A @ v  # U^H F_i V; Z = X + X^H is fitted on these
+        cols = [(E + E.transpose(0, 2, 1)).real.reshape(-1, k * k)]
         if not self.real:
-            cols.append(-(P - P.transpose(0, 2, 1)).imag.reshape(-1, k * k))
+            cols.append((E - E.transpose(0, 2, 1)).imag.reshape(-1, k * k))
         # an antisymmetric stack maps some symmetric Z exactly to zero: drop
         # those directions rather than fit rounding noise with huge weights
         x = np.linalg.lstsq(np.hstack(cols), c, rcond=TOL.top_band)[0]
         X = x[: k * k].reshape(k, k) + (0 if self.real else 1j * x[k * k :].reshape(k, k))
         w = (u @ (X + np.conj(X).T) @ vh).reshape(-1)
-        gram = np.real(conj @ self.flat.T)
-        w = w + np.linalg.lstsq(gram, c - np.real(conj @ w), rcond=None)[0] @ self.flat
+        # tangent step: P_T(F_i) = U (A_i - E_i V^H) + C_i V^H with C_i = F_i V,
+        # whose Gram matrix is <A_i, A_j> + <C_i, C_j> - <E_i, E_j>
+        C = F @ v
+        A2, C2, E2 = (m.reshape(len(F), -1) for m in (A, C, E))
+        gram_t = np.real(np.conj(A2) @ A2.T + np.conj(C2) @ C2.T - np.conj(E2) @ E2.T)
+        beta = np.linalg.lstsq(gram_t, c - np.real(self.flat @ np.conj(w)), rcond=TOL.top_band)[0]
+        a, cb, e = (np.tensordot(beta, m, axes=1) for m in (A, C, E))
+        w = w + (u @ (a - e @ vh) + cb @ vh).reshape(-1)
+        w = w + np.linalg.lstsq(self.gram, c - np.real(self.flat @ np.conj(w)), rcond=None)[0] @ self.flat
         w = w.reshape(self.shape)
         return float(np.linalg.svd(w, compute_uv=False).sum()), (w if self.real else -1j * w)
 
@@ -346,8 +358,8 @@ def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, max_iter: int,
             tol: float = ASCENT_TOL, step_init: float = STEP_INIT):
     """Maximize (c . t)/||M(t)|| from every row of T0 in lockstep.
 
-    Returns per-row (values, T, iterations) and the dual bound that stopped
-    the run, or None.  Each row steps along the quasi-Newton direction
+    Returns per-row (values, T, iterations) and the last certificate
+    computed (see below).  Each row steps along the quasi-Newton direction
     H grad, where H is its own BFGS inverse-Hessian estimate, starting at
     the identity.  A row whose direction is not uphill, or whose line search
     finds no gain, restarts from H = I; a failed search along the gradient
@@ -358,12 +370,14 @@ def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, max_iter: int,
 
     Certified stop: after each round, if the row with the largest ratio has
     retired, has no certificate yet and other rows are still live, its dual
-    bound is computed; when the bound is within tol * max(1, |ratio|) of
-    its ratio, every row retires.  Rows share only the batched kernel calls
-    and this stop, and every per-row product is a batched product with one
-    operand per row, so a row's trajectory is that of a one-row call on its
-    start cut at the row's iteration count.  A one-row call never stops
-    early.
+    bound is computed; when the bound is within POLISH_TOL * max(1, |ratio|)
+    of its ratio, every row retires.  The last certificate computed is
+    returned as (row, bound), None if there was none; the row is the
+    returned best unless a row overtook it and retired last.  Rows share
+    only the batched kernel calls and this stop, and every per-row product
+    is a batched product with one operand per row, so a row's trajectory is
+    that of a one-row call on its start cut at the row's iteration count.  A
+    one-row call never stops early.
     """
     T = np.array(T0, dtype=float)
     S, p = T.shape
@@ -407,7 +421,7 @@ def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, max_iter: int,
     step = np.full(S, step_init)
     flat = np.zeros(S, dtype=int)
     certified = np.zeros(S, dtype=bool)
-    dual = None
+    cert = None
     for it in range(1, max_iter + 1):
         rows = np.flatnonzero(live)
         if not len(rows):
@@ -450,11 +464,15 @@ def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, max_iter: int,
         b = int(np.argmax(r))
         if not live[b] and not certified[b] and live.any():
             certified[b] = True
-            upper = cons.dual_bound(c, T[b])[0]
-            if upper - r[b] <= tol * max(1.0, abs(r[b])):
+            cert = (b, cons.dual_bound(c, T[b])[0])
+            if _closed(cert[1], r[b]):
                 live[:] = False
-                dual = upper
-    return r, T, iters, dual
+    return r, T, iters, cert
+
+
+def _closed(upper: float, value: float) -> bool:
+    """Whether a certificate proves a ratio optimal to the polish's precision."""
+    return upper - value <= POLISH_TOL * max(1.0, abs(value))
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +512,19 @@ def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> Dista
     The returned ``lower_bound`` is |s1(w) - s2(w)| for the explicit witness
     ``w``, rescaled to unit commutator norm through the public operations, so
     it holds independently of solver quality.  ``upper_bound`` is populated
-    only when a matching certificate exists (identical states).  The ascent
-    stops all starts once the best one is certified within ``ASCENT_TOL``; the
-    certificate that did so is ``diagnostics["dual_bound"]`` (None when the
-    starts all stopped on their own).  A problem whose commutator stack would
-    exceed ``linalg.MAX_DENSE_BYTES`` raises :class:`UnsupportedError`, naming
-    the estimate, before the stack is allocated.
+    only when a matching certificate exists (identical states).
+
+    Starts are spent only while a certificate leaves the gap open: the
+    objective start, the informed starts and the first seeded random start
+    ascend in one lockstep batch, and their best is certified (reusing the
+    certificate ``_ascend`` took there).  Only if that gap exceeds
+    POLISH_TOL * max(1, ratio) do the other random starts, up to
+    ``cfg.starts`` in all, ascend in a second batch.  The incumbent is then
+    polished.  ``diagnostics["dual_bound"]`` is the smallest certificate
+    computed, an upper bound on the distance.  A problem whose commutator
+    stack would exceed ``linalg.MAX_DENSE_BYTES`` raises
+    :class:`UnsupportedError`, naming the estimate, before the stack is
+    allocated.
     """
     cfg = cfg or SolverConfig()
     if problem.search_level == 0:
@@ -518,20 +543,33 @@ def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> Dista
             raise InvalidInputError("informed start has wrong parameter dimension")
         starts.append((f"informed-{k}", w))
     n_random = max(cfg.starts - len(starts), 1)
-    for k in range(n_random):
-        rng = np.random.default_rng([cfg.seed, k])
-        starts.append((f"random-{k}", rng.normal(size=p)))
 
-    vals, T, iters, dual = _ascend(c, cons, np.stack([t0 for _, t0 in starts]), cfg.max_iter)
+    def randoms(ks):
+        return [(f"random-{k}", np.random.default_rng([cfg.seed, k]).normal(size=p)) for k in ks]
+
+    def run(batch):
+        return _ascend(c, cons, np.stack([t0 for _, t0 in batch]), cfg.max_iter)
+
+    starts += randoms([0])
+    vals, T, iters, cert = run(starts)
+    best = int(np.argmax(vals))
+    dual = cert[1] if cert is not None and cert[0] == best else cons.dual_bound(c, T[best])[0]
+    if not _closed(dual, vals[best]) and n_random > 1:
+        more = randoms(range(1, n_random))
+        *results, cert = run(more)
+        starts += more
+        vals, T, iters = (np.concatenate(pair) for pair in zip((vals, T, iters), results))
+        if cert is not None:
+            dual = min(dual, cert[1])
+        best = int(np.argmax(vals))
     per_start = [
         {"start": kind, "objective": float(v), "iterations": int(n)}
         for (kind, _), v, n in zip(starts, vals, iters)
     ]
-    best = int(np.argmax(vals))
     best_val, best_t = vals[best], T[best]
 
     # polish the incumbent with a finer stopping rule
-    vals, T, iters, _ = _ascend(c, cons, best_t[None], cfg.max_iter, ASCENT_TOL * 1e-4, 1e-2)
+    vals, T, iters, _ = _ascend(c, cons, best_t[None], cfg.max_iter, POLISH_TOL, 1e-2)
     per_start.append({"start": "polish", "objective": float(vals[0]), "iterations": int(iters[0])})
     if vals[0] > best_val:
         best_val, best_t = vals[0], T[0]

@@ -213,6 +213,15 @@ def test_every_user_of_act_refuses_a_non_automorphism(user):
         _act_users(spec)[user]()
 
 
+@pytest.mark.parametrize(
+    "locals_", [(np.eye(3), np.eye(2)), (np.eye(2),)], ids=["3x3-local", "one-local-two-slots"]
+)
+def test_global_unitary_refuses_locals_that_do_not_fit(locals_):
+    spec = iso.SlotAutomorphism((1, 2), locals_)
+    with pytest.raises(InvalidInputError, match=r"spec locals must be 2 2x2 unitaries"):
+        iso.global_unitary(spec, F2)
+
+
 def test_group_closure_portraits(cantor3, rng):
     for _ in range(10):
         p1, p2 = iso.random_portrait(3, rng), iso.random_portrait(3, rng)
