@@ -46,18 +46,18 @@ def _lambdas(p) -> list:
 
 
 def _ints(p, key, default=None, count=None) -> list:
-    """The ints of option ``key``: comma separated text from a flag or config,
-    or an int from a runner.  ``[default]`` when absent; without a default a
-    missing option raises KeyError.  ``count`` fixes how many there are."""
+    """The ints of option ``key``, each a count, depth, shift or label and so not
+    negative: comma separated text from a flag or config, or an int from a runner.
+    ``[default]`` when absent; without a default a missing option raises KeyError."""
     value = p[key] if default is None else p.get(key, default)
     try:
         ints = [int(v) for v in str(value).split(",")]
-        if count in (None, len(ints)):
+        if count in (None, len(ints)) and min(ints) >= 0:
             return ints
     except ValueError:
         pass
     what = {1: "an integer", 2: "two comma separated integers"}.get(count, "comma separated integers")
-    raise InvalidInputError(f"--{_FLAG_OF[key]} expects {what}, got {value!r}")
+    raise InvalidInputError(f"--{_FLAG_OF[key]} expects {what} >= 0, got {value!r}")
 
 
 def _int(p, key, default=None) -> int:
@@ -108,7 +108,7 @@ def _parse_state(text: str, filtration: al.Filtration) -> al.State:
         _, label, shift = (text.split(":") + ["0"])[:3]
         v = al.shift_embed(mt.car_vector(filtration, int(label)), int(shift))
         return al.VectorState(v)
-    raise InvalidInputError(f"cannot parse state {text!r}")
+    raise InvalidInputError("unknown state")
 
 
 def _parse_automorphism(text: str, filtration: al.Filtration):
@@ -116,8 +116,8 @@ def _parse_automorphism(text: str, filtration: al.Filtration):
     n = filtration.depth
     if kind == "identity":
         if filtration.family == "uhf":
-            return iso.identity_slot_automorphism(n)
-        return iso.identity_portrait(n)
+            return iso.SlotAutomorphism(tuple(range(1, n + 1)))
+        return iso.TreePortrait(n, (0,) * (2**n - 1))
     if kind == "switch":
         i, j = (int(v) for v in rest.split(","))
         return iso.switch(i, j, n)
@@ -138,15 +138,25 @@ def _parse_automorphism(text: str, filtration: al.Filtration):
     if kind == "global":
         rng = np.random.default_rng(int(rest or 0))
         return iso.random_block_automorphism(filtration, rng, width=n)
-    raise InvalidInputError(f"cannot parse automorphism {text!r}")
+    raise InvalidInputError(f"unknown automorphism kind {kind!r}")
 
 
 def _parse_chi(token: str) -> complex:
     token = token.strip()
     if token.startswith("exp:"):
         num, _, den = token[4:].partition("/")
+        if float(den or "1") == 0.0:
+            raise InvalidInputError("zero denominator")
         return complex(np.exp(2j * np.pi * float(num) / float(den or "1")))
     return 1j if token == "i" else complex(token)  # "1", "-1", "j" and literals
+
+
+def _parse_flag(key: str, text: str, parse, *args):
+    """``parse(text, *args)``; a malformed value is a usage error naming the flag."""
+    try:
+        return parse(text, *args)
+    except ValueError as exc:
+        raise InvalidInputError(f"--{_FLAG_OF[key]} {text!r}: {exc}") from None
 
 
 def _solver_config(p) -> mt.SolverConfig:
@@ -183,8 +193,8 @@ def run_distance(p) -> list:
         return records
     triple = _triple_from_params(p)
     filt = triple.filtration
-    s1 = _parse_state(p["state1"], filt)
-    s2 = _parse_state(p["state2"], filt)
+    s1 = _parse_flag("state1", p["state1"], _parse_state, filt)
+    s2 = _parse_flag("state2", p["state2"], _parse_state, filt)
     problem = mt.reduce_search_level(mt.DistanceProblem(triple, s1, s2))
     res = mt.distance(problem, cfg)
     diag = res.diagnostics
@@ -207,7 +217,7 @@ def run_iso_check(p) -> list:
     if p.get("round_trip"):
         return _run_round_trip(p)
     triple = _triple_from_params(p)
-    spec = _parse_automorphism(p["auto"], triple.filtration)
+    spec = _parse_flag("auto", p["auto"], _parse_automorphism, triple.filtration)
     verdict = iso.iso_check(triple, spec)
     prediction = iso.iso_prediction(triple, verdict)
     rec = verdict.to_dict()
@@ -289,7 +299,6 @@ def run_iso_enumerate(p) -> list:
 def run_cantor_metric(p) -> list:
     cfg = _solver_config(p)
     rep = iso.m_invariance_experiment(float(p.get("gamma", 1 / 3)), _int(p, "depth"), cfg)
-    rep.pop("pairs", None)
     rep["classes"] = {str(k): v for k, v in rep["classes"].items()}
     rep["record"] = "cantor-metric"
     rep["ok"] = bool(
@@ -306,10 +315,7 @@ def run_switch_violation(p) -> list:
     triple = _triple_from_params({"depth": len(lam), "lambda": lam})
     records = []
     for k in _ints(p, "k", 1):
-        v = mt.car_vector(triple.filtration, _int(p, "l", 3))
-        rep = iso.switch_iso_violation(triple, k, v, _solver_config(p))
-        rep["d_before"] = {kk: rep["d_before"][kk] for kk in ("lower_bound", "upper_bound")}
-        rep["d_after"] = {kk: rep["d_after"][kk] for kk in ("lower_bound", "upper_bound")}
+        rep = iso.switch_iso_violation(triple, k, _int(p, "l", 3), _solver_config(p))
         rep["record"] = "switch-violation"
         rep["ok"] = bool(rep["violation_certified"] if k >= 1 else rep["gap"] == 0.0)
         records.append(rep)
@@ -454,9 +460,9 @@ def run_crossed_lift(p) -> list:
     lifted = cx.build_lifted(base, action, radius, margin)
 
     beta_name = p.get("beta", "id")
-    beta = None if beta_name == "id" else _parse_automorphism(beta_name, filt)
+    beta = None if beta_name == "id" else _parse_flag("beta", beta_name, _parse_automorphism, filt)
     sigma = p.get("sigma", "id")
-    chis = [_parse_chi(tok) for tok in str(p.get("chi", "1,i,exp:1/5")).split(",")]
+    chis = [_parse_flag("chi", t, _parse_chi) for t in str(p.get("chi", "1,i,exp:1/5")).split(",")]
 
     rng = np.random.default_rng(int(p.get("seed", 0)))
     x = _random_crossed(base, int(p.get("support", 1)), rng)
@@ -549,8 +555,13 @@ SUBCOMMANDS = {
 RUNNERS = {name: entry[0] for name, entry in SUBCOMMANDS.items()}
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a malformed command line is a usage error: main returns 2
+        raise InvalidInputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="afspectral",
         description="Experiments on truncated filtered algebras with graded Dirac operators",
     )
@@ -603,17 +614,14 @@ def _read_config(path: str, subcommand: str) -> dict:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-
-    flags = {
-        key: val for key, val in vars(args).items()
-        if key not in ("subcommand", "config", "output", "pretty")
-        and val is not None and val is not False
-    }
-
     undecidable = False
     try:
+        args = build_parser().parse_args(argv)
+        flags = {
+            key: val for key, val in vars(args).items()
+            if key not in ("subcommand", "config", "output", "pretty")
+            and val is not None and val is not False
+        }
         file_params = _read_config(args.config, args.subcommand) if args.config else {}
         records = RUNNERS[args.subcommand]({**file_params, **flags})
     except (InvalidInputError, ValueError, KeyError, FileNotFoundError) as exc:

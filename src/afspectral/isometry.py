@@ -15,7 +15,6 @@ one-sided shift stretches commutator norms by an explicit eigenvalue ratio.
 
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -56,12 +55,10 @@ class SlotAutomorphism:
             raise InvalidInputError("perm must be a permutation of 1..N")
 
 
-def identity_slot_automorphism(n_slots: int) -> SlotAutomorphism:
-    return SlotAutomorphism(tuple(range(1, n_slots + 1)))
-
-
 def switch(i: int, j: int, n_slots: int) -> SlotAutomorphism:
     """Transposition of tensor factors i and j."""
+    if not (1 <= i <= n_slots and 1 <= j <= n_slots):
+        raise InvalidInputError(f"switch slots must lie in 1..{n_slots}, got {i} and {j}")
     p = list(range(1, n_slots + 1))
     p[i - 1], p[j - 1] = p[j - 1], p[i - 1]
     return SlotAutomorphism(tuple(p))
@@ -79,10 +76,6 @@ class TreePortrait:
             raise InvalidInputError(f"portrait needs {2 ** self.depth - 1} bits")
         if any(b not in (0, 1) for b in self.bits):
             raise InvalidInputError("portrait bits must be 0/1")
-
-
-def identity_portrait(depth: int) -> TreePortrait:
-    return TreePortrait(depth, (0,) * (2**depth - 1))
 
 
 def odometer_portrait(depth: int) -> TreePortrait:
@@ -258,12 +251,10 @@ def invert(spec):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _pair_products(filtration: al.Filtration):
     """The basis pairs (i, j) the residual samples and the coefficients of e_i e_j.
 
-    All pairs when there are at most 400, else 40 seeded random pairs.  Both
-    depend on the filtration alone, so they are computed once per filtration.
+    All pairs when there are at most 400, else 40 seeded random pairs.
     """
     n = filtration.depth
     dim = filtration.dim(n)
@@ -274,10 +265,7 @@ def _pair_products(filtration: al.Filtration):
         pairs = [tuple(rng.integers(0, dim, size=2)) for _ in range(40)]
     i, j = np.array(pairs).T
     stack = al.basis_stack(filtration, n)
-    products = al.decompose(filtration, n, al.mat_product(filtration, stack[i], stack[j]))
-    for arr in (i, j, products):
-        arr.setflags(write=False)
-    return i, j, products
+    return i, j, al.decompose(filtration, n, al.mat_product(filtration, stack[i], stack[j]))
 
 
 def automorphism_residual(a: np.ndarray, filtration: al.Filtration):
@@ -487,57 +475,20 @@ def enumerate_cantor_iso(
     raise InvalidInputError(f"unknown mode {mode!r}")
 
 
-def semidirect_structure_check(depth: int, samples: int = 25, seed: int = 0) -> bool:
-    """Deepest-level swaps form a normal subgroup complemented by shallower portraits."""
-    rng = np.random.default_rng(seed)
-    n_deep = 2 ** (depth - 1)
-    n_shallow = 2 ** (depth - 1) - 1
-    for _ in range(samples):
-        deep = TreePortrait(
-            depth, (0,) * n_shallow + tuple(rng.integers(0, 2, size=n_deep))
-        )
-        any_p = TreePortrait(depth, tuple(rng.integers(0, 2, size=2**depth - 1)))
-        conj = compose(compose(any_p, deep), invert(any_p))
-        if any(b != 0 for b in conj.bits[:n_shallow]):
-            return False
-        # the quotient projection (forget deepest bits) must be a homomorphism
-        prod = compose(any_p, deep)
-        if prod.bits[:n_shallow] != any_p.bits[:n_shallow]:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
 
 
-def _detect_bloch_label(v: al.AlgebraElement) -> int:
-    """The Pauli label l with phi_v(sigma_l) = 1; error when v is not of that shape."""
-    filt = v.filtration
-    phi = al.VectorState(v if v.level >= 1 else v.embed(1))
-    vals = phi.basis_values(filt, 1)[1:4]  # the level-1 words (1,), (2,), (3,)
-    labels = [j for j, z in zip((1, 2, 3), vals) if abs(z - 1.0) <= 1e-9]
-    if len(labels) != 1 or any(
-        abs(z) > 1e-9 for j, z in zip((1, 2, 3), vals) if j != labels[0]
-    ):
-        raise PreconditionError(
-            "vector state must have a unit Bloch component on exactly one label"
-        )
-    return labels[0]
-
-
 def switch_iso_violation(
-    triple: tr.TruncatedTriple,
-    k: int,
-    v: al.AlgebraElement | None = None,
-    cfg: mt.SolverConfig | None = None,
+    triple: tr.TruncatedTriple, k: int, l: int = 3, cfg: mt.SolverConfig | None = None
 ) -> dict:
     """Certified distance gap showing the slot switch 1 <-> k+1 moves a state.
 
+    For v the matched vector of Bloch label ``l`` (:func:`metric.car_vector`),
     d(trace, omega_v) = 1/lambda_1 while d(trace, omega_v o switch) =
-    d(trace, omega_{shifted v}) = 1/lambda_{k+1}; a nonzero gap certifies the
-    switch changes some distance.
+    d(trace, omega_{shifted v}) = 1/lambda_{k+1} (``d_before``, ``d_after``:
+    certified bounds); a nonzero gap certifies the switch changes a distance.
     """
     filt = triple.filtration
     if filt.family != "uhf" or filt.k != 2:
@@ -546,9 +497,6 @@ def switch_iso_violation(
         raise PreconditionError("switch experiment requires pairwise distinct eigenvalues")
     if k < 0 or triple.depth < k + 1:
         raise PreconditionError(f"need depth >= {k + 1}")
-    if v is None:
-        v = mt.car_vector(filt, 3)
-    l = _detect_bloch_label(v)
     lam = triple.lambdas
     before = mt.car_golden_case([float(x) for x in lam[1:]], 0, l, cfg)
     after = mt.car_golden_case([float(x) for x in lam[1:]], k, l, cfg)
@@ -560,8 +508,8 @@ def switch_iso_violation(
     return {
         "k": k,
         "label": l,
-        "d_before": before,
-        "d_after": after,
+        "d_before": {key: before[key] for key in ("lower_bound", "upper_bound")},
+        "d_after": {key: after[key] for key in ("lower_bound", "upper_bound")},
         "gap": float(gap),
         "violation_certified": bool(certified and gap > 1e-12),
     }
@@ -687,22 +635,19 @@ def m_invariance_experiment(gamma: float, depth: int, cfg: mt.SolverConfig | Non
         """First coordinate (1-based) where the words of leaves i != j differ."""
         return depth + 1 - (int(i) ^ int(j)).bit_length()
 
-    classes = {}
+    classes = {}  # split level -> distances of its leaf pairs
     for i, j in pairs:
         x, y = leaves[i], leaves[j]
         prob = mt.reduce_search_level(
             mt.DistanceProblem(triple, al.CharacterState(x), al.CharacterState(y))
         )
-        res = mt.distance(prob, cfg)
-        classes.setdefault(split_level(i, j), []).append(
-            {"x": list(x), "y": list(y), "distance": res.lower_bound}
-        )
+        classes.setdefault(split_level(i, j), []).append(mt.distance(prob, cfg).lower_bound)
 
     stats = {}
-    for m, rows in sorted(classes.items()):
-        vals = np.array([r["distance"] for r in rows])
+    for m, dists in sorted(classes.items()):
+        vals = np.array(dists)
         stats[m] = {
-            "count": len(rows),
+            "count": len(vals),
             "mean": float(vals.mean()),
             "min": float(vals.min()),
             "max": float(vals.max()),
@@ -730,7 +675,6 @@ def m_invariance_experiment(gamma: float, depth: int, cfg: mt.SolverConfig | Non
         "gamma": gamma,
         "depth": depth,
         "classes": stats,
-        "pairs": {m: rows for m, rows in classes.items()},
         "max_spread": float(spread),
         "min_interclass_gap": float(gap),
         "separated": bool(gap >= 10 * spread),

@@ -50,7 +50,7 @@ from .errors import (
     UnboundedObjectiveError,
     UnsupportedError,
 )
-from .linalg import TOL, check_dense_bytes, operator_norm
+from .linalg import TOL, check_dense_bytes
 
 # ---------------------------------------------------------------------------
 # problem and configuration records
@@ -160,11 +160,6 @@ class _ConstraintMap:
         real stack, H(t) = i M(t) on a complex one."""
         return _rowwise(self.flat_t, T).reshape(len(T), *self.shape)
 
-    def matrix(self, t: np.ndarray) -> np.ndarray:
-        """M(t) = sum_i t_i B_i for one parameter row."""
-        m = self.images(np.asarray(t, dtype=float)[None])[0]
-        return m if self.real else -1j * m
-
     def norms(self, T: np.ndarray) -> np.ndarray:
         if self.real:
             m = self.images(T)
@@ -172,9 +167,6 @@ class _ConstraintMap:
             return np.sqrt(np.maximum(w[:, -1], 0.0))
         w = np.linalg.eigvalsh(self.images(T))
         return np.maximum(-w[:, 0], w[:, -1])
-
-    def norm(self, t: np.ndarray) -> float:
-        return float(self.norms(np.asarray(t, dtype=float)[None])[0])
 
     def norms_and_subgrads(self, T: np.ndarray):
         """Norms g (S,) and top-space subgradients (S, p) of every row of T.
@@ -666,18 +658,12 @@ def car_vector(filtration: al.Filtration, l: int) -> al.AlgebraElement:
     return al.from_matrix(filtration, 1, _CAR_VECTORS[l])
 
 
-def car_certified_upper_bound(
-    triple: tr.TruncatedTriple, n: int, l: int, validate_samples: int = 0, seed: int = 0
-):
+def car_certified_upper_bound(triple: tr.TruncatedTriple, n: int, l: int) -> float:
     """Exact upper bound 1/lambda_{n+1} for d(phi_{1^n (x) v}, trace), v of type l.
 
-    With ``validate_samples`` > 0 the inequality chain behind the bound is
-    checked on random feasible elements x of level n+1, with
-    x~ = x - E_n(x):
-
-        |coeff of x~ at (identity^n, l)|  <=  ||P_0 pi(x~) Q_{n+1}||
-                                          <=  ||[D, x~]|| / lambda_{n+1}
-        and  ||[D, x~]||  <=  ||[D, x]||.
+    For feasible x of level n+1 and x~ = x - E_n(x), the coefficient of x~ at
+    (identity^n, l) is at most ||P_0 pi(x~) Q_{n+1}|| <= ||[D, x~]|| / lambda_{n+1},
+    and ||[D, x~]|| <= ||[D, x]||.
     """
     filt = triple.filtration
     if filt.family != "uhf" or filt.k != 2:
@@ -688,38 +674,7 @@ def car_certified_upper_bound(
         raise PreconditionError(f"needs depth >= {n + 1}")
     if l not in (1, 2, 3):
         raise InvalidInputError("label must be 1, 2 or 3")
-    lam = triple.lambdas
-    value = 1.0 / float(lam[n + 1])
-
-    report = {"value": value, "samples": validate_samples, "chain_holds": True}
-    if validate_samples:
-        rng = np.random.default_rng(seed)
-        idxs = al.canonical_basis(filt, n + 1)
-        target_word = (4,) * n + (l,)
-        target_pos = next(i for i, ix in enumerate(idxs) if ix.word == target_word)
-        top = slice(filt.dim(n), filt.dim(n + 1))  # the grade n+1 basis vectors
-        worst = 0.0
-        for _ in range(validate_samples):
-            coeffs = rng.normal(size=len(idxs))
-            x = al.AlgebraElement(filt, n + 1, coeffs.astype(complex))
-            nx = triple.commutator_norm(x)
-            if nx < 1e-12:
-                continue
-            x = x * (1.0 / nx)
-            xt = x - al.conditional_expectation(x, n).embed(n + 1)
-            alpha = abs(x.coeffs[target_pos])
-            comp = operator_norm(triple.represent(xt)[:1, top])  # row 0: the grade-0 vector
-            cn_t = triple.commutator_norm(xt)
-            links = [
-                alpha - comp,
-                comp - cn_t / lam[n + 1],
-                cn_t - triple.commutator_norm(x),
-            ]
-            worst = max(worst, *links)
-            if any(v > 1e-9 for v in links):
-                report["chain_holds"] = False
-        report["worst_link_violation"] = worst
-    return value, report
+    return 1.0 / float(triple.lambdas[n + 1])
 
 
 def car_golden_case(lambdas, n: int, l: int, cfg: SolverConfig | None = None) -> dict:
@@ -748,7 +703,7 @@ def car_golden_case(lambdas, n: int, l: int, cfg: SolverConfig | None = None) ->
     problem.informed_starts.append(informed)
 
     result = distance(problem, cfg)
-    upper, _ = car_certified_upper_bound(triple, n, l)
+    upper = car_certified_upper_bound(triple, n, l)
     if result.lower_bound > upper + 1e-9:
         raise RuntimeError("solver lower bound exceeds the certified upper bound")
     return {

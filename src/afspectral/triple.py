@@ -91,13 +91,6 @@ class GNSSpace:
     def depth(self) -> int:
         return self.filtration.depth
 
-    @property
-    def basis_elements(self) -> list:
-        """The orthonormal basis as algebra elements (built on demand)."""
-        n = self.depth
-        coeffs = al.decompose(self.filtration, n, self.stack)
-        return [al.AlgebraElement(self.filtration, n, c) for c in coeffs]
-
     def coordinates(self, xs: np.ndarray) -> np.ndarray:
         """Matrix whose column j holds the GNS coordinates <b_i, xs[..., j]>; leading axes kept."""
         dual = self.dual_stack.reshape(self.dim, -1)
@@ -162,19 +155,11 @@ class TruncatedTriple:
     def lambdas(self) -> np.ndarray:
         return np.asarray(self.dirac.lambdas)
 
-    @property
-    def D(self) -> np.ndarray:
-        """Dense Dirac matrix (built on demand; the code uses ``d_diag``)."""
-        return np.diag(self.d_diag.astype(complex))
-
     def grade_mask(self, n: int) -> np.ndarray:
         return self.gns.grades == n
 
     def Q(self, n: int) -> np.ndarray:
         return np.diag(self.grade_mask(n).astype(complex))
-
-    def P(self, n: int) -> np.ndarray:
-        return np.diag((self.gns.grades <= n).astype(complex))
 
     def represent_stack(self, mats: np.ndarray) -> np.ndarray:
         """Matrices of left multiplication by a stack of materialized full-depth elements."""

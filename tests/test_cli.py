@@ -307,6 +307,7 @@ def test_config_file_errors_are_usage_errors(tmp_path, capsys, content):
         (["iso-check", "--k", "two"], "--k"),
         (["iso-check", "--round-trip", "1"], "--round-trip"),
         (["shift-inequality", "--n", "1.5"], "--n"),
+        (["iso-check", "--round-trip", "1,-2"], "--round-trip"),
     ],
 )
 def test_malformed_integer_flag_is_named(capsys, argv, flag):
@@ -314,6 +315,58 @@ def test_malformed_integer_flag_is_named(capsys, argv, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"usage error: {flag} expects ")
+
+
+_UHF3 = ["--depth", "3", "--lambda", "1,2,4"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["iso-check", *_UHF3, "--auto", "switch:1"], "--auto"),
+        (["iso-check", *_UHF3, "--auto", "switch:0,1"], "--auto"),
+        (["iso-check", *_UHF3, "--auto", "switch:1,9"], "--auto"),
+        (["iso-check", *_UHF3, "--auto", "portrait:0x1"], "--auto"),
+        (["iso-check", *_UHF3, "--auto", "nosuch"], "--auto"),
+        (["crossed-lift", "--depth", "2", "--beta", "switch:1,9"], "--beta"),
+        (["crossed-lift", "--depth", "2", "--chi", "exp:1/0"], "--chi"),
+        (["crossed-lift", "--depth", "2", "--chi", "1,exp:1/x"], "--chi"),
+        (["distance", *_UHF3, "--state1", "bogus", "--state2", "trace"], "--state1"),
+        (["distance", *_UHF3, "--state1", "trace", "--state2", "carvec:4"], "--state2"),
+        (["distance", *_UHF3, "--state1", "trace", "--state2", "vector:1:1,2"], "--state2"),
+    ],
+)
+def test_malformed_spec_state_or_chi_is_named(capsys, argv, flag):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: {flag} ")
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["crossed-lift", "--radius", "4.7"], "--radius"),
+        (["crossed-lift", "--sigma", "flip"], "--sigma"),
+        (["distance", "--family", "x"], "--family"),
+        (["flip-demo", "--bogus"], "--bogus"),
+        (["nosuch"], "nosuch"),
+        ([], "subcommand"),
+    ],
+)
+def test_argparse_errors_are_returned_usage_errors(capsys, argv, named):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and named in captured.err
+    assert captured.err.count("\n") == 1  # one line, no argparse usage text
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["crossed-lift", "--help"])
+    assert exc.value.code == 0
+    assert "--radius" in capsys.readouterr().out
 
 
 def _readme_cli_lines():

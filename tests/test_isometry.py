@@ -35,7 +35,7 @@ def _images(spec, filt):
 
 
 def test_identity_implements_identity(uhf3):
-    u = _unitary(uhf3, iso.identity_slot_automorphism(3))
+    u = _unitary(uhf3, iso.SlotAutomorphism((1, 2, 3)))
     assert operator_norm(u - np.eye(uhf3.dim)) < 1e-12
 
 
@@ -90,6 +90,12 @@ def test_slot_permutation_operator_matches_loop(k):
         for perm in permutations(range(1, n + 1)):
             ref = _slot_permutation_loop(k, perm)
             assert np.array_equal(iso.slot_permutation_operator(k, perm), ref), perm
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (1, 9), (-1, 2)])
+def test_switch_refuses_slots_outside_range(i, j):
+    with pytest.raises(InvalidInputError, match=r"switch slots must lie in 1\.\.3"):
+        iso.switch(i, j, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +298,20 @@ def test_enumeration_portraits_depth3(cantor3):
     assert rep["all_pass"]
 
 
-def test_composition_and_semidirect_checks():
-    assert iso.semidirect_structure_check(3)
-    assert iso.semidirect_structure_check(2)
+@pytest.mark.parametrize("depth", [2, 3])
+def test_composition_and_semidirect_checks(depth):
+    """Deepest-level swaps form a normal subgroup complemented by shallower portraits."""
+    rng = np.random.default_rng(0)
+    n_deep = 2 ** (depth - 1)
+    n_shallow = 2 ** (depth - 1) - 1
+    for _ in range(25):
+        deep = iso.TreePortrait(depth, (0,) * n_shallow + tuple(rng.integers(0, 2, size=n_deep)))
+        any_p = iso.TreePortrait(depth, tuple(rng.integers(0, 2, size=2**depth - 1)))
+        conj = iso.compose(iso.compose(any_p, deep), iso.invert(any_p))
+        assert all(b == 0 for b in conj.bits[:n_shallow])
+        # the quotient projection (forget deepest bits) must be a homomorphism
+        prod = iso.compose(any_p, deep)
+        assert prod.bits[:n_shallow] == any_p.bits[:n_shallow]
 
 
 def test_portrait_from_leaf_permutation_roundtrip(rng):
@@ -350,12 +367,10 @@ def test_switch_violation_needs_distinct_eigenvalues():
         iso.switch_iso_violation(t, 1)
 
 
-def test_switch_violation_rejects_unmatched_vector(uhf3, rng):
-    bad = random_element(F3, 1, rng)
-    nrm = al.TraceState().value(bad.adjoint() * bad)
-    bad = bad * (1.0 / np.sqrt(nrm.real))
-    with pytest.raises(PreconditionError):
-        iso.switch_iso_violation(uhf3, 1, bad)
+def test_switch_violation_rejects_bad_label(uhf3):
+    for label in (0, 4):
+        with pytest.raises(InvalidInputError, match="label must be 1, 2 or 3"):
+            iso.switch_iso_violation(uhf3, 1, label)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +461,13 @@ def test_enumeration_caps():
         iso.enumerate_cantor_iso(t4, mode="exhaustive")
     rep = iso.enumerate_cantor_iso(t4, mode="portraits")
     assert rep["exhaustive"] and rep["scanned"] == 2**15 and rep["all_pass"]
+    # past 2^16 portraits, 512 seeded samples
+    t5 = tr.build_triple(al.cantor(5), al.UniformState(), tr.dirac_power(2.0, 5))
+    rep = iso.enumerate_cantor_iso(t5, mode="portraits")
+    assert not rep["exhaustive"] and rep["scanned"] == 512 and rep["all_pass"]
+    t9 = tr.build_triple(al.cantor(9), al.UniformState(), tr.dirac_power(2.0, 9))
+    with pytest.raises(iso.UnsupportedError, match="capped at depth 8"):
+        iso.enumerate_cantor_iso(t9, mode="portraits")
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +508,8 @@ def test_implementing_unitary_intertwines(case, uhf3, cantor3, rng):
     filt = triple.filtration
     u = _unitary(triple, spec)
     assert operator_norm(np.conj(u).T @ u - np.eye(triple.dim)) < 1e-10
-    for j, b in enumerate(triple.gns.basis_elements):
+    basis = al.decompose(filt, filt.depth, triple.gns.stack)
+    for j, b in enumerate(al.AlgebraElement(filt, filt.depth, c) for c in basis):
         column = triple.vector_of(iso.apply_automorphism(spec, b))
         assert np.max(np.abs(u[:, j] - column)) < 1e-10
     for _ in range(5):
@@ -620,12 +643,10 @@ def test_implementing_unitary_is_real_on_self_adjoint_bases(name, request, rng):
     "filt", [F2, F3, al.uhf(2, 4), al.uhf(3, 2), C3, al.cantor(4)],
     ids=["uhf2", "uhf3", "uhf4", "uhf3x2", "cantor3", "cantor4"],
 )
-def test_cached_pair_products_equal_fresh(filt):
+def test_pair_products_are_basis_products(filt):
     i, j, products = iso._pair_products(filt)
-    assert iso._pair_products(filt)[2] is products
-    fresh = iso._pair_products.__wrapped__(filt)
-    for cached, new in zip((i, j, products), fresh):
-        assert np.array_equal(cached, new)
+    for first, again in zip((i, j, products), iso._pair_products(filt)):
+        assert np.array_equal(first, again)  # seeded: the same pairs on every call
     n = filt.depth
     assert len(i) == (filt.dim(n) ** 2 if filt.dim(n) ** 2 <= 400 else 40)
     # each row is the coefficient vector of the product of two basis elements
