@@ -14,8 +14,9 @@ and guard band.  A JSON config file
 (``{"subcommand": ..., "params": {...}}`` or bare params) can prefill any
 subcommand's options, keyed by flag dest and checked as the flags are;
 explicit flags override it.  Records go to stdout or to --output (relative
-paths resolve under $AFSPECTRAL_OUTDIR when set); progress and errors go to
-stderr.
+paths resolve under $AFSPECTRAL_OUTDIR when set; a path that cannot be
+written is a usage error before any record is computed); progress and errors
+go to stderr.
 """
 
 import argparse
@@ -613,10 +614,25 @@ def _read_config(path: str, subcommand: str) -> dict:
     return {k: _flag_value(_FLAG_OF[k], v, path) for k, v in params.items() if k != "subcommand"}
 
 
+def _output_path(path: str) -> str:
+    """``--output`` resolved under $AFSPECTRAL_OUTDIR and opened for appending,
+    so a path that cannot be written is a usage error before any record is
+    computed (a new path is left as an empty file if the run then fails)."""
+    outdir = os.environ.get("AFSPECTRAL_OUTDIR")
+    if outdir and not os.path.isabs(path):
+        path = os.path.join(outdir, path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise InvalidInputError(f"--output {path!r}: {exc.strerror}") from None
+    return path
+
+
 def main(argv=None) -> int:
     undecidable = False
     try:
         args = build_parser().parse_args(argv)
+        output = _output_path(args.output) if args.output else None
         flags = {
             key: val for key, val in vars(args).items()
             if key not in ("subcommand", "config", "output", "pretty")
@@ -639,12 +655,8 @@ def main(argv=None) -> int:
 
     lines = [json.dumps(rec, sort_keys=True) for rec in records]
     text = "\n".join(lines) + "\n"
-    if args.output:
-        path = args.output
-        outdir = os.environ.get("AFSPECTRAL_OUTDIR")
-        if outdir and not os.path.isabs(path):
-            path = os.path.join(outdir, path)
-        with open(path, "w") as fh:
+    if output:
+        with open(output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -53,7 +53,7 @@ def test_generic_distance_reports_solver_diagnostics(capsys):
     assert code == 0
     rec = records[0]
     assert isinstance(rec["iterations"], int) and rec["iterations"] > 0
-    assert rec["best_start"] == "objective" or rec["best_start"].startswith("random-")
+    assert rec["best_start"] == "frobenius" or rec["best_start"].startswith("random-")
     assert run_cli(capsys, argv)[1] == records
 
 def test_iso_enumerate_depth2(capsys):
@@ -175,6 +175,20 @@ def test_output_file_and_env_dir(tmp_path, capsys, monkeypatch):
     assert code == 0
     lines = (tmp_path / "rec.jsonl").read_text().strip().splitlines()
     assert json.loads(lines[0])["record"] == "flip-demo"
+
+
+@pytest.mark.parametrize("target", ["nodir/x.jsonl", "."], ids=["missing-dir", "directory"])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch, target):
+    """An --output that cannot be written is refused before the runner starts."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("AFSPECTRAL_OUTDIR", raising=False)
+    ran = []
+    monkeypatch.setitem(cli.RUNNERS, "flip-demo", lambda params: ran.append(params) or [])
+    assert cli.main(["flip-demo", "--output", target]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not ran
+    assert captured.err.startswith(f"usage error: --output {target!r}")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_cantor_metric_subcommand(capsys):

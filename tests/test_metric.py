@@ -336,6 +336,21 @@ def test_kernel_zero_row_gives_zero(family, uhf3, cantor3, rng):
     assert np.any(sub[1] != 0.0)
 
 
+@pytest.mark.parametrize("family", ["uhf", "cantor"])
+def test_frobenius_start_maximizes_frobenius_ratio(family, uhf3, cantor3, rng):
+    """t0 = G^+ c attains sqrt(c^T G^+ c) = max (c . t)/||M(t)||_F, and its
+    spectral ratio is at least that."""
+    c, B = _uhf_stack(uhf3, rng) if family == "uhf" else _cantor_stack(cantor3)
+    cons = mt._ConstraintMap(B)
+    t0 = cons.frobenius_start(c)
+    T = np.vstack([t0, rng.normal(size=(50, len(c))), c])
+    M = cons.images(T)
+    frob = T @ c / np.linalg.norm(M, axis=(1, 2))
+    assert np.all(frob[0] >= frob[1:] * (1 - 1e-13))
+    assert frob[0] == pytest.approx(np.sqrt(c @ np.linalg.pinv(cons.gram) @ c), rel=1e-12)
+    assert (t0 @ c) / cons.norms(t0[None])[0] >= frob[0] * (1 - 1e-13)
+
+
 def test_kernel_rejects_non_antihermitian_stack(rng):
     B = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
     with pytest.raises(InvalidInputError):
@@ -383,6 +398,49 @@ def test_lockstep_raises_on_unbounded_objective(b):
     assert cons.real == (not np.any(b.imag))
     with pytest.raises(UnboundedObjectiveError):
         mt._ascend(c, cons, np.array([[0.3, 1.0], [1.0, 0.0]]), mt.SolverConfig().max_iter)
+
+
+@pytest.mark.parametrize("b", [[[0.0, 1.0], [-1.0, 0.0]], [[0.0, 1j], [1j, 0.0]]], ids=["real", "complex"])
+def test_distance_raises_when_objective_leaves_gram_range(uhf1, monkeypatch, b):
+    """B_0 = 0 spans null(G) and c has a small part there, so the objective is
+    unbounded along e_0.  That is decided before any ascent, not by whether
+    some start happens to reach a zero-norm direction: from c itself the
+    real ascent runs all 500 rounds to a ratio of 1.0006 without raising."""
+    B = np.stack([np.zeros((2, 2), dtype=complex), np.array(b, dtype=complex)])
+    monkeypatch.setattr(mt, "_search_space", lambda problem: (np.array([1e-3, 1.0]), B, None))
+
+    def no_ascent(*args, **kwargs):
+        raise AssertionError("ascent ran")
+
+    monkeypatch.setattr(mt, "_ascend", no_ascent)
+    problem = mt.DistanceProblem(uhf1, al.VectorState(mt.car_vector(F1, 1)), al.TraceState())
+    with pytest.raises(UnboundedObjectiveError):
+        mt.distance(problem)
+
+
+@pytest.mark.parametrize(
+    "family, state1, state2",
+    [
+        ("cantor", al.CharacterState((0,) * 5), al.CharacterState((1, 0, 0, 0, 0))),
+        ("uhf", al.VectorState(al.shift_embed(mt.car_vector(al.uhf(2, 2), 3), 1)), al.TraceState()),
+    ],
+    ids=["cantor-gamma-0.01", "uhf-lambda-1e9"],
+)
+def test_wide_range_dirac_distance_is_finite(family, state1, state2):
+    """Commutator norms 1e8 .. 1e9 apart still count as nonzero: the distance
+    is finite and the Frobenius start's ascent finds it, though the stack's
+    Gram matrix spans more than 1/eps.  Cantor: level-1 words scale with
+    lambda_1 = 1 and level-5 words with 1e8; uhf: lambda = (1, 1e9)."""
+    if family == "cantor":
+        triple = tr.build_triple(al.cantor(5), al.UniformState(), tr.dirac_geometric(0.01, 5))
+        expected = 2.0
+    else:
+        triple = tr.build_triple(al.uhf(2, 2), al.TraceState(), tr.dirac_explicit([1.0, 1e9]))
+        expected = 1e-9
+    res = mt.distance(mt.reduce_search_level(mt.DistanceProblem(triple, state1, state2)))
+    assert res.diagnostics["best_start"] == "frobenius"
+    assert res.lower_bound == pytest.approx(expected, rel=1e-4)
+    assert res.lower_bound <= res.diagnostics["dual_bound"] * (1 + 1e-12)
 
 
 def test_cantor_split_classes_have_equal_distances():
@@ -465,11 +523,12 @@ def test_open_gap_spends_every_start_as_one_batch(uhf3):
 
     c, B, _ = mt._search_space(problem)
     cons = mt._ConstraintMap(B)
-    T0 = [c] + [np.random.default_rng([cfg.seed, k]).normal(size=len(c)) for k in range(cfg.starts - 1)]
+    T0 = [cons.frobenius_start(c)]
+    T0 += [np.random.default_rng([cfg.seed, k]).normal(size=len(c)) for k in range(cfg.starts - 1)]
     vals, T, _, cert = mt._ascend(c, cons, np.stack(T0), cfg.max_iter)
     b = int(np.argmax(vals))
     assert cert is None or not mt._closed(cert[1], vals[cert[0]])
-    pol, pol_T, _, _ = mt._ascend(c, cons, T[b][None], cfg.max_iter, mt.POLISH_TOL, 1e-2)
+    pol, pol_T, _, _ = mt._ascend(c, cons, T[b][None], cfg.max_iter, mt.POLISH_TOL, mt.POLISH_STEP_INIT)
     t = pol_T[0] if pol[0] > vals[b] else T[b]
     coeffs = np.zeros(F3.dim(3), dtype=complex)
     coeffs[1:] = t
@@ -478,12 +537,22 @@ def test_open_gap_spends_every_start_as_one_batch(uhf3):
     lower = abs(complex(problem.s1.value(witness) - problem.s2.value(witness)))
     assert res.lower_bound == lower
     assert [s["objective"] for s in res.diagnostics["per_start"]] == [*map(float, vals), float(pol[0])]
+    assert res.diagnostics["per_start"][-1]["iterations"] > 0  # an open gap is still polished
 
 
 def test_one_start_still_runs_a_random_start(uhf3):
     res = mt.distance(_open_gap_problem(uhf3), mt.SolverConfig(starts=1))
-    assert [s["start"] for s in res.diagnostics["per_start"]] == ["objective", "random-0", "polish"]
+    assert [s["start"] for s in res.diagnostics["per_start"]] == ["frobenius", "random-0", "polish"]
     assert res.diagnostics["starts"] == 2
+
+
+def test_certified_incumbent_skips_the_polish(cantor3):
+    problem = mt.DistanceProblem(cantor3, al.CharacterState((0, 1, 0)), al.CharacterState((1, 1, 0)))
+    res = mt.distance(problem)
+    polish = res.diagnostics["per_start"][-1]
+    assert polish["start"] == "polish" and polish["iterations"] == 0
+    assert polish["objective"] == res.diagnostics["solver_objective"]
+    assert mt._closed(res.diagnostics["dual_bound"], polish["objective"])
 
 
 def test_dual_bound_matches_car_upper_bound():
