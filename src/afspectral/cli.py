@@ -22,6 +22,7 @@ go to stderr.
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -63,6 +64,13 @@ def _ints(p, key, default=None, count=None) -> list:
 
 def _int(p, key, default=None) -> int:
     return _ints(p, key, default, count=1)[0]
+
+
+def _count(text: str) -> int:
+    """argparse type of a count flag: an integer >= 0."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expects an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _build_filtration(p) -> al.Filtration:
@@ -450,6 +458,8 @@ def run_crossed_lift(p) -> list:
         return _crossed_suite(p)
     action_name = p.get("action", "trivial")
     if action_name == "odometer":
+        if p.get("family", "cantor") != "cantor":
+            raise InvalidInputError(f"--family {p['family']!r}: the odometer acts on the cantor family")
         p = {**p, "family": "cantor", "depth": p.get("depth", 3)}
         action = cx.OdometerAction()
     else:
@@ -506,8 +516,8 @@ OPTIONS = {
     "l": {"help": "Bloch label 1..3; distance in car mode: comma separated labels"},
     "state1": {},
     "state2": {},
-    "starts": {"type": int, "help": "cap on solver starts; more run only while the certified gap is open"},
-    "max-iter": {"type": int},
+    "starts": {"type": _count, "help": "cap on solver starts; more run only while the certified gap is open"},
+    "max-iter": {"type": _count},
     "auto": {"help": "switch:i,j | portrait:BITS | leafperm:... | locals:SEED | block:S,W,SEED | global:SEED | odometer | identity"},
     "round-trip": {"help": "N_STRUCT,N_ADV: batch equivalence check instead of one verdict"},
     "cantor": {"action": "store_true", "help": "accepted for clarity; always cantor"},
@@ -515,17 +525,17 @@ OPTIONS = {
     "progress": {"action": "store_true", "help": "report scan progress on stderr"},
     "d1": {"type": float},
     "d2": {"type": float},
-    "pairs": {"type": int},
-    "elements": {"type": int},
+    "pairs": {"type": _count},
+    "elements": {"type": _count},
     "c": {"type": float},
-    "samples": {"type": int},
+    "samples": {"type": _count},
     "action": {"choices": ("trivial", "odometer")},
     "radius": {"type": int},
     "margin": {"type": int},
     "chi": {"help": "comma separated: 1 | i | -1 | exp:K/M | complex literal"},
     "beta": {},
     "sigma": {"choices": ("id", "neg")},
-    "support": {"type": int},
+    "support": {"type": _count},
     "expect-fail": {"action": "store_true"},
     "suite": {"action": "store_true", "help": "run the full lift matrix with designed failure controls"},
 }
@@ -558,7 +568,8 @@ RUNNERS = {name: entry[0] for name, entry in SUBCOMMANDS.items()}
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a malformed command line is a usage error: main returns 2
-        raise InvalidInputError(message)
+        # "argument --flag: ..." reads "--flag ...", as the runners name a flag
+        raise InvalidInputError(re.sub(r"^argument (-\S+): ", r"\1 ", message))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -589,7 +600,7 @@ def _flag_value(flag: str, value, path: str):
             out = spec.get("type", str)(",".join(map(str, items)))
             if out in spec.get("choices", (out,)):
                 return out
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError):
         pass
     raise InvalidInputError(f"--{flag} in config {path}: invalid value {value!r}")
 

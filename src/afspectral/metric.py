@@ -22,24 +22,25 @@ triples, where the B_i are real antisymmetric) stay in real arithmetic and
 read the norm off the Gram matrix M(t)^T M(t); complex stacks are
 anti-Hermitian, and the norm is the spectral radius of the Hermitian
 H(t) = i sum_i t_i B_i.  Each start keeps its own inverse-Hessian estimate,
-step, stopping rules and line search, so its trajectory is a prefix of that
-of a solo run.
+step, stopping rules and line search, so its trajectory is that of a solo
+run.
 
 The ratio is quasi-concave (its superlevel sets are convex cones), so every
-start climbs to the same value, and starts are spent only while a
-weak-duality certificate leaves the gap open (see ``distance``).  A matrix Y
-with <B_i, Y> = c_i bounds the distance by its nuclear norm; fitted on the
-top singular space of M(t) and then on the tangent space there, its excess
-over the ratio at t falls with the square of t's distance to the optimum.
+start climbs to the same value, and starts are spent batch by batch only
+while a weak-duality certificate leaves the gap open (see ``distance``).  A
+matrix Y with <B_i, Y> = c_i bounds the distance by its nuclear norm; fitted
+on the top singular space of M(t) and then on the tangent space there, its
+excess over the ratio at t falls with the square of t's distance to the
+optimum.
 
 The first start is t0 = G^+ c, with G_ij = <B_i, B_j> the stack's Frobenius
 Gram matrix: it maximizes (c . t)/||M(t)||_F, so its ratio is at least
 sqrt(c^T G^+ c); on the depth-3 Cantor pairs at gamma = 1/3 it lies within
-7e-4 (relative) of the optimum.  The SVD that gives G^+ also decides
-boundedness before any ascent: its null directions are exactly where
-M(t) = 0, so a part of c there makes the distance infinite.  The test is
-that of the ascent's own zero-norm check (TOL.zero_norm, TOL.unbounded),
-taken over the whole null space.
+7e-4 (relative) of the optimum, and its ascent is certified with no random
+start run.  The SVD that gives G^+ also decides boundedness before any
+ascent: its null directions are exactly where M(t) = 0, so a part of c there
+makes the distance infinite.  The test is that of the ascent's own zero-norm
+check (TOL.zero_norm, TOL.unbounded), taken over the whole null space.
 
 Every reported lower bound is certified by an explicit feasible witness,
 re-evaluated through the public operations.  Exact upper bounds are
@@ -68,7 +69,7 @@ from .linalg import TOL, check_dense_bytes
 
 @dataclass
 class SolverConfig:
-    starts: int = 24  # cap on the starts, objective and informed included; one random always runs
+    starts: int = 24  # cap on the starts, Frobenius and informed included; randoms run while the gap is open
     max_iter: int = 500
     seed: int = 0
 
@@ -272,7 +273,10 @@ class _ConstraintMap:
         the square of t's distance to the optimum.  The minimum-norm
         correction sum_i alpha_i B_i, alpha from the stack's Gram matrix,
         removes what is left and makes Y feasible.  Y is returned in the
-        frame of the B_i.
+        frame of the B_i.  On a stack whose Gram matrix spans more than
+        1/eps that correction can fall short; a Y that misses the constraints
+        by more than TOL.structural * |c| certifies nothing, and its bound
+        reads inf.
         """
         u, s, vh = np.linalg.svd(self.images(np.asarray(t, dtype=float)[None])[0])
         k = int(np.count_nonzero(s >= s[0] - max(TOL.top_band * s[0], TOL.top_band_abs)))
@@ -298,8 +302,10 @@ class _ConstraintMap:
         a, cb, e = (np.tensordot(beta, m, axes=1) for m in (A, C, E))
         w = w + (u @ (a - e @ vh) + cb @ vh).reshape(-1)
         w = w + np.linalg.lstsq(self.gram, c - np.real(self.flat @ np.conj(w)), rcond=None)[0] @ self.flat
+        feasible = np.linalg.norm(c - np.real(self.flat @ np.conj(w))) <= TOL.structural * np.linalg.norm(c)
         w = w.reshape(self.shape)
-        return float(np.linalg.svd(w, compute_uv=False).sum()), (w if self.real else -1j * w)
+        bound = float(np.linalg.svd(w, compute_uv=False).sum()) if feasible else np.inf
+        return bound, (w if self.real else -1j * w)
 
 
 def _check_bounded(num: np.ndarray, norms: np.ndarray):
@@ -390,26 +396,17 @@ def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, max_iter: int,
             tol: float = ASCENT_TOL, step_init: float = STEP_INIT):
     """Maximize (c . t)/||M(t)|| from every row of T0 in lockstep.
 
-    Returns per-row (values, T, iterations) and the last certificate
-    computed (see below).  Each row steps along the quasi-Newton direction
-    H grad, where H is its own BFGS inverse-Hessian estimate, starting at
-    the identity.  A row whose direction is not uphill, or whose line search
-    finds no gain, restarts from H = I; a failed search along the gradient
-    itself ends the row.  A row's first search, and one retried along the
-    gradient, starts at ``step_init``; its next search starts at twice its
-    last accepted step, at most the full quasi-Newton step 1.  A row retires
-    after three rounds in a row that each gain less than ``tol`` (relative).
-
-    Certified stop: after each round, if the row with the largest ratio has
-    retired, has no certificate yet and other rows are still live, its dual
-    bound is computed; when the bound is within POLISH_TOL * max(1, |ratio|)
-    of its ratio, every row retires.  The last certificate computed is
-    returned as (row, bound), None if there was none; the row is the
-    returned best unless a row overtook it and retired last.  Rows share
-    only the batched kernel calls and this stop, and every per-row product
-    is a batched product with one operand per row, so a row's trajectory is
-    that of a one-row call on its start cut at the row's iteration count.  A
-    one-row call never stops early.
+    Returns per-row (values, T, iterations).  Each row steps along the
+    quasi-Newton direction H grad, where H is its own BFGS inverse-Hessian
+    estimate, starting at the identity.  A row whose direction is not
+    uphill, or whose line search finds no gain, restarts from H = I; a failed
+    search along the gradient itself ends the row.  A row's first search, and
+    one retried along the gradient, starts at ``step_init``; its next search
+    starts at twice its last accepted step, at most the full quasi-Newton
+    step 1.  A row retires after three rounds in a row that each gain less
+    than ``tol`` (relative).  Rows share only the batched kernel calls, and
+    every per-row product is a batched product with one operand per row, so
+    each row's result is that of a one-row call on its start.
     """
     T = np.array(T0, dtype=float)
     S, p = T.shape
@@ -452,8 +449,6 @@ def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, max_iter: int,
 
     step = np.full(S, step_init)
     flat = np.zeros(S, dtype=int)
-    certified = np.zeros(S, dtype=bool)
-    cert = None
     for it in range(1, max_iter + 1):
         rows = np.flatnonzero(live)
         if not len(rows):
@@ -491,15 +486,7 @@ def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, max_iter: int,
         flat[acc] = np.where(stalled, flat[acc] + 1, 0)
         live[acc[flat[acc] >= 3]] = False
 
-        # certified stop: a retired incumbent whose dual bound closes its gap
-        # ends every row still running
-        b = int(np.argmax(r))
-        if not live[b] and not certified[b] and live.any():
-            certified[b] = True
-            cert = (b, cons.dual_bound(c, T[b])[0])
-            if _closed(cert[1], r[b]):
-                live[:] = False
-    return r, T, iters, cert
+    return r, T, iters
 
 
 def _closed(upper: float, value: float) -> bool:
@@ -546,12 +533,13 @@ def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> Dista
     it holds independently of solver quality.  ``upper_bound`` is populated
     only when a matching certificate exists (identical states).
 
-    Starts are spent only while a certificate leaves the gap open: the
-    Frobenius start G^+ c (``"frobenius"``), the informed starts and the
-    first seeded random start ascend in one lockstep batch, and their best is
-    certified (reusing the certificate ``_ascend`` took there).  Only if that
-    gap exceeds POLISH_TOL * max(1, ratio) do the other random starts, up to
-    ``cfg.starts`` in all, ascend in a second batch.  The incumbent is then
+    Starts are spent only while a certificate leaves the gap open.  They
+    ascend in up to three lockstep batches: the Frobenius start G^+ c
+    (``"frobenius"``) with the informed starts, then the first seeded random
+    start, then the other random starts, up to ``cfg.starts`` in all.  After
+    each batch its best row is certified, and the search ends at the first
+    batch after which the smallest certificate is within
+    POLISH_TOL * max(1, ratio) of the best ratio.  The incumbent is then
     polished unless the certificate already closes the gap, which leaves
     the polish less than its own stall gain; a skipped polish reads 0
     iterations at the incumbent's value.  ``diagnostics["dual_bound"]`` is
@@ -572,35 +560,33 @@ def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> Dista
         return _zero_result(problem, {"reason": "states agree on the search level"})
     cons = _ConstraintMap(B)
 
-    starts = [("frobenius", cons.frobenius_start(c))]
+    first = [("frobenius", cons.frobenius_start(c))]
     for k, w in enumerate(problem.informed_starts):
         w = np.asarray(w, dtype=float)
         if w.shape != (p,):
             raise InvalidInputError("informed start has wrong parameter dimension")
-        starts.append((f"informed-{k}", w))
-    n_random = max(cfg.starts - len(starts), 1)
+        first.append((f"informed-{k}", w))
+    n_random = max(cfg.starts - len(first), 1)
 
-    def randoms(ks):
-        return [(f"random-{k}", np.random.default_rng([cfg.seed, k]).normal(size=p)) for k in ks]
+    def batches():  # random starts are drawn only for a batch that runs
+        yield first
+        for ks in (range(1), range(1, n_random)):
+            if ks:
+                yield [(f"random-{k}", np.random.default_rng([cfg.seed, k]).normal(size=p)) for k in ks]
 
-    def run(batch):
-        return _ascend(c, cons, np.stack([t0 for _, t0 in batch]), cfg.max_iter)
-
-    starts += randoms([0])
-    vals, T, iters, cert = run(starts)
-    best = int(np.argmax(vals))
-    dual = cert[1] if cert is not None and cert[0] == best else cons.dual_bound(c, T[best])[0]
-    if not _closed(dual, vals[best]) and n_random > 1:
-        more = randoms(range(1, n_random))
-        *results, cert = run(more)
-        starts += more
-        vals, T, iters = (np.concatenate(pair) for pair in zip((vals, T, iters), results))
-        if cert is not None:
-            dual = min(dual, cert[1])
+    spent, runs, dual = [], [], np.inf
+    for batch in batches():
+        spent += batch
+        runs.append(_ascend(c, cons, np.stack([t0 for _, t0 in batch]), cfg.max_iter))
+        v, t, _ = runs[-1]
+        dual = min(dual, cons.dual_bound(c, t[np.argmax(v)])[0])
+        vals, T, iters = (np.concatenate(parts) for parts in zip(*runs))
         best = int(np.argmax(vals))
+        if _closed(dual, vals[best]):
+            break
     per_start = [
         {"start": kind, "objective": float(v), "iterations": int(n)}
-        for (kind, _), v, n in zip(starts, vals, iters)
+        for (kind, _), v, n in zip(spent, vals, iters)
     ]
     best_val, best_t = vals[best], T[best]
 
@@ -608,7 +594,7 @@ def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> Dista
     if _closed(dual, best_val):
         per_start.append({"start": "polish", "objective": float(best_val), "iterations": 0})
     else:
-        vals, T, iters, _ = _ascend(c, cons, best_t[None], cfg.max_iter, POLISH_TOL, POLISH_STEP_INIT)
+        vals, T, iters = _ascend(c, cons, best_t[None], cfg.max_iter, POLISH_TOL, POLISH_STEP_INIT)
         per_start.append({"start": "polish", "objective": float(vals[0]), "iterations": int(iters[0])})
         if vals[0] > best_val:
             best_val, best_t = vals[0], T[0]
@@ -624,8 +610,8 @@ def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> Dista
     diagnostics = {
         "search_level": problem.search_level,
         "parameters": p,
-        "starts": len(starts),
-        "best_start": starts[best][0],
+        "starts": len(spent),
+        "best_start": spent[best][0],
         "per_start": per_start,
         "solver_objective": float(best_val),
         "dual_bound": dual,
@@ -728,8 +714,8 @@ def car_golden_case(lambdas, n: int, l: int, cfg: SolverConfig | None = None) ->
     """Distance between the trace and a shifted matched vector state.
 
     Builds the smallest truncation that contains the search level, runs the
-    certified solver with the attaining element as an informed start, and
-    pins the value with the exact upper bound.
+    certified solver, and pins the value with the exact upper bound.  The
+    Frobenius start is the attaining element here, so one round certifies it.
     """
     lambdas = list(map(float, lambdas))
     if len(lambdas) < n + 1:
@@ -741,14 +727,6 @@ def car_golden_case(lambdas, n: int, l: int, cfg: SolverConfig | None = None) ->
     phi = al.VectorState(v)
 
     problem = reduce_search_level(DistanceProblem(triple, phi, al.TraceState()))
-    idxs = al.canonical_basis(filt, problem.search_level)
-    informed = np.zeros(len(idxs) - 1)
-    target_word = (4,) * n + (l,)
-    for i, ix in enumerate(idxs[1:]):
-        if ix.word == target_word:
-            informed[i] = 1.0
-    problem.informed_starts.append(informed)
-
     result = distance(problem, cfg)
     upper = car_certified_upper_bound(triple, n, l)
     if result.lower_bound > upper + CAR_SLACK:

@@ -109,6 +109,16 @@ def test_crossed_lift_negative_control(capsys):
     assert records[0]["commutation_residual"] > 0.1
 
 
+def test_odometer_lift_refuses_another_family(capsys, monkeypatch):
+    # the odometer acts on the Cantor tree; a uhf request is refused, not rewritten
+    monkeypatch.setattr(cli.cx, "build_lifted", lambda *a: pytest.fail("lift built"))
+    assert cli.main(["crossed-lift", "--action", "odometer", "--family", "uhf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: --family ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_failed_assertion_exit_code(capsys):
     # a lift that commutes, asserted to fail: the record is not ok and the exit is 1
     code, records = run_cli(
@@ -247,9 +257,10 @@ def test_progress_goes_to_stderr(capsys):
         ("flip-demo", {"pairz": 5}, "pairz"),
         ("crossed-lift", {"sigma": "flip"}, "--sigma"),
         ("flip-demo", {"subcommand": "flip-demo", "params": {}, "pairs": 5}, "pairs"),
+        ("flip-demo", {"pairs": -3}, "--pairs"),
     ],
     ids=["float-for-int", "text-for-store-true", "text-car", "unknown-key", "choices",
-         "key-beside-params"],
+         "key-beside-params", "negative-count"],
 )
 def test_config_values_follow_flag_schema(tmp_path, capsys, monkeypatch, subcommand, params, flag):
     # a config value passes its flag's checks before any runner starts
@@ -322,6 +333,13 @@ def test_config_file_errors_are_usage_errors(tmp_path, capsys, content):
         (["iso-check", "--round-trip", "1"], "--round-trip"),
         (["shift-inequality", "--n", "1.5"], "--n"),
         (["iso-check", "--round-trip", "1,-2"], "--round-trip"),
+        (["flip-demo", "--pairs", "-3"], "--pairs"),
+        (["flip-demo", "--elements", "-1"], "--elements"),
+        (["shift-inequality", "--samples", "-1"], "--samples"),
+        (["crossed-lift", "--support", "-1"], "--support"),
+        (["distance", "--starts", "-1"], "--starts"),
+        (["cantor-metric", "--max-iter", "-1"], "--max-iter"),
+        (["flip-demo", "--pairs", "two"], "--pairs"),
     ],
 )
 def test_malformed_integer_flag_is_named(capsys, argv, flag):
