@@ -14,7 +14,6 @@ import numpy as np
 from afspectral import (
     CharacterState,
     DistanceProblem,
-    SolverConfig,
     UniformState,
     build_triple,
     cantor,
@@ -30,7 +29,7 @@ np.set_printoptions(precision=6, suppress=True)
 
 print("distance of shifted matched vector states from the trace, lambda = (1,2,4):")
 for n in (0, 1, 2):
-    rec = car_golden_case([1.0, 2.0, 4.0], n, 3, SolverConfig(starts=12))
+    rec = car_golden_case([1.0, 2.0, 4.0], n, 3)
     print(
         f"  n={n}: lower {rec['lower_bound']:.8f}, upper {rec['upper_bound']:.8f}"
         f"  (search level {rec['search_level']})"
@@ -51,10 +50,9 @@ def split_level(x, y):
 
 print(f"\npoint distances at depth {depth}, lambda_n = {gamma}^(1-n):")
 table = {}
-cfg = SolverConfig(starts=12)
 for x, y in itertools.combinations(leaves, 2):
     problem = reduce_search_level(DistanceProblem(triple, CharacterState(x), CharacterState(y)))
-    table.setdefault(split_level(x, y), []).append(distance(problem, cfg).lower_bound)
+    table.setdefault(split_level(x, y), []).append(distance(problem).lower_bound)
 
 for m in sorted(table):
     vals = np.array(table[m])

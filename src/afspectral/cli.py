@@ -66,11 +66,17 @@ def _int(p, key, default=None) -> int:
     return _ints(p, key, default, count=1)[0]
 
 
-def _count(text: str) -> int:
-    """argparse type of a count flag: an integer >= 0."""
-    if not text.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"expects an integer >= 0, got {text!r}")
+def _count(text: str, least: int = 0) -> int:
+    """argparse type of a count flag: an integer >= ``least``."""
+    if not text.strip().isdecimal() or int(text) < least:
+        raise argparse.ArgumentTypeError(f"expects an integer >= {least}, got {text!r}")
     return int(text)
+
+
+def _cases(text: str) -> int:
+    """argparse type of a flag counting the cases a record checks: an integer >= 1,
+    since a record over no cases would pass having checked nothing."""
+    return _count(text, 1)
 
 
 def _build_filtration(p) -> al.Filtration:
@@ -170,9 +176,8 @@ def _parse_flag(key: str, text: str, parse, *args):
 
 def _solver_config(p) -> mt.SolverConfig:
     cfg = mt.SolverConfig()
-    for key in ("starts", "max_iter", "seed"):
-        if p.get(key) is not None:
-            setattr(cfg, key, int(p[key]))
+    if p.get("max_iter") is not None:
+        cfg.max_iter = int(p["max_iter"])
     return cfg
 
 
@@ -324,7 +329,7 @@ def run_switch_violation(p) -> list:
     triple = _triple_from_params({"depth": len(lam), "lambda": lam})
     records = []
     for k in _ints(p, "k", 1):
-        rep = iso.switch_iso_violation(triple, k, _int(p, "l", 3), _solver_config(p))
+        rep = iso.switch_iso_violation(triple, k, _int(p, "l", 3))
         rep["record"] = "switch-violation"
         rep["ok"] = bool(rep["violation_certified"] if k >= 1 else rep["gap"] == 0.0)
         records.append(rep)
@@ -516,7 +521,6 @@ OPTIONS = {
     "l": {"help": "Bloch label 1..3; distance in car mode: comma separated labels"},
     "state1": {},
     "state2": {},
-    "starts": {"type": _count, "help": "cap on solver starts; more run only while the certified gap is open"},
     "max-iter": {"type": _count},
     "auto": {"help": "switch:i,j | portrait:BITS | leafperm:... | locals:SEED | block:S,W,SEED | global:SEED | odometer | identity"},
     "round-trip": {"help": "N_STRUCT,N_ADV: batch equivalence check instead of one verdict"},
@@ -525,10 +529,10 @@ OPTIONS = {
     "progress": {"action": "store_true", "help": "report scan progress on stderr"},
     "d1": {"type": float},
     "d2": {"type": float},
-    "pairs": {"type": _count},
-    "elements": {"type": _count},
+    "pairs": {"type": _cases},
+    "elements": {"type": _cases},
     "c": {"type": float},
-    "samples": {"type": _count},
+    "samples": {"type": _cases},
     "action": {"choices": ("trivial", "odometer")},
     "radius": {"type": int},
     "margin": {"type": int},
@@ -540,28 +544,28 @@ OPTIONS = {
     "suite": {"action": "store_true", "help": "run the full lift matrix with designed failure controls"},
 }
 _FLAG_OF = {flag.replace("-", "_"): flag for flag in OPTIONS}
-_COMMON = ("config", "output", "pretty", "seed")
+_COMMON = ("config", "output", "pretty")
 _TRIPLE = ("family", "k", "depth", "lambda", "gamma", "power")
 
 # subcommand -> (runner, help, flags besides the common ones)
 SUBCOMMANDS = {
     "distance": (run_distance, "state distance (certified lower/upper bounds)",
-                 _TRIPLE + ("car", "n", "l", "state1", "state2", "starts", "max-iter")),
+                 _TRIPLE + ("car", "n", "l", "state1", "state2", "max-iter")),
     "iso-check": (run_iso_check, "unitary rigidity verdict for one automorphism",
-                  _TRIPLE + ("auto", "round-trip")),
+                  _TRIPLE + ("auto", "round-trip", "seed")),
     "iso-enumerate": (run_iso_enumerate, "tree-automorphism group of the Cantor triple",
                       ("cantor", "depth", "exhaustive", "lambda", "gamma", "power", "progress")),
     "cantor-metric": (run_cantor_metric, "leaf-pair distance table grouped by split level",
-                      ("gamma", "depth", "starts", "max-iter")),
+                      ("gamma", "depth", "max-iter")),
     "switch-violation": (run_switch_violation, "distance gap under a tensor-slot switch",
-                         ("k", "l", "lambda", "starts")),
+                         ("k", "l", "lambda")),
     "flip-demo": (run_flip_demo, "two-point flip: distance preserving, Dirac moving",
-                  ("d1", "d2", "pairs", "elements")),
+                  ("d1", "d2", "pairs", "elements", "seed")),
     "shift-inequality": (run_shift_inequality, "commutator stretching under the shift",
-                         ("n", "c", "lambda", "samples")),
+                         ("n", "c", "lambda", "samples", "seed")),
     "crossed-lift": (run_crossed_lift, "lifted unitaries on the site window",
                      _TRIPLE + ("action", "radius", "margin", "chi", "beta", "sigma", "support",
-                                "expect-fail", "suite")),
+                                "expect-fail", "suite", "seed")),
 }
 RUNNERS = {name: entry[0] for name, entry in SUBCOMMANDS.items()}
 
@@ -618,7 +622,7 @@ def _read_config(path: str, subcommand: str) -> dict:
         raise InvalidInputError(f"config {path} is for subcommand {loaded['subcommand']!r}")
     params = loaded.get("params", loaded)
     stray = set(loaded) - {"subcommand", "params"} if params is not loaded else set()
-    known = {flag.replace("-", "_") for flag in SUBCOMMANDS[subcommand][2]} | {"seed", "subcommand"}
+    known = {flag.replace("-", "_") for flag in SUBCOMMANDS[subcommand][2]} | {"subcommand"}
     unknown = sorted(stray | (set(params) - known))
     if unknown:
         raise InvalidInputError(f"config {path}: not an option of {subcommand}: {', '.join(unknown)}")

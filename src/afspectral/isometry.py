@@ -480,9 +480,7 @@ def enumerate_cantor_iso(
 # ---------------------------------------------------------------------------
 
 
-def switch_iso_violation(
-    triple: tr.TruncatedTriple, k: int, l: int = 3, cfg: mt.SolverConfig | None = None
-) -> dict:
+def switch_iso_violation(triple: tr.TruncatedTriple, k: int, l: int = 3) -> dict:
     """Certified distance gap showing the slot switch 1 <-> k+1 moves a state.
 
     For v the matched vector of Bloch label ``l`` (:func:`metric.car_vector`),
@@ -498,8 +496,8 @@ def switch_iso_violation(
     if k < 0 or triple.depth < k + 1:
         raise PreconditionError(f"need depth >= {k + 1}")
     lam = triple.lambdas
-    before = mt.car_golden_case([float(x) for x in lam[1:]], 0, l, cfg)
-    after = mt.car_golden_case([float(x) for x in lam[1:]], k, l, cfg)
+    before = mt.car_golden_case([float(x) for x in lam[1:]], 0, l)
+    after = mt.car_golden_case([float(x) for x in lam[1:]], k, l)
     gap = abs(1.0 / lam[1] - 1.0 / lam[k + 1])
     certified = (
         before["lower_bound"] >= before["upper_bound"] - 1e-6

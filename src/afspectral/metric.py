@@ -11,36 +11,41 @@ reference-state conditional expectation contracts it, so the search space is
 the real span of the grade >= 1 canonical basis at the smallest level both
 states factor through.
 
-The solver maximizes the scale-invariant ratio (c . t) / ||sum_i t_i B_i||
-by multistart quasi-Newton ascent, where B_i are the basis commutators and c
-the state-difference vector: each start steps along its own BFGS direction
-and backtracks until the ratio gains.  All starts advance in lockstep on one
-batched symmetric-eigen kernel: each pass of a line search makes one
-``eigvalsh`` call (trials) and each round one ``eigh`` call (norms plus
-top-space subgradients) for every start still running.  Real stacks (Cantor
-triples, where the B_i are real antisymmetric) stay in real arithmetic and
-read the norm off the Gram matrix M(t)^T M(t); complex stacks are
-anti-Hermitian, and the norm is the spectral radius of the Hermitian
-H(t) = i sum_i t_i B_i.  Each start keeps its own inverse-Hessian estimate,
-step, stopping rules and line search, so its trajectory is that of a solo
-run.
+The problem max c . t subject to ||sum_i t_i B_i|| <= 1, with B_i the basis
+commutators and c the state-difference vector, is convex, so one
+deterministic solve serves every problem (see ``distance``).  It first runs
+a quasi-Newton ascent on the scale-invariant ratio (c . t) / ||M(t)||,
+M(t) = sum_i t_i B_i, from the Frobenius start and any informed starts:
+each start steps along its own BFGS direction and backtracks until the
+ratio gains.  The starts advance in lockstep on one batched symmetric-eigen
+kernel: each pass of a line search makes one ``eigvalsh`` call (trials) and
+each round one ``eigh`` call (norms plus top-space subgradients) for every
+start still running.  Real stacks (Cantor triples, where the B_i are real
+antisymmetric) stay in real arithmetic and read the norm off the Gram
+matrix M(t)^T M(t); complex stacks are anti-Hermitian, and the norm is the
+spectral radius of the Hermitian H(t) = i M(t).  Each start keeps its own
+inverse-Hessian estimate, step, stopping rules and line search, so its
+trajectory is that of a solo run.
 
-The ratio is quasi-concave (its superlevel sets are convex cones), so every
-start climbs to the same value, and starts are spent batch by batch only
-while a weak-duality certificate leaves the gap open (see ``distance``).  A
-matrix Y with <B_i, Y> = c_i bounds the distance by its nuclear norm; fitted
-on the top singular space of M(t) and then on the tangent space there, its
-excess over the ratio at t falls with the square of t's distance to the
-optimum.
+The ascent's best row is then certified.  A matrix Y with <B_i, Y> = c_i
+bounds the distance by its nuclear norm; fitted on the top singular space
+of M(t) and then on the tangent space there, its excess over the ratio at t
+falls with the square of t's distance to the optimum.  The ratio is
+nonsmooth where the top singular value of M(t) is repeated, and the ascent
+can stall near such a point with the gap open.  Only then a log-barrier
+Newton method (``_barrier``), which the nonsmoothness does not stall, runs
+once from t = 0 along the central path of the SDP form I +- H(t) >= 0.
 
 The first start is t0 = G^+ c, with G_ij = <B_i, B_j> the stack's Frobenius
 Gram matrix: it maximizes (c . t)/||M(t)||_F, so its ratio is at least
 sqrt(c^T G^+ c); on the depth-3 Cantor pairs at gamma = 1/3 it lies within
-7e-4 (relative) of the optimum, and its ascent is certified with no random
-start run.  The SVD that gives G^+ also decides boundedness before any
-ascent: its null directions are exactly where M(t) = 0, so a part of c there
-makes the distance infinite.  The test is that of the ascent's own zero-norm
-check (TOL.zero_norm, TOL.unbounded), taken over the whole null space.
+7e-4 (relative) of the optimum, and its ascent is certified without the
+barrier.  One SVD of the stack rows, taken when the constraint map is
+built, gives G^+, the certificate's last minimum-norm correction and the
+barrier's range basis.  It also decides boundedness before any ascent: its
+null directions are exactly where M(t) = 0, so a part of c there makes the
+distance infinite.  The test is that of the ascent's own zero-norm check
+(TOL.zero_norm, TOL.unbounded), taken over the whole null space.
 
 Every reported lower bound is certified by an explicit feasible witness,
 re-evaluated through the public operations.  Exact upper bounds are
@@ -69,16 +74,16 @@ from .linalg import TOL, check_dense_bytes
 
 @dataclass
 class SolverConfig:
-    starts: int = 24  # cap on the starts, Frobenius and informed included; randoms run while the gap is open
-    max_iter: int = 500
-    seed: int = 0
+    max_iter: int = 500  # cap on the rounds of each ascent row, and on the barrier's Newton steps
 
 
 ASCENT_TOL = 1e-8  # relative gain below which a round stalls
-POLISH_TOL = ASCENT_TOL * 1e-4  # the polish's stall gain; a certificate gap that ends the search
+GAP_TOL = 1e-12  # relative certificate gap that proves the incumbent optimal
 STEP_INIT = 1.0  # first line-search step of a start, and of a restart along the gradient
 STEP_MIN = 1e-13  # smallest line-search step the ascent evaluates
-POLISH_STEP_INIT = 1e-2  # first line-search step of the polish, which starts near an optimum
+BARRIER_GROWTH = 50.0  # factor by which the barrier's objective weight tau grows per stage
+BARRIER_GAP = 1e-10  # relative central-path gap 2d/tau at which the barrier stops
+NEWTON_CENTERED = 1e-3  # half the squared Newton decrement at which a barrier stage is centered
 CAR_SLACK = 1e-9  # rounding by which a CAR lower bound may exceed the exact 1/lambda_{n+1}
 
 
@@ -165,8 +170,18 @@ class _ConstraintMap:
         flat = B.real.reshape(p, d * d) if self.real else (1j * B).reshape(p, d * d)
         self.flat = np.ascontiguousarray(flat)
         self.flat_t = np.ascontiguousarray(self.flat.T)
-        # <B_i, B_j>, so ||M(t)||_F^2 = t^T G t: the start and dual_bound's correction
-        self.gram = np.real(np.conj(self.flat) @ self.flat.T)
+        # one SVD of the real stack rows R, whose Gram matrix G = R R^T gives
+        # ||M(t)||_F^2 = t^T G t: the Frobenius start, the unboundedness
+        # refusal, dual_bound's last correction and the barrier's range basis
+        R = self.flat if self.real else np.hstack([self.flat.real, self.flat.imag])
+        self.u, self.s, _ = np.linalg.svd(R, full_matrices=False)
+        # singular values below the rank rule of ``numpy.linalg.lstsq``, or below TOL.zero_norm
+        self.kept = self.s >= max(TOL.zero_norm, max(R.shape) * np.finfo(float).eps * self.s[0])
+
+    def _pinv_gram(self, r: np.ndarray) -> np.ndarray:
+        """G^+ r on the kept singular values of R, with R's dynamic range rather than G's squared one."""
+        coef = self.u.T @ r
+        return self.u[:, self.kept] @ (coef[self.kept] / self.s[self.kept] ** 2)
 
     def frobenius_start(self, c: np.ndarray) -> np.ndarray:
         """t0 = G^+ c, the maximizer of (c . t)/||M(t)||_F, with G the stack's Gram matrix.
@@ -174,25 +189,19 @@ class _ConstraintMap:
         ||M(t)||_F^2 = t^T G t, so by Cauchy-Schwarz in the G inner product
         c . t <= sqrt(c^T G^+ c) ||M(t)||_F for c in range(G), with equality
         at t0; since ||M|| <= ||M||_F, the ratio at t0 is at least
-        sqrt(c^T G^+ c).  G = R R^T for the real stack rows R, so one SVD of
-        R gives G^+ with R's dynamic range rather than G's squared one; the
-        singular values below the rank rule of ``numpy.linalg.lstsq``, or
-        below TOL.zero_norm, are left out.  Boundedness is decided here with the
-        criterion of :func:`_check_bounded`, over the whole null space: the
-        left singular vectors u of R with ||M(u)||_F < TOL.zero_norm span
-        the directions that M maps to zero, and a part of c there larger than
-        TOL.unbounded (the largest |c . u| over them) raises
+        sqrt(c^T G^+ c).  G^+ comes from the SVD of R taken at construction.
+        Boundedness is decided here with the criterion of
+        :func:`_check_bounded`, over the whole null space: the left singular
+        vectors u of R with ||M(u)||_F < TOL.zero_norm span the directions
+        that M maps to zero, and a part of c there larger than TOL.unbounded
+        (the largest |c . u| over them) raises
         :class:`UnboundedObjectiveError`.  t0 is returned at unit length:
         G^+ c is of size |c|/||G||, which on a wide-range Dirac falls below
         the TOL.zero_norm at which the ascent takes a row for zero.
         """
-        R = self.flat if self.real else np.hstack([self.flat.real, self.flat.imag])
-        u, s, _ = np.linalg.svd(R, full_matrices=False)
-        coef = u.T @ c
-        if np.linalg.norm(coef[s < TOL.zero_norm]) > TOL.unbounded:
+        if np.linalg.norm((self.u.T @ c)[self.s < TOL.zero_norm]) > TOL.unbounded:
             raise UnboundedObjectiveError("nonzero objective along a Dirac-commuting direction")
-        kept = s >= max(TOL.zero_norm, max(R.shape) * np.finfo(float).eps * s[0])
-        t0 = u[:, kept] @ (coef[kept] / s[kept] ** 2)
+        t0 = self._pinv_gram(c)
         n = np.linalg.norm(t0)
         return t0 / n if n > 0 else t0
 
@@ -271,12 +280,15 @@ class _ConstraintMap:
         which moves the nuclear norm only at second order beyond the
         top-space part, so the excess ||Y||_* - (c . t)/||M(t)|| falls with
         the square of t's distance to the optimum.  The minimum-norm
-        correction sum_i alpha_i B_i, alpha from the stack's Gram matrix,
-        removes what is left and makes Y feasible.  Y is returned in the
-        frame of the B_i.  On a stack whose Gram matrix spans more than
-        1/eps that correction can fall short; a Y that misses the constraints
-        by more than TOL.structural * |c| certifies nothing, and its bound
-        reads inf.
+        correction sum_i alpha_i B_i, alpha = G^+ r for the residual r,
+        removes what is left and makes Y feasible; G^+ comes from the SVD of
+        the stack rows, so its conditioning is that of the rows, not their
+        square.  Y is returned in the frame of the B_i.  Far from the optimum
+        on a stack whose rows span more than about 1e8 the residual is large
+        and that correction can still fall short; a Y that misses the
+        constraints by more than TOL.structural * |c| certifies nothing, and
+        its bound reads inf.  The nuclear norm comes from a floating-point
+        SVD, exact up to about d * eps * ||Y||.
         """
         u, s, vh = np.linalg.svd(self.images(np.asarray(t, dtype=float)[None])[0])
         k = int(np.count_nonzero(s >= s[0] - max(TOL.top_band * s[0], TOL.top_band_abs)))
@@ -301,7 +313,7 @@ class _ConstraintMap:
         beta = np.linalg.lstsq(gram_t, c - np.real(self.flat @ np.conj(w)), rcond=TOL.top_band)[0]
         a, cb, e = (np.tensordot(beta, m, axes=1) for m in (A, C, E))
         w = w + (u @ (a - e @ vh) + cb @ vh).reshape(-1)
-        w = w + np.linalg.lstsq(self.gram, c - np.real(self.flat @ np.conj(w)), rcond=None)[0] @ self.flat
+        w = w + self._pinv_gram(c - np.real(self.flat @ np.conj(w))) @ self.flat
         feasible = np.linalg.norm(c - np.real(self.flat @ np.conj(w))) <= TOL.structural * np.linalg.norm(c)
         w = w.reshape(self.shape)
         bound = float(np.linalg.svd(w, compute_uv=False).sum()) if feasible else np.inf
@@ -392,8 +404,7 @@ def _bfgs_update(H: np.ndarray, fresh: np.ndarray, s: np.ndarray, y: np.ndarray)
     return H, ok
 
 
-def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, max_iter: int,
-            tol: float = ASCENT_TOL, step_init: float = STEP_INIT):
+def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, max_iter: int):
     """Maximize (c . t)/||M(t)|| from every row of T0 in lockstep.
 
     Returns per-row (values, T, iterations).  Each row steps along the
@@ -401,10 +412,10 @@ def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, max_iter: int,
     estimate, starting at the identity.  A row whose direction is not
     uphill, or whose line search finds no gain, restarts from H = I; a failed
     search along the gradient itself ends the row.  A row's first search, and
-    one retried along the gradient, starts at ``step_init``; its next search
+    one retried along the gradient, starts at STEP_INIT; its next search
     starts at twice its last accepted step, at most the full quasi-Newton
     step 1.  A row retires after three rounds in a row that each gain less
-    than ``tol`` (relative).  Rows share only the batched kernel calls, and
+    than ASCENT_TOL (relative).  Rows share only the batched kernel calls, and
     every per-row product is a batched product with one operand per row, so
     each row's result is that of a one-row call on its start.
     """
@@ -447,7 +458,7 @@ def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, max_iter: int,
         H[rows] = np.eye(p)
         fresh[rows] = True
 
-    step = np.full(S, step_init)
+    step = np.full(S, STEP_INIT)
     flat = np.zeros(S, dtype=int)
     for it in range(1, max_iter + 1):
         rows = np.flatnonzero(live)
@@ -471,7 +482,7 @@ def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, max_iter: int,
         live[failed[fresh[failed]]] = False
         retry = failed[~fresh[failed]]
         restart(retry)
-        step[retry] = step_init
+        step[retry] = STEP_INIT
 
         acc = rows[accepted]
         gain = rn[accepted] - r[acc]
@@ -482,16 +493,88 @@ def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, max_iter: int,
         H[acc], updated = _bfgs_update(H[acc], fresh[acc], s, grad[accepted] - gradient(acc))
         fresh[acc[updated]] = False
         step[acc] = np.minimum(2.0 * st[accepted], 1.0)
-        stalled = gain < tol * np.maximum(1.0, np.abs(r[acc]))
+        stalled = gain < ASCENT_TOL * np.maximum(1.0, np.abs(r[acc]))
         flat[acc] = np.where(stalled, flat[acc] + 1, 0)
         live[acc[flat[acc] >= 3]] = False
 
     return r, T, iters
 
 
+def _barrier(c: np.ndarray, cons: _ConstraintMap, max_iter: int):
+    """Maximize c . t over ||M(t)|| < 1 by a log-barrier Newton method from t = 0.
+
+    Returns (ratio, t, Newton steps).  The problem is convex (an SDP: with
+    the Hermitian H = i M, ||H|| <= 1 holds exactly when I +- H >= 0), so
+    the central path leads to the global maximum, which the ascent can stall
+    short of near a repeated top singular value.  Stage k minimizes
+    -tau_k c . t - sum_a log(1 - w_a^2) over the eigenvalues w of H(t): one
+    complex-Hermitian form for real and complex stacks.  With
+    H = Q diag(w) Q^H, B'_i = Q^H (i B_i) Q, alpha = 1/(1 - w) and
+    beta = 1/(1 + w), the barrier's gradient is
+    sum_a (alpha_a - beta_a) B'_i[a, a] and its Hessian
+    Re sum_ab K_ab B'_i[a, b] conj(B'_j[a, b]), K = alpha alpha^T + beta beta^T,
+    formed as one real product of the B'_i scaled by sqrt(K).
+
+    Newton works in the range basis of the stack's SVD, t = U diag(1/s) z
+    over the kept singular values, where ||M(t)||_F = |z|: null directions
+    drop out, and since K >= 1/2 the Hessian is at least I/2.  tau starts at
+    1/|c_z|, c_z the objective in that basis.  A step is damped to
+    1/(1 + lambda), lambda the Newton decrement, and halved while it would
+    leave ||H|| < 1.  A stage ends when lambda^2/2 < NEWTON_CENTERED, and tau
+    then grows by BARRIER_GROWTH.  The barrier stops at a centered point
+    whose central-path gap 2d/tau is below BARRIER_GAP * (c . t), or after
+    ``max_iter`` Newton steps; with no step taken it returns t = 0 and the
+    ratio -inf.  Peak transient: the range-basis stack and the B'_i, two
+    complex (k, d, d) arrays with k <= p, so at most twice the commutator
+    stack whose size ``_search_space`` checks against the dense-array limit.
+    """
+    W = cons.u[:, cons.kept] / cons.s[cons.kept]
+    E = (W.T @ cons.flat).reshape(-1, *cons.shape)  # M (real stack) or H along the range basis
+    if cons.real:
+        E = 1j * E
+    P = np.empty_like(E)
+    cz = W.T @ c
+    z = np.zeros(len(cz))
+    H = np.zeros(cons.shape, dtype=complex)
+    tau = 1.0 / np.linalg.norm(cz)
+    two_d = 2 * cons.shape[0]
+    steps = 0
+    while steps < max_iter:
+        w, Q = np.linalg.eigh(H)
+        alpha, beta = 1.0 / (1.0 - w), 1.0 / (1.0 + w)
+        Qh = np.conj(Q.T)
+        for j in range(len(E)):
+            np.matmul(Qh @ E[j], Q, out=P[j])
+        grad = np.einsum("kaa->ka", P).real @ (alpha - beta)
+        P *= np.sqrt(np.outer(alpha, alpha) + np.outer(beta, beta))
+        Pv = P.reshape(len(E), -1).view(float)  # Re <P_i, P_j> as a real product
+        hess = Pv @ Pv.T
+        while True:  # a centered point starts the next stage, or ends the barrier
+            g = grad - tau * cz
+            dz = -np.linalg.solve(hess, g)
+            lam2 = -(g @ dz)
+            if lam2 / 2 >= NEWTON_CENTERED or two_d / tau < BARRIER_GAP * (cz @ z):
+                break
+            tau *= BARRIER_GROWTH
+        if lam2 / 2 < NEWTON_CENTERED:
+            break
+        step = 1.0 / (1.0 + np.sqrt(lam2))
+        while True:
+            H = np.tensordot(z + step * dz, E, axes=1)
+            if np.max(np.abs(np.linalg.eigvalsh(H))) < 1.0:
+                break
+            step /= 2
+        z = z + step * dz
+        steps += 1
+    t = W @ z
+    if not steps:
+        return -np.inf, t, 0
+    return (c @ t) / cons.norms(t[None])[0], t, steps
+
+
 def _closed(upper: float, value: float) -> bool:
-    """Whether a certificate proves a ratio optimal to the polish's precision."""
-    return upper - value <= POLISH_TOL * max(1.0, abs(value))
+    """Whether a certificate proves a ratio optimal to GAP_TOL."""
+    return upper - value <= GAP_TOL * max(1.0, abs(value))
 
 
 # ---------------------------------------------------------------------------
@@ -533,22 +616,18 @@ def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> Dista
     it holds independently of solver quality.  ``upper_bound`` is populated
     only when a matching certificate exists (identical states).
 
-    Starts are spent only while a certificate leaves the gap open.  They
-    ascend in up to three lockstep batches: the Frobenius start G^+ c
-    (``"frobenius"``) with the informed starts, then the first seeded random
-    start, then the other random starts, up to ``cfg.starts`` in all.  After
-    each batch its best row is certified, and the search ends at the first
-    batch after which the smallest certificate is within
-    POLISH_TOL * max(1, ratio) of the best ratio.  The incumbent is then
-    polished unless the certificate already closes the gap, which leaves
-    the polish less than its own stall gain; a skipped polish reads 0
-    iterations at the incumbent's value.  ``diagnostics["dual_bound"]`` is
-    the smallest certificate computed, an upper bound on the distance.  An
-    objective unbounded along a Dirac-commuting direction raises
-    :class:`UnboundedObjectiveError` before any ascent.  A problem whose
-    commutator stack would exceed ``linalg.MAX_DENSE_BYTES`` raises
-    :class:`UnsupportedError`, naming the estimate, before the stack is
-    allocated.
+    One deterministic path.  The Frobenius start G^+ c (``"frobenius"``) and
+    the informed starts ascend in lockstep, and the best row is certified.
+    If the certificate is within GAP_TOL * max(1, ratio) of that ratio the
+    solve ends there.  Otherwise :func:`_barrier` runs once from t = 0 (the
+    ``"barrier"`` row of ``per_start``, its Newton steps as ``iterations``),
+    its point is certified too, and the better ratio is kept.
+    ``diagnostics["dual_bound"]`` is the smallest certificate computed, an
+    upper bound on the distance.  An objective unbounded along a
+    Dirac-commuting direction raises :class:`UnboundedObjectiveError` before
+    any ascent.  A problem whose commutator stack would exceed
+    ``linalg.MAX_DENSE_BYTES`` raises :class:`UnsupportedError`, naming the
+    estimate, before the stack is allocated.
     """
     cfg = cfg or SolverConfig()
     if problem.search_level == 0:
@@ -560,44 +639,28 @@ def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> Dista
         return _zero_result(problem, {"reason": "states agree on the search level"})
     cons = _ConstraintMap(B)
 
-    first = [("frobenius", cons.frobenius_start(c))]
+    starts = [("frobenius", cons.frobenius_start(c))]
     for k, w in enumerate(problem.informed_starts):
         w = np.asarray(w, dtype=float)
         if w.shape != (p,):
             raise InvalidInputError("informed start has wrong parameter dimension")
-        first.append((f"informed-{k}", w))
-    n_random = max(cfg.starts - len(first), 1)
-
-    def batches():  # random starts are drawn only for a batch that runs
-        yield first
-        for ks in (range(1), range(1, n_random)):
-            if ks:
-                yield [(f"random-{k}", np.random.default_rng([cfg.seed, k]).normal(size=p)) for k in ks]
-
-    spent, runs, dual = [], [], np.inf
-    for batch in batches():
-        spent += batch
-        runs.append(_ascend(c, cons, np.stack([t0 for _, t0 in batch]), cfg.max_iter))
-        v, t, _ = runs[-1]
-        dual = min(dual, cons.dual_bound(c, t[np.argmax(v)])[0])
-        vals, T, iters = (np.concatenate(parts) for parts in zip(*runs))
-        best = int(np.argmax(vals))
-        if _closed(dual, vals[best]):
-            break
+        starts.append((f"informed-{k}", w))
+    vals, T, iters = _ascend(c, cons, np.stack([t0 for _, t0 in starts]), cfg.max_iter)
     per_start = [
         {"start": kind, "objective": float(v), "iterations": int(n)}
-        for (kind, _), v, n in zip(spent, vals, iters)
+        for (kind, _), v, n in zip(starts, vals, iters)
     ]
-    best_val, best_t = vals[best], T[best]
+    best = int(np.argmax(vals))
+    best_start, best_val, best_t = starts[best][0], vals[best], T[best]
+    dual = cons.dual_bound(c, best_t)[0]
 
-    # polish the incumbent with a finer stopping rule while the gap is open
-    if _closed(dual, best_val):
-        per_start.append({"start": "polish", "objective": float(best_val), "iterations": 0})
-    else:
-        vals, T, iters = _ascend(c, cons, best_t[None], cfg.max_iter, POLISH_TOL, POLISH_STEP_INIT)
-        per_start.append({"start": "polish", "objective": float(vals[0]), "iterations": int(iters[0])})
-        if vals[0] > best_val:
-            best_val, best_t = vals[0], T[0]
+    if not _closed(dual, best_val):
+        value, t, steps = _barrier(c, cons, cfg.max_iter)
+        per_start.append({"start": "barrier", "objective": float(value), "iterations": steps})
+        if steps:
+            dual = min(dual, cons.dual_bound(c, t)[0])
+        if value > best_val:
+            best_start, best_val, best_t = "barrier", value, t
 
     # certify through the public operations
     filt = problem.triple.filtration
@@ -610,8 +673,8 @@ def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> Dista
     diagnostics = {
         "search_level": problem.search_level,
         "parameters": p,
-        "starts": len(spent),
-        "best_start": spent[best][0],
+        "starts": len(per_start),
+        "best_start": best_start,
         "per_start": per_start,
         "solver_objective": float(best_val),
         "dual_bound": dual,

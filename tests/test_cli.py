@@ -53,7 +53,7 @@ def test_generic_distance_reports_solver_diagnostics(capsys):
     assert code == 0
     rec = records[0]
     assert isinstance(rec["iterations"], int) and rec["iterations"] > 0
-    assert rec["best_start"] == "frobenius" or rec["best_start"].startswith("random-")
+    assert rec["best_start"] in ("frobenius", "barrier")
     assert run_cli(capsys, argv)[1] == records
 
 def test_iso_enumerate_depth2(capsys):
@@ -137,11 +137,24 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distance", "--car", "--n", "0", "--lambda", "2", "--seed", "1"],
+        ["cantor-metric", "--gamma", "0.3333333333", "--depth", "2", "--starts", "8"],
+    ],
+    ids=["distance-seed", "cantor-metric-starts"],
+)
+def test_flag_a_subcommand_does_not_read_is_refused(capsys, argv):
+    # the distance solver is deterministic and has no start count
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage error: unrecognized arguments: --")
+
+
 def test_determinism_byte_identical(capsys):
-    _, out1 = run_cli(capsys, ["distance", "--car", "--n", "0", "--lambda", "2",
-                               "--seed", "7"])
-    _, out2 = run_cli(capsys, ["distance", "--car", "--n", "0", "--lambda", "2",
-                               "--seed", "7"])
+    _, out1 = run_cli(capsys, ["distance", "--car", "--n", "0", "--lambda", "2"])
+    _, out2 = run_cli(capsys, ["distance", "--car", "--n", "0", "--lambda", "2"])
     assert json.dumps(out1) == json.dumps(out2)
 
 
@@ -203,8 +216,7 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch, targe
 
 def test_cantor_metric_subcommand(capsys):
     code, records = run_cli(
-        capsys, ["cantor-metric", "--gamma", "0.3333333333", "--depth", "2",
-                 "--starts", "8"]
+        capsys, ["cantor-metric", "--gamma", "0.3333333333", "--depth", "2"]
     )
     assert code == 0
     rec = records[0]
@@ -258,9 +270,11 @@ def test_progress_goes_to_stderr(capsys):
         ("crossed-lift", {"sigma": "flip"}, "--sigma"),
         ("flip-demo", {"subcommand": "flip-demo", "params": {}, "pairs": 5}, "pairs"),
         ("flip-demo", {"pairs": -3}, "--pairs"),
+        ("shift-inequality", {"samples": 0}, "--samples"),
+        ("distance", {"car": True, "lambda": "1,2", "seed": 7}, "seed"),
     ],
     ids=["float-for-int", "text-for-store-true", "text-car", "unknown-key", "choices",
-         "key-beside-params", "negative-count"],
+         "key-beside-params", "negative-count", "zero-samples", "unread-seed"],
 )
 def test_config_values_follow_flag_schema(tmp_path, capsys, monkeypatch, subcommand, params, flag):
     # a config value passes its flag's checks before any runner starts
@@ -276,9 +290,9 @@ def test_config_values_follow_flag_schema(tmp_path, capsys, monkeypatch, subcomm
 def test_config_values_read_as_flag_text(tmp_path, capsys):
     # JSON lists and numbers give the records the same flags give
     path = tmp_path / "exp.json"
-    path.write_text(json.dumps({"car": True, "n": [0, 1], "lambda": [1, 2, 4], "seed": 7}))
+    path.write_text(json.dumps({"car": True, "n": [0, 1], "lambda": [1, 2, 4], "max_iter": 50}))
     code, from_file = run_cli(capsys, ["distance", "--config", str(path)])
-    argv = ["distance", "--car", "--n", "0,1", "--lambda", "1,2,4", "--seed", "7"]
+    argv = ["distance", "--car", "--n", "0,1", "--lambda", "1,2,4", "--max-iter", "50"]
     assert code == 0 and from_file == run_cli(capsys, argv)[1]
     assert [type(v) for v in from_file[0]["lambda"]] == [float]
 
@@ -337,9 +351,12 @@ def test_config_file_errors_are_usage_errors(tmp_path, capsys, content):
         (["flip-demo", "--elements", "-1"], "--elements"),
         (["shift-inequality", "--samples", "-1"], "--samples"),
         (["crossed-lift", "--support", "-1"], "--support"),
-        (["distance", "--starts", "-1"], "--starts"),
+        (["distance", "--max-iter", "-1"], "--max-iter"),
         (["cantor-metric", "--max-iter", "-1"], "--max-iter"),
         (["flip-demo", "--pairs", "two"], "--pairs"),
+        (["flip-demo", "--pairs", "0"], "--pairs"),
+        (["flip-demo", "--elements", "0"], "--elements"),
+        (["shift-inequality", "--samples", "0"], "--samples"),
     ],
 )
 def test_malformed_integer_flag_is_named(capsys, argv, flag):

@@ -440,7 +440,7 @@ def test_m_invariance_gamma_guard():
 
 
 def test_m_invariance_depth2():
-    rep = iso.m_invariance_experiment(1 / 3, 2, mt.SolverConfig(starts=10))
+    rep = iso.m_invariance_experiment(1 / 3, 2, mt.SolverConfig())
     assert sorted(rep["classes"]) == [1, 2]
     assert rep["classes"][1]["count"] == 4 and rep["classes"][2]["count"] == 2
     assert rep["separated"]

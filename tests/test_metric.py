@@ -22,7 +22,7 @@ F1 = al.uhf(2, 1)
 F3 = al.uhf(2, 3)
 C3 = al.cantor(3)
 
-FAST = mt.SolverConfig(starts=10, max_iter=300)
+FAST = mt.SolverConfig(max_iter=300)
 
 
 def _normalized_vector(filt, level, rng):
@@ -212,8 +212,8 @@ def test_objective_rejects_non_real_difference(uhf3):
 def test_solver_determinism(uhf3, rng):
     v = _normalized_vector(F3, 2, rng)
     p = mt.reduce_search_level(mt.DistanceProblem(uhf3, al.VectorState(v), al.TraceState()))
-    r1 = mt.distance(p, mt.SolverConfig(starts=8, seed=42))
-    r2 = mt.distance(p, mt.SolverConfig(starts=8, seed=42))
+    r1 = mt.distance(p, mt.SolverConfig())
+    r2 = mt.distance(p, mt.SolverConfig())
     assert r1.lower_bound == r2.lower_bound
     assert np.array_equal(r1.witness.coeffs, r2.witness.coeffs)
     assert r1.diagnostics == r2.diagnostics
@@ -347,7 +347,8 @@ def test_frobenius_start_maximizes_frobenius_ratio(family, uhf3, cantor3, rng):
     M = cons.images(T)
     frob = T @ c / np.linalg.norm(M, axis=(1, 2))
     assert np.all(frob[0] >= frob[1:] * (1 - 1e-13))
-    assert frob[0] == pytest.approx(np.sqrt(c @ np.linalg.pinv(cons.gram) @ c), rel=1e-12)
+    G = np.real(np.einsum("iab,jab->ij", np.conj(B), B))
+    assert frob[0] == pytest.approx(np.sqrt(c @ np.linalg.pinv(G) @ c), rel=1e-12)
     assert (t0 @ c) / cons.norms(t0[None])[0] >= frob[0] * (1 - 1e-13)
 
 
@@ -406,24 +407,27 @@ def test_distance_raises_when_objective_leaves_gram_range(uhf1, monkeypatch, b):
         raise AssertionError("ascent ran")
 
     monkeypatch.setattr(mt, "_ascend", no_ascent)
+    monkeypatch.setattr(mt, "_barrier", no_ascent)
     problem = mt.DistanceProblem(uhf1, al.VectorState(mt.car_vector(F1, 1)), al.TraceState())
     with pytest.raises(UnboundedObjectiveError):
         mt.distance(problem)
 
 
 @pytest.mark.parametrize(
-    "family, state1, state2",
+    "family, state1, state2, best_start",
     [
-        ("cantor", al.CharacterState((0,) * 5), al.CharacterState((1, 0, 0, 0, 0))),
-        ("uhf", al.VectorState(al.shift_embed(mt.car_vector(al.uhf(2, 2), 3), 1)), al.TraceState()),
+        ("cantor", al.CharacterState((0,) * 5), al.CharacterState((1, 0, 0, 0, 0)), "barrier"),
+        ("uhf", al.VectorState(al.shift_embed(mt.car_vector(al.uhf(2, 2), 3), 1)), al.TraceState(),
+         "frobenius"),
     ],
     ids=["cantor-gamma-0.01", "uhf-lambda-1e9"],
 )
-def test_wide_range_dirac_distance_is_finite(family, state1, state2):
+def test_wide_range_dirac_distance_is_finite(family, state1, state2, best_start):
     """Commutator norms 1e8 .. 1e9 apart still count as nonzero: the distance
-    is finite and the Frobenius start's ascent finds it, though the stack's
-    Gram matrix spans more than 1/eps.  Cantor: level-1 words scale with
-    lambda_1 = 1 and level-5 words with 1e8; uhf: lambda = (1, 1e9)."""
+    is finite and the solver finds it, though the stack's Gram matrix spans
+    more than 1/eps.  Cantor: level-1 words scale with lambda_1 = 1 and
+    level-5 words with 1e8, and the Frobenius start's certificate misses its
+    constraints, so the barrier runs and wins; uhf: lambda = (1, 1e9)."""
     if family == "cantor":
         triple = tr.build_triple(al.cantor(5), al.UniformState(), tr.dirac_geometric(0.01, 5))
         expected = 2.0
@@ -431,7 +435,7 @@ def test_wide_range_dirac_distance_is_finite(family, state1, state2):
         triple = tr.build_triple(al.uhf(2, 2), al.TraceState(), tr.dirac_explicit([1.0, 1e9]))
         expected = 1e-9
     res = mt.distance(mt.reduce_search_level(mt.DistanceProblem(triple, state1, state2)))
-    assert res.diagnostics["best_start"] == "frobenius"
+    assert res.diagnostics["best_start"] == best_start
     assert res.lower_bound == pytest.approx(expected, rel=1e-4)
     assert res.lower_bound <= res.diagnostics["dual_bound"] * (1 + 1e-12)
 
@@ -472,8 +476,10 @@ def test_dual_certificate_is_feasible(family, uhf3, cantor3, rng):
 
 def test_infeasible_certificate_reads_inf(rng):
     """On a Dirac with eigenvalues 1 .. 1e8 the Gram matrix spans more than
-    1/eps, and the fitted Y misses the constraints; it certifies nothing.  At
-    a random row its nuclear norm would read 0.02, below the distance 2."""
+    1/eps, and away from the optimum the fitted Y misses the constraints; it
+    certifies nothing.  At a random row its nuclear norm would read 0.02,
+    below the distance 2.  The barrier's point is close enough to the optimum
+    for a feasible Y, whose bound closes the gap."""
     triple = tr.build_triple(al.cantor(5), al.UniformState(), tr.dirac_geometric(0.01, 5))
     problem = mt.reduce_search_level(
         mt.DistanceProblem(triple, al.CharacterState((0,) * 5), al.CharacterState((1, 0, 0, 0, 0)))
@@ -483,8 +489,8 @@ def test_infeasible_certificate_reads_inf(rng):
     for t in np.vstack([cons.frobenius_start(c), rng.normal(size=(3, len(c)))]):
         assert cons.dual_bound(c, t)[0] == np.inf
     res = mt.distance(problem)
-    assert res.diagnostics["dual_bound"] == np.inf
-    assert res.diagnostics["starts"] == mt.SolverConfig().starts  # the gap stays open
+    assert [s["start"] for s in res.diagnostics["per_start"]] == ["frobenius", "barrier"]
+    assert mt._closed(res.diagnostics["dual_bound"], res.lower_bound)
 
 
 def test_dual_bound_above_brute_force(uhf1):
@@ -500,8 +506,8 @@ def test_dual_bound_above_lower_bound_on_cantor_pairs():
     """Weak duality on all 28 depth-3 character pairs, at the witness and for
     the smallest certificate the solver computed; the slack covers only the
     rounding of the two evaluations.  The tangent-space certificate at the
-    witness also closes the gap to that rounding, so no pair spends every
-    start."""
+    witness also closes the gap to that rounding, so no pair runs the
+    barrier: the cantor-split benchmark workload takes this path."""
     triple = tr.build_triple(al.cantor(3), al.UniformState(), tr.dirac_geometric(1 / 3, 3))
     cfg = mt.SolverConfig()
     for x, y in combinations(product((0, 1), repeat=3), 2):
@@ -512,65 +518,78 @@ def test_dual_bound_above_lower_bound_on_cantor_pairs():
         upper, _ = mt._ConstraintMap(B).dual_bound(c, res.witness.coeffs[1:].real)
         assert res.lower_bound - slack <= upper <= res.lower_bound + 1e-12 * max(1.0, res.lower_bound)
         assert res.diagnostics["dual_bound"] >= res.lower_bound - slack
-        assert res.diagnostics["starts"] < cfg.starts
+        assert [s["start"] for s in res.diagnostics["per_start"]] == ["frobenius"]
 
 
-def _open_gap_problem(uhf3):
-    """A level-3 uhf vector state against the trace.  The two largest singular
-    values at the solver's witness agree to 1e-4: the ratio is nonsmooth near
-    a double top value, and the certificate leaves a gap of about 1e-9."""
-    v = _normalized_vector(F3, 3, np.random.default_rng(1))
+def _uhf3_vector_problem(uhf3, seed):
+    """A random level-3 uhf vector state against the trace."""
+    v = _normalized_vector(F3, 3, np.random.default_rng(seed))
     return mt.DistanceProblem(uhf3, al.VectorState(v), al.TraceState())
 
 
 def test_open_gap_spends_every_start_as_one_batch(uhf3):
-    """While the gap stays open every start runs, and the result is that of one
-    lockstep run over all the rows followed by the polish."""
-    problem = _open_gap_problem(uhf3)
-    cfg = mt.SolverConfig(starts=4)
+    """Seed 1: the two largest singular values at the Frobenius row's ascent
+    point agree to 1e-4, the ratio is nonsmooth there, and its certificate
+    leaves a gap of about 1e-9.  The barrier then runs once from t = 0, and
+    the result is that of the ascent and the barrier run alone."""
+    problem = _uhf3_vector_problem(uhf3, 1)
+    cfg = mt.SolverConfig()
     res = mt.distance(problem, cfg)
-    assert res.diagnostics["starts"] == cfg.starts
+    assert [s["start"] for s in res.diagnostics["per_start"]] == ["frobenius", "barrier"]
 
     c, B, _ = mt._search_space(problem)
     cons = mt._ConstraintMap(B)
-    T0 = [cons.frobenius_start(c)]
-    T0 += [np.random.default_rng([cfg.seed, k]).normal(size=len(c)) for k in range(cfg.starts - 1)]
-    vals, T, _ = mt._ascend(c, cons, np.stack(T0), cfg.max_iter)
-    b = int(np.argmax(vals))
-    pol, pol_T, _ = mt._ascend(c, cons, T[b][None], cfg.max_iter, mt.POLISH_TOL, mt.POLISH_STEP_INIT)
-    t = pol_T[0] if pol[0] > vals[b] else T[b]
+    vals, T, _ = mt._ascend(c, cons, cons.frobenius_start(c)[None], cfg.max_iter)
+    assert not mt._closed(cons.dual_bound(c, T[0])[0], vals[0])
+    value, t, steps = mt._barrier(c, cons, cfg.max_iter)
+    assert value > vals[0] and res.diagnostics["best_start"] == "barrier"
     coeffs = np.zeros(F3.dim(3), dtype=complex)
     coeffs[1:] = t
     raw = al.AlgebraElement(F3, 3, coeffs)
     witness = raw * (1.0 / uhf3.commutator_norm(raw))
-    lower = abs(complex(problem.s1.value(witness) - problem.s2.value(witness)))
-    assert res.lower_bound == lower
-    assert [s["objective"] for s in res.diagnostics["per_start"]] == [*map(float, vals), float(pol[0])]
-    assert res.diagnostics["per_start"][-1]["iterations"] > 0  # an open gap is still polished
+    assert res.lower_bound == abs(complex(problem.s1.value(witness) - problem.s2.value(witness)))
+    assert [s["objective"] for s in res.diagnostics["per_start"]] == [float(vals[0]), float(value)]
+    assert res.diagnostics["per_start"][-1]["iterations"] == steps > 0
 
 
-def test_one_start_still_runs_a_random_start(uhf3):
-    res = mt.distance(_open_gap_problem(uhf3), mt.SolverConfig(starts=1))
-    assert [s["start"] for s in res.diagnostics["per_start"]] == ["frobenius", "random-0", "polish"]
-    assert res.diagnostics["starts"] == 2
+@pytest.mark.parametrize("seed", [0, 1])
+def test_barrier_closes_uhf_vector_state_gaps(uhf3, seed):
+    """The ascent leaves these gaps open at 1e-10 to 3e-8 (relative); the
+    barrier's certificate closes them."""
+    res = mt.distance(_uhf3_vector_problem(uhf3, seed))
+    assert res.diagnostics["best_start"] == "barrier"
+    assert res.lower_bound <= res.diagnostics["dual_bound"]
+    assert mt._closed(res.diagnostics["dual_bound"], res.lower_bound)
 
 
-def test_certified_incumbent_skips_the_polish(cantor3):
-    problem = mt.DistanceProblem(cantor3, al.CharacterState((0, 1, 0)), al.CharacterState((1, 1, 0)))
-    res = mt.distance(problem)
-    polish = res.diagnostics["per_start"][-1]
-    assert polish["start"] == "polish" and polish["iterations"] == 0
-    assert polish["objective"] == res.diagnostics["solver_objective"]
-    assert mt._closed(res.diagnostics["dual_bound"], polish["objective"])
+def test_barrier_point_is_feasible_and_certified(uhf3):
+    """The barrier's point is strictly feasible, so its objective is at most
+    its ratio, which its certificate bounds from above."""
+    c, B, _ = mt._search_space(_uhf3_vector_problem(uhf3, 0))
+    cons = mt._ConstraintMap(B)
+    value, t, steps = mt._barrier(c, cons, mt.SolverConfig().max_iter)
+    norm = np.linalg.svd(np.tensordot(t, B, axes=1), compute_uv=False)[0]
+    assert 0 < steps < mt.SolverConfig().max_iter
+    assert norm < 1.0
+    assert c @ t <= value <= cons.dual_bound(c, t)[0]
+    assert value == pytest.approx((c @ t) / norm, rel=1e-14)
+
+
+def test_barrier_with_no_steps_returns_the_origin(uhf3):
+    c, B, _ = mt._search_space(_uhf3_vector_problem(uhf3, 0))
+    with np.errstate(all="raise"):
+        value, t, steps = mt._barrier(c, mt._ConstraintMap(B), 0)
+    assert (value, steps) == (-np.inf, 0) and not np.any(t)
 
 
 def test_certified_cantor_pair_runs_only_the_frobenius_start(cantor3):
-    """The Frobenius start's certificate closes the gap, so no random start is
-    drawn and the polish is skipped."""
+    """The Frobenius start's certificate closes the gap, so the barrier does
+    not run."""
     problem = mt.DistanceProblem(cantor3, al.CharacterState((0, 1, 0)), al.CharacterState((1, 1, 0)))
     res = mt.distance(problem)
-    assert [s["start"] for s in res.diagnostics["per_start"]] == ["frobenius", "polish"]
+    assert [s["start"] for s in res.diagnostics["per_start"]] == ["frobenius"]
     assert res.diagnostics["starts"] == 1
+    assert mt._closed(res.diagnostics["dual_bound"], res.diagnostics["solver_objective"])
 
 
 def test_dual_bound_matches_car_upper_bound():
