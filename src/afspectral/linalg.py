@@ -34,10 +34,7 @@ class Tolerances:
     zero_norm    : vector or commutator norm treated as zero by the distance solver
     unbounded    : objective |c . t| on a zero-norm direction that means unbounded
     state_imag   : imaginary part of a state difference on the self-adjoint basis that is refused
-    ascent_grad  : relative ascent-gradient norm at which an ascent stops
-    ascent_accept: relative gain a line-search trial needs to be accepted
-    ascent_curvature: smallest s . y / (|s| |y|) at which a BFGS update is made
-    top_band     : relative width of the top eigenvalue band of the norm subgradient
+    top_band     : relative width of the top singular-value band a distance certificate is fitted on
     top_band_abs : absolute floor of that band
     """
 
@@ -51,9 +48,6 @@ class Tolerances:
     zero_norm: float = 1e-14
     unbounded: float = 1e-10
     state_imag: float = 1e-9
-    ascent_grad: float = 1e-13
-    ascent_accept: float = 1e-15
-    ascent_curvature: float = 1e-10
     top_band: float = 1e-9
     top_band_abs: float = 1e-15
 

@@ -13,39 +13,34 @@ states factor through.
 
 The problem max c . t subject to ||sum_i t_i B_i|| <= 1, with B_i the basis
 commutators and c the state-difference vector, is convex, so one
-deterministic solve serves every problem (see ``distance``).  It first runs
-a quasi-Newton ascent on the scale-invariant ratio (c . t) / ||M(t)||,
-M(t) = sum_i t_i B_i, from the Frobenius start and any informed starts:
-each start steps along its own BFGS direction and backtracks until the
-ratio gains.  The starts advance in lockstep on one batched symmetric-eigen
-kernel: each pass of a line search makes one ``eigvalsh`` call (trials) and
-each round one ``eigh`` call (norms plus top-space subgradients) for every
-start still running.  Real stacks (Cantor triples, where the B_i are real
-antisymmetric) stay in real arithmetic and read the norm off the Gram
-matrix M(t)^T M(t); complex stacks are anti-Hermitian, and the norm is the
-spectral radius of the Hermitian H(t) = i M(t).  Each start keeps its own
-inverse-Hessian estimate, step, stopping rules and line search, so its
-trajectory is that of a solo run.
+deterministic solve serves every problem (see ``distance``).  Its norm
+kernel is one batched symmetric-eigen call over a stack of parameter rows:
+real stacks (Cantor triples, where the B_i are real antisymmetric) stay in
+real arithmetic and read the norm off the Gram matrix M(t)^T M(t),
+M(t) = sum_i t_i B_i; complex stacks are anti-Hermitian, and the norm is
+the spectral radius of the Hermitian H(t) = i M(t).
 
-The ascent's best row is then certified.  A matrix Y with <B_i, Y> = c_i
-bounds the distance by its nuclear norm; fitted on the top singular space
-of M(t) and then on the tangent space there, its excess over the ratio at t
-falls with the square of t's distance to the optimum.  The ratio is
-nonsmooth where the top singular value of M(t) is repeated, and the ascent
-can stall near such a point with the gap open.  Only then a log-barrier
-Newton method (``_barrier``), which the nonsmoothness does not stall, runs
-once from t = 0 along the central path of the SDP form I +- H(t) >= 0.
+The Frobenius start and any informed starts are scored where they stand by
+the scale-invariant ratio (c . t)/||M(t)||, and the best is certified.  A
+matrix Y with <B_i, Y> = c_i bounds the distance by its nuclear norm;
+fitted on the top singular space of M(t) and then on the tangent space
+there, its excess over the ratio at t falls with the square of t's distance
+to the optimum.  Only while that gap is open a log-barrier Newton method
+(``_barrier``) runs once from t = 0 along the central path of the SDP form
+I +- H(t) >= 0; the ratio's nonsmoothness where the top singular value of
+M(t) is repeated does not stall it.  It is the only iterative solver.
 
-The first start is t0 = G^+ c, with G_ij = <B_i, B_j> the stack's Frobenius
-Gram matrix: it maximizes (c . t)/||M(t)||_F, so its ratio is at least
-sqrt(c^T G^+ c); on the depth-3 Cantor pairs at gamma = 1/3 it lies within
-7e-4 (relative) of the optimum, and its ascent is certified without the
-barrier.  One SVD of the stack rows, taken when the constraint map is
-built, gives G^+, the certificate's last minimum-norm correction and the
-barrier's range basis.  It also decides boundedness before any ascent: its
-null directions are exactly where M(t) = 0, so a part of c there makes the
-distance infinite.  The test is that of the ascent's own zero-norm check
-(TOL.zero_norm, TOL.unbounded), taken over the whole null space.
+The Frobenius start is t0 = G^+ c, with G_ij = <B_i, B_j> the stack's
+Frobenius Gram matrix: it maximizes (c . t)/||M(t)||_F, so its ratio is at
+least sqrt(c^T G^+ c); on the depth-3 Cantor pairs at gamma = 1/3 it lies
+within 7e-4 (relative) of the optimum, and it is certified where it stands
+on the split-level-3 pairs.  One SVD of the stack rows, taken when the
+constraint map is built, gives G^+, the certificate's last minimum-norm
+correction and the barrier's range basis.  It also decides boundedness
+before any start is scored: its null directions are exactly where
+M(t) = 0, so a part of c there makes the distance infinite.  The test is
+that of ``_check_bounded`` (TOL.zero_norm, TOL.unbounded), taken over the
+whole null space.
 
 Every reported lower bound is certified by an explicit feasible witness,
 re-evaluated through the public operations.  Exact upper bounds are
@@ -74,13 +69,10 @@ from .linalg import TOL, check_dense_bytes
 
 @dataclass
 class SolverConfig:
-    max_iter: int = 500  # cap on the rounds of each ascent row, and on the barrier's Newton steps
+    max_iter: int = 500  # cap on the barrier's Newton steps
 
 
-ASCENT_TOL = 1e-8  # relative gain below which a round stalls
 GAP_TOL = 1e-12  # relative certificate gap that proves the incumbent optimal
-STEP_INIT = 1.0  # first line-search step of a start, and of a restart along the gradient
-STEP_MIN = 1e-13  # smallest line-search step the ascent evaluates
 BARRIER_GROWTH = 50.0  # factor by which the barrier's objective weight tau grows per stage
 BARRIER_GAP = 1e-10  # relative central-path gap 2d/tau at which the barrier stops
 NEWTON_CENTERED = 1e-3  # half the squared Newton decrement at which a barrier stage is centered
@@ -131,7 +123,7 @@ def _search_space(problem: DistanceProblem):
     diff = problem.s1.basis_values(filt, sl)[1:] - problem.s2.basis_values(filt, sl)[1:]
     if np.any(np.abs(diff.imag) > TOL.state_imag):
         raise InvalidInputError("state difference not real on the self-adjoint basis")
-    c = diff.real.copy()  # contiguous: the ascent's products take their BLAS path from it
+    c = diff.real.copy()  # contiguous: the solver's products take their BLAS path from it
     # the level-sl basis is a prefix of the full-depth basis stack
     comms = t3.dirac_commutator(t3.represent_stack(al.basis_stack(filt, t3.depth)[1:dim_sl]))
     # locality: grade <= sl elements commute with all higher-grade blocks, and
@@ -151,8 +143,8 @@ def _rowwise(A: np.ndarray, X: np.ndarray) -> np.ndarray:
 class _ConstraintMap:
     """Batched norm kernel: t -> ||sum_i t_i B_i|| over stacks of parameter rows.
 
-    One batched ``eigvalsh``/``eigh`` call serves every row of a stack T of
-    shape (S, p).  A real stack (real antisymmetric B_i, as on Cantor
+    One batched ``eigvalsh`` call serves every row of a stack T of shape
+    (S, p).  A real stack (real antisymmetric B_i, as on Cantor
     triples) stays real: the norm of M(t) = sum_i t_i B_i is
     sqrt(lambda_max(M^T M)).  A complex stack is anti-Hermitian, so
     H(t) = i M(t) is Hermitian and the norm is its spectral radius
@@ -197,7 +189,7 @@ class _ConstraintMap:
         (the largest |c . u| over them) raises
         :class:`UnboundedObjectiveError`.  t0 is returned at unit length:
         G^+ c is of size |c|/||G||, which on a wide-range Dirac falls below
-        the TOL.zero_norm at which the ascent takes a row for zero.
+        the TOL.zero_norm at which a row's norm counts as zero.
         """
         if np.linalg.norm((self.u.T @ c)[self.s < TOL.zero_norm]) > TOL.unbounded:
             raise UnboundedObjectiveError("nonzero objective along a Dirac-commuting direction")
@@ -218,53 +210,6 @@ class _ConstraintMap:
         w = np.linalg.eigvalsh(self.images(T))
         return np.maximum(-w[:, 0], w[:, -1])
 
-    def norms_and_subgrads(self, T: np.ndarray):
-        """Norms g (S,) and top-space subgradients (S, p) of every row of T.
-
-        The subgradient is the average of d sigma/dt_i over the at most 4
-        singular directions whose singular value is in the top band.  Rows
-        with zero norm get zero.
-        """
-        if self.real:
-            return self._real_norms_and_subgrads(T)
-        return self._complex_norms_and_subgrads(T)
-
-    def _real_norms_and_subgrads(self, T):
-        """Gram form: with M v_j = g u_j for the top eigenvectors v_j of M^T M,
-        d sigma/dt_i = u_j^T B_i v_j = <B_i, M v_j v_j^T> / g, so the average
-        is one product of the stack with vec(M P) / g, P = sum_j v_j v_j^T / m
-        over the last (largest) <= 4 eigenvectors in the band."""
-        m = self.images(T)
-        w, v = np.linalg.eigh(m.transpose(0, 2, 1) @ m)
-        g = np.sqrt(np.maximum(w[:, -1], 0.0))
-        band = np.maximum(TOL.top_band * g, TOL.top_band_abs)
-        top, vt = w[:, -4:], v[:, :, -4:]
-        in_top = top >= (np.maximum(g - band, 0.0) ** 2)[:, None]
-        weight = in_top / in_top.sum(axis=1, keepdims=True)
-        mp = (m @ (vt * weight[:, None, :])) @ vt.transpose(0, 2, 1)
-        live = g >= TOL.zero_norm
-        sub = _rowwise(self.flat, mp.reshape(len(T), -1)) / np.where(live, g, 1.0)[:, None]
-        sub[~live] = 0.0
-        return g, sub
-
-    def _complex_norms_and_subgrads(self, T):
-        """Hermitian form: average d|w_j|/dt_i = s_j Re(x_j^H (i B_i) x_j),
-        s_j = sign(w_j), over the at most 4 eigenvectors x_j of H with |w_j|
-        in the top band: one product of the stack with vec(P^T), where
-        P = sum_j s_j x_j x_j^H / m."""
-        w, x = np.linalg.eigh(self.images(T))
-        g = np.maximum(-w[:, 0], w[:, -1])
-        order = np.argsort(-np.abs(w), axis=1, kind="stable")[:, :4]
-        top = np.take_along_axis(w, order, axis=1)
-        band = np.maximum(TOL.top_band * g, TOL.top_band_abs)
-        in_top = np.abs(top) >= (g - band)[:, None]
-        weight = np.where(in_top, np.sign(top), 0.0) / in_top.sum(axis=1, keepdims=True)
-        xt = np.take_along_axis(x, order[:, None, :], axis=2)
-        pt = (np.conj(xt) * weight[:, None, :]) @ xt.transpose(0, 2, 1)
-        sub = np.real(_rowwise(self.flat, pt.reshape(len(T), -1)))
-        sub[g < TOL.zero_norm] = 0.0
-        return g, sub
-
     def dual_bound(self, c: np.ndarray, t: np.ndarray):
         """Weak-duality certificate at one parameter row t: (||Y||_*, Y).
 
@@ -273,8 +218,9 @@ class _ConstraintMap:
         Y = U Z V^H on the top singular space of the image at t (M on a real
         stack, H = iM on a complex one), with Z positive semidefinite, so Y
         is built there.  U, V span the singular vectors whose value is in the
-        kernel's top band, and a symmetric (Hermitian on a complex stack) Z
-        is fitted by least squares to <B_i, U Z V^H> = c_i.  The residual is
+        top band (TOL.top_band, TOL.top_band_abs), and a symmetric (Hermitian
+        on a complex stack) Z is fitted by least squares to
+        <B_i, U Z V^H> = c_i.  The residual is
         solved on the tangent projections
         P_T(B) = U U^H B + B V V^H - U U^H B V V^H with their Gram matrix,
         which moves the nuclear norm only at second order beyond the
@@ -326,194 +272,24 @@ def _check_bounded(num: np.ndarray, norms: np.ndarray):
         raise UnboundedObjectiveError("nonzero objective along a Dirac-commuting direction")
 
 
-def _norms(X: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row of X: the sum np.linalg.norm makes, without its dispatch."""
-    return np.sqrt(np.add.reduce(X * X, axis=1))
-
-
-def _line_search(objective, cons, base, d, st, bar):
-    """Backtracking search along d from every row of base, in lockstep.
-
-    Row j tries the steps st_j, st_j/2, st_j/4, ... down to STEP_MIN and
-    takes the first whose normalized trial has a value above bar_j.  Pass k
-    evaluates the next 2^k steps of every row still searching in one kernel
-    call, so a search that halves m times costs about log2(m) calls and ends
-    where a one-trial-per-call search would.  Steps below STEP_MIN are not
-    evaluated, and every evaluated trial passes through the boundedness
-    check.
-
-    Returns (accepted, trials, values, steps); only accepted rows of the
-    last three are set.
-    """
-    st = st.copy()
-    tn = np.empty_like(base)
-    rn = np.empty(len(base))
-    accepted = np.zeros(len(base), dtype=bool)
-    j = np.flatnonzero(st >= STEP_MIN)
-    m = 1
-    while len(j):
-        sk = st[j, None] * 0.5 ** np.arange(m)
-        trial = base[j, None] + sk[:, :, None] * d[j, None]  # (rows, m, p)
-        ok = sk >= STEP_MIN  # a prefix of each row's run: only these are evaluated
-        x = trial[ok]
-        x /= _norms(x)[:, None]
-        trial[ok] = x
-        gn = cons.norms(x)
-        num = objective(x)
-        zero = gn < TOL.zero_norm
-        if zero.any():
-            _check_bounded(num, gn)
-        rt = np.full(sk.shape, -np.inf)
-        rt[ok] = np.where(zero, -np.inf, num / np.where(zero, 1.0, gn))
-        gains = rt > bar[j, None]
-        hit = gains.any(axis=1)
-        k = gains.argmax(axis=1)[hit]
-        a = j[hit]
-        tn[a], rn[a], st[a] = trial[hit, k], rt[hit, k], sk[hit, k]
-        accepted[a] = True
-        j = j[~hit]
-        st[j] *= 0.5**m
-        j = j[st[j] >= STEP_MIN]
-        m *= 2
-    return accepted, tn, rn, st
-
-
-def _bfgs_update(H: np.ndarray, fresh: np.ndarray, s: np.ndarray, y: np.ndarray):
-    """BFGS update of inverse-Hessian estimates H (k, p, p) from steps s and
-    gradient changes y (k, p); returns (updated H, rows updated).
-
-    A row updates only if its curvature s . y is positive relative to
-    |s| |y|.  An identity estimate (``fresh``) is first scaled by
-    s . y / y . y, so the quasi-Newton step takes its length from the
-    observed curvature.
-    """
-    sy = np.add.reduce(s * y, axis=1)
-    ok = sy > TOL.ascent_curvature * _norms(s) * _norms(y)
-    Hk, s, y, sy = H[ok], s[ok], y[ok], sy[ok]
-    scale = sy / np.add.reduce(y * y, axis=1)
-    Hk[fresh[ok]] *= scale[fresh[ok], None, None]
-    hy = _rowwise(Hk, y)
-    rho = 1.0 / sy
-    shy = s[:, :, None] * hy[:, None, :]
-    coef = rho * (1.0 + rho * np.add.reduce(y * hy, axis=1))
-    H[ok] = (
-        Hk
-        - rho[:, None, None] * (shy + shy.transpose(0, 2, 1))
-        + coef[:, None, None] * (s[:, :, None] * s[:, None, :])
-    )
-    return H, ok
-
-
-def _ascend(c: np.ndarray, cons: _ConstraintMap, T0: np.ndarray, max_iter: int):
-    """Maximize (c . t)/||M(t)|| from every row of T0 in lockstep.
-
-    Returns per-row (values, T, iterations).  Each row steps along the
-    quasi-Newton direction H grad, where H is its own BFGS inverse-Hessian
-    estimate, starting at the identity.  A row whose direction is not
-    uphill, or whose line search finds no gain, restarts from H = I; a failed
-    search along the gradient itself ends the row.  A row's first search, and
-    one retried along the gradient, starts at STEP_INIT; its next search
-    starts at twice its last accepted step, at most the full quasi-Newton
-    step 1.  A row retires after three rounds in a row that each gain less
-    than ASCENT_TOL (relative).  Rows share only the batched kernel calls, and
-    every per-row product is a batched product with one operand per row, so
-    each row's result is that of a one-row call on its start.
-    """
-    T = np.array(T0, dtype=float)
-    S, p = T.shape
-    r = np.full(S, -np.inf)
-    iters = np.zeros(S, dtype=int)
-    g = np.ones(S)
-    sub = np.zeros_like(T)
-
-    def refresh(rows):
-        if len(rows):
-            g[rows], sub[rows] = cons.norms_and_subgrads(T[rows])
-
-    def objective(X):
-        return _rowwise(c[None], X)[:, 0]
-
-    def gradient(rows):
-        return (c - r[rows, None] * sub[rows]) / g[rows, None]
-
-    nrm = _norms(T)
-    live = nrm >= TOL.zero_norm
-    T[live] /= nrm[live, None]
-    refresh(np.flatnonzero(live))
-    num = objective(T)
-    _check_bounded(num[live], g[live])
-    flat_dir = live & (g < TOL.zero_norm)
-    r[flat_dir] = 0.0
-    live &= ~flat_dir
-    r[live] = num[live] / g[live]
-    neg = np.flatnonzero(live & (r < 0))
-    T[neg] = -T[neg]
-    refresh(neg)
-    r[neg] = -r[neg]
-
-    H = np.tile(np.eye(p), (S, 1, 1))
-    fresh = np.ones(S, dtype=bool)  # H is the identity: the direction is the gradient
-
-    def restart(rows):
-        H[rows] = np.eye(p)
-        fresh[rows] = True
-
-    step = np.full(S, STEP_INIT)
-    flat = np.zeros(S, dtype=int)
-    for it in range(1, max_iter + 1):
-        rows = np.flatnonzero(live)
-        if not len(rows):
-            break
-        iters[rows] = it
-        grad = gradient(rows)
-        done = _norms(grad) < TOL.ascent_grad * np.maximum(1.0, np.abs(r[rows]))
-        live[rows[done]] = False
-        rows, grad = rows[~done], grad[~done]
-
-        d = _rowwise(H[rows], grad)
-        downhill = np.add.reduce(d * grad, axis=1) <= 0.0
-        restart(rows[downhill])
-        d[downhill] = grad[downhill]
-
-        bar = r[rows] + TOL.ascent_accept * np.maximum(1.0, np.abs(r[rows]))
-        accepted, tn, rn, st = _line_search(objective, cons, T[rows], d, step[rows], bar)
-        # a failed quasi-Newton search retries along the gradient next round
-        failed = rows[~accepted]
-        live[failed[fresh[failed]]] = False
-        retry = failed[~fresh[failed]]
-        restart(retry)
-        step[retry] = STEP_INIT
-
-        acc = rows[accepted]
-        gain = rn[accepted] - r[acc]
-        s = tn[accepted] - T[acc]
-        T[acc] = tn[accepted]
-        refresh(acc)
-        r[acc] = objective(T[acc]) / g[acc]
-        H[acc], updated = _bfgs_update(H[acc], fresh[acc], s, grad[accepted] - gradient(acc))
-        fresh[acc[updated]] = False
-        step[acc] = np.minimum(2.0 * st[accepted], 1.0)
-        stalled = gain < ASCENT_TOL * np.maximum(1.0, np.abs(r[acc]))
-        flat[acc] = np.where(stalled, flat[acc] + 1, 0)
-        live[acc[flat[acc] >= 3]] = False
-
-    return r, T, iters
-
-
 def _barrier(c: np.ndarray, cons: _ConstraintMap, max_iter: int):
     """Maximize c . t over ||M(t)|| < 1 by a log-barrier Newton method from t = 0.
 
     Returns (ratio, t, Newton steps).  The problem is convex (an SDP: with
     the Hermitian H = i M, ||H|| <= 1 holds exactly when I +- H >= 0), so
-    the central path leads to the global maximum, which the ascent can stall
-    short of near a repeated top singular value.  Stage k minimizes
-    -tau_k c . t - sum_a log(1 - w_a^2) over the eigenvalues w of H(t): one
-    complex-Hermitian form for real and complex stacks.  With
-    H = Q diag(w) Q^H, B'_i = Q^H (i B_i) Q, alpha = 1/(1 - w) and
-    beta = 1/(1 + w), the barrier's gradient is
+    the central path leads to the global maximum, also where the top
+    singular value of M(t) is repeated and the ratio (c . t)/||M(t)|| is
+    nonsmooth.  Stage k minimizes -tau_k c . t - sum_a log(1 - w_a^2) over
+    the eigenvalues w of H(t): one complex-Hermitian form for real and
+    complex stacks.  With H = Q diag(w) Q^H, B'_i = Q^H (i B_i) Q,
+    alpha = 1/(1 - w) and beta = 1/(1 + w), the barrier's gradient is
     sum_a (alpha_a - beta_a) B'_i[a, a] and its Hessian
     Re sum_ab K_ab B'_i[a, b] conj(B'_j[a, b]), K = alpha alpha^T + beta beta^T,
-    formed as one real product of the B'_i scaled by sqrt(K).
+    formed as one real product of the B'_i scaled by sqrt(K).  The B'_i are
+    one batched product, and each trial point costs one ``eigh``, whose
+    eigensystem both checks ||H|| < 1 and, once the point is accepted, gives
+    the next step's w and Q.  The first point is t = 0, where H = 0, w = 0
+    and Q = I.
 
     Newton works in the range basis of the stack's SVD, t = U diag(1/s) z
     over the kept singular values, where ||M(t)||_F = |z|: null directions
@@ -524,44 +300,42 @@ def _barrier(c: np.ndarray, cons: _ConstraintMap, max_iter: int):
     then grows by BARRIER_GROWTH.  The barrier stops at a centered point
     whose central-path gap 2d/tau is below BARRIER_GAP * (c . t), or after
     ``max_iter`` Newton steps; with no step taken it returns t = 0 and the
-    ratio -inf.  Peak transient: the range-basis stack and the B'_i, two
-    complex (k, d, d) arrays with k <= p, so at most twice the commutator
+    ratio -inf.  Peak transient: the range-basis stack, the B'_i and the
+    intermediate Q^H (i B_i) of their batched product, three complex
+    (k, d, d) arrays with k <= p, so at most three times the commutator
     stack whose size ``_search_space`` checks against the dense-array limit.
     """
     W = cons.u[:, cons.kept] / cons.s[cons.kept]
-    E = (W.T @ cons.flat).reshape(-1, *cons.shape)  # M (real stack) or H along the range basis
+    flat = W.T @ cons.flat  # vec(M) (real stack) or vec(H) along the range basis
     if cons.real:
-        E = 1j * E
-    P = np.empty_like(E)
+        flat = 1j * flat
+    d = cons.shape[0]
+    E = flat.reshape(-1, d, d)
     cz = W.T @ c
     z = np.zeros(len(cz))
-    H = np.zeros(cons.shape, dtype=complex)
+    w, Q = np.zeros(d), np.eye(d)  # the eigensystem of H(0) = 0
     tau = 1.0 / np.linalg.norm(cz)
-    two_d = 2 * cons.shape[0]
     steps = 0
     while steps < max_iter:
-        w, Q = np.linalg.eigh(H)
         alpha, beta = 1.0 / (1.0 - w), 1.0 / (1.0 + w)
-        Qh = np.conj(Q.T)
-        for j in range(len(E)):
-            np.matmul(Qh @ E[j], Q, out=P[j])
-        grad = np.einsum("kaa->ka", P).real @ (alpha - beta)
-        P *= np.sqrt(np.outer(alpha, alpha) + np.outer(beta, beta))
+        P = np.conj(Q.T) @ E @ Q
+        grad = np.diagonal(P, axis1=1, axis2=2).real @ (alpha - beta)
+        P *= np.sqrt(alpha[:, None] * alpha + beta[:, None] * beta)
         Pv = P.reshape(len(E), -1).view(float)  # Re <P_i, P_j> as a real product
         hess = Pv @ Pv.T
         while True:  # a centered point starts the next stage, or ends the barrier
             g = grad - tau * cz
             dz = -np.linalg.solve(hess, g)
             lam2 = -(g @ dz)
-            if lam2 / 2 >= NEWTON_CENTERED or two_d / tau < BARRIER_GAP * (cz @ z):
+            if lam2 / 2 >= NEWTON_CENTERED or 2 * d / tau < BARRIER_GAP * (cz @ z):
                 break
             tau *= BARRIER_GROWTH
         if lam2 / 2 < NEWTON_CENTERED:
             break
         step = 1.0 / (1.0 + np.sqrt(lam2))
         while True:
-            H = np.tensordot(z + step * dz, E, axes=1)
-            if np.max(np.abs(np.linalg.eigvalsh(H))) < 1.0:
+            w, Q = np.linalg.eigh(((z + step * dz) @ flat).reshape(d, d))
+            if max(-w[0], w[-1]) < 1.0:
                 break
             step /= 2
         z = z + step * dz
@@ -617,15 +391,19 @@ def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> Dista
     only when a matching certificate exists (identical states).
 
     One deterministic path.  The Frobenius start G^+ c (``"frobenius"``) and
-    the informed starts ascend in lockstep, and the best row is certified.
-    If the certificate is within GAP_TOL * max(1, ratio) of that ratio the
-    solve ends there.  Otherwise :func:`_barrier` runs once from t = 0 (the
-    ``"barrier"`` row of ``per_start``, its Newton steps as ``iterations``),
-    its point is certified too, and the better ratio is kept.
-    ``diagnostics["dual_bound"]`` is the smallest certificate computed, an
-    upper bound on the distance.  An objective unbounded along a
+    the informed starts (``"informed-k"``) are scored where they stand: each
+    row is scaled to unit length and signed so that c . t >= 0, one kernel
+    call gives their norms, and a row of zero norm reads -inf.  The best row
+    is certified.  If the certificate is within GAP_TOL * max(1, ratio) of
+    that ratio the solve ends there, with 0 ``iterations`` on every row.
+    Otherwise :func:`_barrier` runs once from t = 0 (the ``"barrier"`` row of
+    ``per_start``, its Newton steps as ``iterations``), its point is
+    certified too, and the better ratio is kept.  ``diagnostics["dual_bound"]``
+    is the smallest certificate computed, an upper bound on the distance.
+    An informed start of the wrong length or with non-finite entries raises
+    :class:`InvalidInputError`.  An objective unbounded along a
     Dirac-commuting direction raises :class:`UnboundedObjectiveError` before
-    any ascent.  A problem whose commutator stack would exceed
+    any start is scored.  A problem whose commutator stack would exceed
     ``linalg.MAX_DENSE_BYTES`` raises :class:`UnsupportedError`, naming the
     estimate, before the stack is allocated.
     """
@@ -644,11 +422,20 @@ def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> Dista
         w = np.asarray(w, dtype=float)
         if w.shape != (p,):
             raise InvalidInputError("informed start has wrong parameter dimension")
+        if not np.all(np.isfinite(w)):
+            raise InvalidInputError("informed start has non-finite entries")
         starts.append((f"informed-{k}", w))
-    vals, T, iters = _ascend(c, cons, np.stack([t0 for _, t0 in starts]), cfg.max_iter)
+    T = np.stack([t0 for _, t0 in starts])
+    nrm = np.linalg.norm(T, axis=1)
+    T /= np.where(nrm > 0, nrm, 1.0)[:, None]
+    num = T @ c
+    T[num < 0] *= -1.0
+    g = cons.norms(T)
+    zero = g < TOL.zero_norm
+    vals = np.where(zero, -np.inf, np.abs(num) / np.where(zero, 1.0, g))
     per_start = [
-        {"start": kind, "objective": float(v), "iterations": int(n)}
-        for (kind, _), v, n in zip(starts, vals, iters)
+        {"start": kind, "objective": float(v), "iterations": 0}
+        for (kind, _), v in zip(starts, vals)
     ]
     best = int(np.argmax(vals))
     best_start, best_val, best_t = starts[best][0], vals[best], T[best]
@@ -778,7 +565,8 @@ def car_golden_case(lambdas, n: int, l: int, cfg: SolverConfig | None = None) ->
 
     Builds the smallest truncation that contains the search level, runs the
     certified solver, and pins the value with the exact upper bound.  The
-    Frobenius start is the attaining element here, so one round certifies it.
+    Frobenius start is the attaining element here, so it is certified where
+    it stands.
     """
     lambdas = list(map(float, lambdas))
     if len(lambdas) < n + 1:

@@ -409,6 +409,8 @@ def test_argparse_errors_are_returned_usage_errors(capsys, argv, named):
     assert captured.out == ""
     assert captured.err.startswith("usage error: ") and named in captured.err
     assert captured.err.count("\n") == 1  # one line, no argparse usage text
+    if named == "--radius":  # the line the README quotes
+        assert captured.err == "usage error: --radius invalid int value: '4.7'\n"
 
 
 def test_help_still_exits_zero(capsys):

@@ -1,3 +1,7 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -139,3 +143,12 @@ def test_gate_rejects_nonfinite(bad):
     m[1, 2] = bad
     with pytest.raises(InvalidInputError):
         norm_exceeds(m, TOL_GATE)
+
+
+def test_every_tolerance_is_read_outside_the_table():
+    """Each ``Tolerances`` field is read as ``TOL.<name>`` in some package
+    module other than linalg.py, so a field a deletion leaves behind fails."""
+    package = Path(linalg.__file__).parent
+    text = "".join(p.read_text() for p in sorted(package.glob("*.py")) if p.name != "linalg.py")
+    names = [f.name for f in dataclasses.fields(linalg.Tolerances)]
+    assert [n for n in names if not re.search(rf"\bTOL\.{n}\b", text)] == []

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from itertools import combinations, product
 
 import numpy as np
@@ -220,7 +221,7 @@ def test_solver_determinism(uhf3, rng):
 
 
 # ---------------------------------------------------------------------------
-# norm kernel and lockstep ascent
+# norm kernel and starts
 # ---------------------------------------------------------------------------
 
 
@@ -232,14 +233,6 @@ def _uhf_stack(uhf3, rng):
 
 def _cantor_stack(cantor3):
     p = mt.DistanceProblem(cantor3, al.CharacterState((0, 1, 0)), al.CharacterState((1, 1, 0)))
-    c, B, _ = mt._search_space(p)
-    return c, B
-
-
-def _car_stack(uhf3):
-    """Matched vector state 1 (x) v_3 against the trace: criterion 1's problem."""
-    phi = al.VectorState(al.shift_embed(mt.car_vector(F3, 3), 1))
-    p = mt.reduce_search_level(mt.DistanceProblem(uhf3, phi, al.TraceState()))
     c, B, _ = mt._search_space(p)
     return c, B
 
@@ -266,14 +259,6 @@ def test_search_space_matches_per_element_commutators(family, uhf3, cantor3, rng
         assert np.array_equal(B, np.stack(ref))
 
 
-def _svd_top_average(B, t):
-    """Reference subgradient: uniform average of Re(u_j^H B_i v_j) over the SVD top space."""
-    u, s, vh = np.linalg.svd(np.tensordot(t, B, axes=1))
-    top = np.nonzero(s >= s[0] - max(1e-9 * s[0], 1e-15))[0][:4]
-    sub = np.real(np.einsum("pab,bj,aj->p", B, np.conj(vh[top]).T, np.conj(u[:, top])))
-    return sub / len(top), len(top)
-
-
 @pytest.mark.parametrize("family", ["uhf", "cantor"])
 def test_kernel_norms_match_svd(family, uhf3, cantor3, rng):
     c, B = _uhf_stack(uhf3, rng) if family == "uhf" else _cantor_stack(cantor3)
@@ -287,40 +272,6 @@ def test_kernel_norms_match_svd(family, uhf3, cantor3, rng):
     assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("field", ["complex", "real"])
-def test_kernel_subgradient_matches_finite_difference(field, rng):
-    d, p = 6, 5
-    if field == "complex":
-        a = rng.normal(size=(p, d, d)) + 1j * rng.normal(size=(p, d, d))
-    else:
-        a = rng.normal(size=(p, d, d))
-    B = a - np.conj(a).transpose(0, 2, 1)
-    cons = mt._ConstraintMap(B)
-    assert cons.real == (field == "real")
-    t = rng.normal(size=p)
-    s = np.linalg.svd(np.tensordot(t, B, axes=1), compute_uv=False)
-    if field == "complex":
-        assert s[0] - s[1] > 1e-2 * s[0]  # simple top eigenvalue
-    else:
-        assert s[0] - s[2] > 1e-2 * s[0]  # simple top +- pair of a real antisymmetric M
-    g, sub = cons.norms_and_subgrads(t[None])
-    assert g[0] == pytest.approx(s[0], rel=1e-12)
-    h = 1e-6
-    fd = (cons.norms(t + h * np.eye(p)) - cons.norms(t - h * np.eye(p))) / (2 * h)
-    assert np.allclose(sub[0], fd, atol=1e-7 * s[0])
-
-
-def test_kernel_subgradient_matches_svd_top_space(cantor3, rng):
-    c, B = _cantor_stack(cantor3)
-    cons = mt._ConstraintMap(B)
-    T = rng.normal(size=(6, len(c)))
-    _, sub = cons.norms_and_subgrads(T)
-    for t, row in zip(T, sub):
-        ref, mult = _svd_top_average(B, t)
-        assert mult == 2
-        assert np.allclose(row, ref, rtol=0.0, atol=1e-10 * np.max(np.abs(ref)))
-
-
 @pytest.mark.parametrize("family", ["uhf", "cantor"])
 def test_kernel_zero_row_gives_zero(family, uhf3, cantor3, rng):
     c, B = _uhf_stack(uhf3, rng) if family == "uhf" else _cantor_stack(cantor3)
@@ -329,11 +280,7 @@ def test_kernel_zero_row_gives_zero(family, uhf3, cantor3, rng):
     T = np.vstack([np.zeros(len(c)), rng.normal(size=len(c))])
     with np.errstate(all="raise"):
         norms = cons.norms(T)
-        g, sub = cons.norms_and_subgrads(T)
-    assert norms[0] == 0.0 and g[0] == 0.0
-    assert np.all(sub[0] == 0.0)
-    assert norms[1] > 0.0 and g[1] == pytest.approx(norms[1], rel=1e-12)
-    assert np.any(sub[1] != 0.0)
+    assert norms[0] == 0.0 and norms[1] > 0.0
 
 
 @pytest.mark.parametrize("family", ["uhf", "cantor"])
@@ -358,56 +305,34 @@ def test_kernel_rejects_non_antihermitian_stack(rng):
         mt._ConstraintMap(B)
 
 
-@pytest.mark.parametrize("family", ["cantor", "uhf", "car"])
-def test_lockstep_rows_equal_solo_runs(family, uhf3, cantor3, rng):
-    """Each row of a lockstep batch is bitwise equal to the unrestricted
-    one-row run from its start: rows share only the batched kernel calls."""
-    if family == "cantor":
-        c, B = _cantor_stack(cantor3)
-    elif family == "uhf":
-        c, B = _uhf_stack(uhf3, rng)
-    else:
-        c, B = _car_stack(uhf3)
-    cons = mt._ConstraintMap(B)
-    max_iter = mt.SolverConfig().max_iter
-    T0 = np.vstack([c, np.zeros_like(c), -c, rng.normal(size=(5, len(c)))])
-    vals, T, iters = mt._ascend(c, cons, T0, max_iter)
-    assert vals[1] == -np.inf and iters[1] == 0
-    assert vals[2] > 0  # started with c . t < 0, so the start flipped sign
-    for k, t0 in enumerate(T0):
-        v1, t1, n1 = mt._ascend(c, cons, t0[None], max_iter)
-        assert vals[k] == v1[0]
-        assert np.array_equal(T[k], t1[0])
-        assert iters[k] == n1[0]
-
-
 @pytest.mark.parametrize(
     "b", [[[0.0, 1.0], [-1.0, 0.0]], [[0.0, 1j], [1j, 0.0]]], ids=["real", "complex"]
 )
 def test_lockstep_raises_on_unbounded_objective(b):
+    """B_0 = 0, so c = e_0 lies wholly along a Dirac-commuting direction:
+    the Frobenius start refuses it on a real and on a complex stack."""
     b = np.array(b, dtype=complex)
     B = np.stack([np.zeros((2, 2), dtype=complex), b])
     c = np.array([1.0, 0.0])
     cons = mt._ConstraintMap(B)
     assert cons.real == (not np.any(b.imag))
     with pytest.raises(UnboundedObjectiveError):
-        mt._ascend(c, cons, np.array([[0.3, 1.0], [1.0, 0.0]]), mt.SolverConfig().max_iter)
+        cons.frobenius_start(c)
 
 
 @pytest.mark.parametrize("b", [[[0.0, 1.0], [-1.0, 0.0]], [[0.0, 1j], [1j, 0.0]]], ids=["real", "complex"])
 def test_distance_raises_when_objective_leaves_gram_range(uhf1, monkeypatch, b):
     """B_0 = 0 spans null(G) and c has a small part there, so the objective is
-    unbounded along e_0.  That is decided before any ascent, not by whether
-    some start happens to reach a zero-norm direction: from c itself the
-    real ascent runs all 500 rounds to a ratio of 1.0006 without raising."""
+    unbounded along e_0.  That is decided over the whole null space before
+    any start is scored, not by whether some start happens to lie on a
+    zero-norm direction; the barrier does not run."""
     B = np.stack([np.zeros((2, 2), dtype=complex), np.array(b, dtype=complex)])
     monkeypatch.setattr(mt, "_search_space", lambda problem: (np.array([1e-3, 1.0]), B, None))
 
-    def no_ascent(*args, **kwargs):
-        raise AssertionError("ascent ran")
+    def no_barrier(*args, **kwargs):
+        raise AssertionError("barrier ran")
 
-    monkeypatch.setattr(mt, "_ascend", no_ascent)
-    monkeypatch.setattr(mt, "_barrier", no_ascent)
+    monkeypatch.setattr(mt, "_barrier", no_barrier)
     problem = mt.DistanceProblem(uhf1, al.VectorState(mt.car_vector(F1, 1)), al.TraceState())
     with pytest.raises(UnboundedObjectiveError):
         mt.distance(problem)
@@ -443,7 +368,8 @@ def test_wide_range_dirac_distance_is_finite(family, state1, state2, best_start)
 def test_cantor_split_classes_have_equal_distances():
     """Tree portraits act transitively on the leaf pairs of one split class, so
     the isometry statement on the Cantor set makes their distances equal; the
-    ascent must resolve that to near rounding, with no start cut at max_iter."""
+    solver must resolve that to near rounding, with no barrier cut at
+    max_iter."""
     depth = 3
     triple = tr.build_triple(al.cantor(depth), al.UniformState(), tr.dirac_geometric(1 / 3, depth))
     cfg = mt.SolverConfig()
@@ -506,10 +432,12 @@ def test_dual_bound_above_lower_bound_on_cantor_pairs():
     """Weak duality on all 28 depth-3 character pairs, at the witness and for
     the smallest certificate the solver computed; the slack covers only the
     rounding of the two evaluations.  The tangent-space certificate at the
-    witness also closes the gap to that rounding, so no pair runs the
-    barrier: the cantor-split benchmark workload takes this path."""
+    witness also closes the gap to that rounding.  The Frobenius start is
+    certified where it stands on the 4 split-level-3 pairs; the other 24 run
+    the barrier: the cantor-split benchmark workload takes this path."""
     triple = tr.build_triple(al.cantor(3), al.UniformState(), tr.dirac_geometric(1 / 3, 3))
     cfg = mt.SolverConfig()
+    paths = Counter()
     for x, y in combinations(product((0, 1), repeat=3), 2):
         problem = mt.DistanceProblem(triple, al.CharacterState(x), al.CharacterState(y))
         c, B, _ = mt._search_space(problem)
@@ -518,7 +446,10 @@ def test_dual_bound_above_lower_bound_on_cantor_pairs():
         upper, _ = mt._ConstraintMap(B).dual_bound(c, res.witness.coeffs[1:].real)
         assert res.lower_bound - slack <= upper <= res.lower_bound + 1e-12 * max(1.0, res.lower_bound)
         assert res.diagnostics["dual_bound"] >= res.lower_bound - slack
-        assert [s["start"] for s in res.diagnostics["per_start"]] == ["frobenius"]
+        split = next(i for i, (a, b) in enumerate(zip(x, y), start=1) if a != b)
+        paths[split, tuple(s["start"] for s in res.diagnostics["per_start"])] += 1
+    barrier = ("frobenius", "barrier")
+    assert paths == {(1, barrier): 16, (2, barrier): 8, (3, ("frobenius",)): 4}
 
 
 def _uhf3_vector_problem(uhf3, seed):
@@ -528,10 +459,9 @@ def _uhf3_vector_problem(uhf3, seed):
 
 
 def test_open_gap_spends_every_start_as_one_batch(uhf3):
-    """Seed 1: the two largest singular values at the Frobenius row's ascent
-    point agree to 1e-4, the ratio is nonsmooth there, and its certificate
-    leaves a gap of about 1e-9.  The barrier then runs once from t = 0, and
-    the result is that of the ascent and the barrier run alone."""
+    """Seed 1: the Frobenius start's certificate leaves a gap of about 30%,
+    so the barrier runs once from t = 0, and the result is that of the
+    start scored where it stands and the barrier run alone."""
     problem = _uhf3_vector_problem(uhf3, 1)
     cfg = mt.SolverConfig()
     res = mt.distance(problem, cfg)
@@ -539,22 +469,25 @@ def test_open_gap_spends_every_start_as_one_batch(uhf3):
 
     c, B, _ = mt._search_space(problem)
     cons = mt._ConstraintMap(B)
-    vals, T, _ = mt._ascend(c, cons, cons.frobenius_start(c)[None], cfg.max_iter)
-    assert not mt._closed(cons.dual_bound(c, T[0])[0], vals[0])
+    t0 = cons.frobenius_start(c)
+    ratio = (c @ t0) / cons.norms(t0[None])[0]
+    assert not mt._closed(cons.dual_bound(c, t0)[0], ratio)
     value, t, steps = mt._barrier(c, cons, cfg.max_iter)
-    assert value > vals[0] and res.diagnostics["best_start"] == "barrier"
+    assert value > ratio and res.diagnostics["best_start"] == "barrier"
     coeffs = np.zeros(F3.dim(3), dtype=complex)
     coeffs[1:] = t
     raw = al.AlgebraElement(F3, 3, coeffs)
     witness = raw * (1.0 / uhf3.commutator_norm(raw))
     assert res.lower_bound == abs(complex(problem.s1.value(witness) - problem.s2.value(witness)))
-    assert [s["objective"] for s in res.diagnostics["per_start"]] == [float(vals[0]), float(value)]
-    assert res.diagnostics["per_start"][-1]["iterations"] == steps > 0
+    frobenius, barrier = res.diagnostics["per_start"]
+    assert frobenius["objective"] == pytest.approx(ratio, rel=1e-14) and frobenius["iterations"] == 0
+    assert barrier["objective"] == float(value)
+    assert barrier["iterations"] == steps > 0
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_barrier_closes_uhf_vector_state_gaps(uhf3, seed):
-    """The ascent leaves these gaps open at 1e-10 to 3e-8 (relative); the
+    """The Frobenius start leaves these gaps open at 19-32% (relative); the
     barrier's certificate closes them."""
     res = mt.distance(_uhf3_vector_problem(uhf3, seed))
     assert res.diagnostics["best_start"] == "barrier"
@@ -583,13 +516,54 @@ def test_barrier_with_no_steps_returns_the_origin(uhf3):
 
 
 def test_certified_cantor_pair_runs_only_the_frobenius_start(cantor3):
-    """The Frobenius start's certificate closes the gap, so the barrier does
-    not run."""
-    problem = mt.DistanceProblem(cantor3, al.CharacterState((0, 1, 0)), al.CharacterState((1, 1, 0)))
+    """On a split-level-3 pair the Frobenius start's certificate closes the
+    gap where the start stands, so the barrier does not run."""
+    problem = mt.DistanceProblem(cantor3, al.CharacterState((0, 1, 0)), al.CharacterState((0, 1, 1)))
     res = mt.distance(problem)
-    assert [s["start"] for s in res.diagnostics["per_start"]] == ["frobenius"]
+    assert res.diagnostics["per_start"] == [
+        {"start": "frobenius", "objective": res.diagnostics["solver_objective"], "iterations": 0}
+    ]
     assert res.diagnostics["starts"] == 1
     assert mt._closed(res.diagnostics["dual_bound"], res.diagnostics["solver_objective"])
+
+
+def test_informed_start_at_the_optimum_is_certified_where_it_stands(cantor3):
+    """A split-level-1 pair runs the barrier from the Frobenius start alone;
+    given the barrier's point as an informed start, the solve certifies that
+    row and stops with no Newton step."""
+    states = al.CharacterState((0, 1, 0)), al.CharacterState((1, 1, 0))
+    c, B, _ = mt._search_space(mt.DistanceProblem(cantor3, *states))
+    _, t, _ = mt._barrier(c, mt._ConstraintMap(B), mt.SolverConfig().max_iter)
+    res = mt.distance(mt.DistanceProblem(cantor3, *states, informed_starts=[t]))
+    assert [s["start"] for s in res.diagnostics["per_start"]] == ["frobenius", "informed-0"]
+    assert res.diagnostics["best_start"] == "informed-0"
+    assert all(s["iterations"] == 0 for s in res.diagnostics["per_start"])
+    assert mt._closed(res.diagnostics["dual_bound"], res.diagnostics["solver_objective"])
+
+
+def test_informed_starts_are_scored_at_unit_length_with_c_t_nonnegative(cantor3):
+    """A zero start reads -inf; a start pointing against c is flipped, and
+    its scale does not matter: -2.5 t scores as t does."""
+    states = al.CharacterState((0, 1, 0)), al.CharacterState((1, 1, 0))
+    c, B, _ = mt._search_space(mt.DistanceProblem(cantor3, *states))
+    cons = mt._ConstraintMap(B)
+    _, t, _ = mt._barrier(c, cons, mt.SolverConfig().max_iter)
+    res = mt.distance(mt.DistanceProblem(cantor3, *states, informed_starts=[np.zeros(7), -2.5 * t]))
+    _, zero, flipped = res.diagnostics["per_start"]
+    assert zero["objective"] == -np.inf
+    unit = t / np.linalg.norm(t)
+    assert flipped["objective"] == pytest.approx((c @ unit) / cons.norms(unit[None])[0], rel=1e-14)
+    assert res.diagnostics["best_start"] == "informed-1"
+    assert res.lower_bound == pytest.approx(flipped["objective"], rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_informed_start_must_be_finite(cantor3, bad):
+    states = al.CharacterState((0, 1, 0)), al.CharacterState((1, 1, 0))
+    start = np.ones(7)
+    start[3] = bad
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        mt.distance(mt.DistanceProblem(cantor3, *states, informed_starts=[np.zeros(7), start]))
 
 
 def test_dual_bound_matches_car_upper_bound():
