@@ -1,25 +1,26 @@
 """Batch experiment runner.
 
 Every capability is exposed as a subcommand emitting line-delimited JSON
-records (deterministic for a fixed seed: keys sorted, no timestamps).  Each
-flag is declared once in ``OPTIONS``; ``SUBCOMMANDS`` gives every subcommand
-its runner, help and flag names, and ``build_parser`` is one loop over it.
-A runner takes a plain dict keyed by flag dests (``RUNNERS``).  Exit
-status: 0 when every asserted record passes, 1 on a failed assertion, 2 on
-usage errors (a missing required option is named), 3 when the answer is
-numerically undecidable (a verdict residual inside the guard band, or an
-objective unbounded along a Dirac-commuting direction); exit 3 also writes
-one ``undecidable`` record with the error, and for a verdict its residual
-and guard band.  A JSON config file
-(``{"subcommand": ..., "params": {...}}`` or bare params) can prefill any
-subcommand's options, keyed by flag dest and checked as the flags are;
-explicit flags override it.  Records go to stdout or to --output (relative
-paths resolve under $AFSPECTRAL_OUTDIR when set; a path that cannot be
-written is a usage error before any record is computed); progress and errors
-go to stderr.
+records (deterministic for a fixed seed: keys sorted, no timestamps). Each
+flag is declared once in ``OPTIONS``, its type giving the value a runner
+reads; ``SUBCOMMANDS`` gives every subcommand its runner, help and flags with
+their defaults, and ``build_parser`` is one loop over it. A runner takes a
+plain dict keyed by flag dests (``RUNNERS``). Exit status: 0 when every
+asserted record passes, 1 on a failed assertion, 2 on usage errors (a missing
+required option is named), 3 when the answer is numerically undecidable (a
+verdict residual inside the guard band, an objective unbounded along a
+Dirac-commuting direction, or a linear algebra routine that did not converge),
+with one ``undecidable`` record of the error and a verdict's residual and
+guard band. A JSON config file (``{"subcommand": ..., "params": {...}}`` or
+bare params, keyed by flag dest) becomes ``--flag=value`` words that the same
+parser reads ahead of the command line, so explicit flags override it. Records
+go to stdout or to --output (relative paths resolve under $AFSPECTRAL_OUTDIR
+when set; a path that cannot be written is a usage error before any record is
+computed); progress and errors go to stderr.
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -41,71 +42,57 @@ from .linalg import random_unitary
 # ---------------------------------------------------------------------------
 
 
-def _lambdas(p) -> list:
-    """The eigenvalue list: comma separated text from a flag or config, or a list from a runner."""
-    lam = p["lambda"]
-    return [float(v) for v in lam.split(",") if v.strip()] if isinstance(lam, str) else lam
-
-
-def _ints(p, key, default=None, count=None) -> list:
-    """The ints of option ``key``, each a count, depth, shift or label and so not
-    negative: comma separated text from a flag or config, or an int from a runner.
-    ``[default]`` when absent; without a default a missing option raises KeyError."""
-    value = p[key] if default is None else p.get(key, default)
-    try:
-        ints = [int(v) for v in str(value).split(",")]
-        if count in (None, len(ints)) and min(ints) >= 0:
-            return ints
-    except ValueError:
-        pass
+def _ints(text: str, least: int = 0, count: int | None = None) -> list:
+    """argparse type of an integer flag: comma separated integers >= ``least``, ``count`` of
+    them when given; each is a count, depth, shift, label or seed, so never negative."""
+    words = text.split(",")
+    if all(w.strip().isdecimal() for w in words) and count in (None, len(words)):
+        if min(map(int, words)) >= least:
+            return [int(w) for w in words]
     what = {1: "an integer", 2: "two comma separated integers"}.get(count, "comma separated integers")
-    raise InvalidInputError(f"--{_FLAG_OF[key]} expects {what} >= 0, got {value!r}")
-
-
-def _int(p, key, default=None) -> int:
-    return _ints(p, key, default, count=1)[0]
+    raise argparse.ArgumentTypeError(f"expects {what} >= {least}, got {text!r}")
 
 
 def _count(text: str, least: int = 0) -> int:
     """argparse type of a count flag: an integer >= ``least``."""
-    if not text.strip().isdecimal() or int(text) < least:
-        raise argparse.ArgumentTypeError(f"expects an integer >= {least}, got {text!r}")
-    return int(text)
+    return _ints(text, least, count=1)[0]
 
 
-def _cases(text: str) -> int:
-    """argparse type of a flag counting the cases a record checks: an integer >= 1,
-    since a record over no cases would pass having checked nothing."""
-    return _count(text, 1)
+def _floats(text: str) -> list:
+    """argparse type of --lambda: numbers, comma separated."""
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects comma separated numbers, got {text!r}") from None
 
 
-def _build_filtration(p) -> al.Filtration:
-    family = p.get("family", "uhf")
-    if family == "uhf":
-        return al.uhf(_int(p, "k", 2), _int(p, "depth"))
-    if family == "cantor":
-        return al.cantor(_int(p, "depth"))
-    raise InvalidInputError(f"unknown family {family!r}")
+def _one(p, key) -> int:
+    """The one integer of list option ``key``, where a runner reads a single value."""
+    if len(p[key]) != 1:
+        got = ",".join(map(str, p[key]))
+        raise InvalidInputError(f"--{_FLAG_OF[key]} expects an integer >= 0, got {got!r}")
+    return p[key][0]
+
+
+def _triple(filt: al.Filtration, dirac: tr.DiracSpec) -> tr.TruncatedTriple:
+    """The triple of ``filt`` and ``dirac`` on the family's reference state."""
+    ref = al.TraceState() if filt.family == "uhf" else al.UniformState()
+    return tr.build_triple(filt, ref, dirac)
 
 
 def _build_dirac(p, depth: int) -> tr.DiracSpec:
-    if p.get("lambda"):
-        lam = _lambdas(p)
-        if len(lam) != depth:
-            raise InvalidInputError(f"need {depth} eigenvalues, got {len(lam)}")
-        return tr.dirac_explicit(lam)
+    if p.get("lambda"):  # build_triple refuses a list whose length is not the depth
+        return tr.dirac_explicit(p["lambda"])
     if p.get("gamma") is not None:
-        return tr.dirac_geometric(float(p["gamma"]), depth)
-    if p.get("power") is not None:
-        return tr.dirac_power(float(p["power"]), depth)
-    return tr.dirac_power(2.0, depth)
+        return tr.dirac_geometric(p["gamma"], depth)
+    return tr.dirac_power(p["power"], depth)
 
 
 def _triple_from_params(p) -> tr.TruncatedTriple:
     """Triple from the family/k/depth and lambda/gamma/power options, on the reference state."""
-    filt = _build_filtration(p)
-    ref = al.TraceState() if filt.family == "uhf" else al.UniformState()
-    return tr.build_triple(filt, ref, _build_dirac(p, filt.depth))
+    depth = _one(p, "depth")
+    filt = al.uhf(_one(p, "k"), depth) if p["family"] == "uhf" else al.cantor(depth)
+    return _triple(filt, _build_dirac(p, depth))
 
 
 def _parse_state(text: str, filtration: al.Filtration) -> al.State:
@@ -120,8 +107,8 @@ def _parse_state(text: str, filtration: al.Filtration) -> al.State:
         c = np.array([complex(v) for v in coeffs.split(",")])
         return al.VectorState(al.AlgebraElement(filtration, int(level), c))
     if text.startswith("carvec:"):
-        _, label, shift = (text.split(":") + ["0"])[:3]
-        v = al.shift_embed(mt.car_vector(filtration, int(label)), int(shift))
+        label, sep, shift = text[len("carvec:"):].partition(":")
+        v = al.shift_embed(mt.car_vector(filtration, int(label)), int(shift) if sep else 0)
         return al.VectorState(v)
     raise InvalidInputError("unknown state")
 
@@ -129,7 +116,7 @@ def _parse_state(text: str, filtration: al.Filtration) -> al.State:
 def _parse_automorphism(text: str, filtration: al.Filtration):
     kind, _, rest = text.partition(":")
     n = filtration.depth
-    if kind == "identity":
+    if text == "identity":
         if filtration.family == "uhf":
             return iso.SlotAutomorphism(tuple(range(1, n + 1)))
         return iso.TreePortrait(n, (0,) * (2**n - 1))
@@ -140,7 +127,7 @@ def _parse_automorphism(text: str, filtration: al.Filtration):
         return iso.TreePortrait(n, tuple(int(b) for b in rest))
     if kind == "leafperm":
         return iso.LeafPermutation(n, tuple(int(v) for v in rest.split(",")))
-    if kind == "odometer":
+    if text == "odometer":
         return iso.odometer_portrait(n)
     if kind == "locals":
         rng = np.random.default_rng(int(rest or 0))
@@ -153,7 +140,7 @@ def _parse_automorphism(text: str, filtration: al.Filtration):
     if kind == "global":
         rng = np.random.default_rng(int(rest or 0))
         return iso.random_block_automorphism(filtration, rng, width=n)
-    raise InvalidInputError(f"unknown automorphism kind {kind!r}")
+    raise InvalidInputError(f"unknown automorphism {text!r}")
 
 
 def _parse_chi(token: str) -> complex:
@@ -174,28 +161,21 @@ def _parse_flag(key: str, text: str, parse, *args):
         raise InvalidInputError(f"--{_FLAG_OF[key]} {text!r}: {exc}") from None
 
 
-def _solver_config(p) -> mt.SolverConfig:
-    cfg = mt.SolverConfig()
-    if p.get("max_iter") is not None:
-        cfg.max_iter = int(p["max_iter"])
-    return cfg
-
-
 # ---------------------------------------------------------------------------
 # subcommand runners: each returns a list of records
 # ---------------------------------------------------------------------------
 
 
 def run_distance(p) -> list:
-    cfg = _solver_config(p)
-    if p.get("car"):
-        lam = _lambdas(p)
+    cfg = mt.SolverConfig(p["max_iter"])
+    if p["car"]:
+        lam = p["lambda"]
         records = []
-        for n in _ints(p, "n", 0):
-            for l in _ints(p, "l", 3):
+        for n in p["n"]:
+            for l in p["l"]:
                 rec = mt.car_golden_case(lam, n, l, cfg)
                 rec["record"] = "car-distance"
-                triple = _triple_from_params({"depth": n + 1, "lambda": lam[: n + 1]})
+                triple = _triple(al.uhf(2, n + 1), tr.dirac_explicit(lam[: n + 1]))
                 word = al.basis_element(triple.filtration, n + 1, (4,) * n + (l,))
                 rec["matched_word_commutator_norm"] = triple.commutator_norm(word)
                 rec["ok"] = bool(
@@ -242,10 +222,10 @@ def run_iso_check(p) -> list:
 
 def _run_round_trip(p) -> list:
     """Batch equivalence check: rigidity == (state and required levels preserved)."""
-    n_struct, n_adv = _ints(p, "round_trip", count=2)
-    rng = np.random.default_rng(int(p.get("seed", 0)))
-    t_uhf = _triple_from_params({"depth": 3, "lambda": [1.0, 2.0, 4.0]})
-    t_cantor = _triple_from_params({"family": "cantor", "depth": 3, "lambda": [1.0, 2.0, 4.0]})
+    n_struct, n_adv = p["round_trip"]
+    rng = np.random.default_rng(p["seed"])
+    t_uhf = _triple(al.uhf(2, 3), tr.dirac_explicit([1.0, 2.0, 4.0]))
+    t_cantor = _triple(al.cantor(3), tr.dirac_explicit([1.0, 2.0, 4.0]))
     f3 = t_uhf.filtration
 
     # case i draws its spec from the i-th maker, cycling; all draws precede the verdicts
@@ -270,7 +250,7 @@ def _run_round_trip(p) -> list:
         mismatches += int(verdict.in_iso != prediction)
         in_count += int(verdict.in_iso)
 
-    t_tied = _triple_from_params({"depth": 3, "lambda": [1.0, 1.0, 2.0]})
+    t_tied = _triple(al.uhf(2, 3), tr.dirac_explicit([1.0, 1.0, 2.0]))
     tied_distinct = iso.iso_check(t_uhf, iso.switch(1, 2, 3))
     tied_merged = iso.iso_check(t_tied, iso.switch(1, 2, 3))
     return [
@@ -293,13 +273,13 @@ def _run_round_trip(p) -> list:
 
 def run_iso_enumerate(p) -> list:
     records = []
-    depths = _ints(p, "depth", 3)
+    depths = p["depth"]
     if len(depths) > 1 and p.get("lambda"):
         raise InvalidInputError("an explicit --lambda cannot serve several depths")
     for depth in depths:
-        triple = _triple_from_params({**p, "family": "cantor", "depth": depth})
-        mode = "exhaustive" if p.get("exhaustive") else "portraits"
-        rep = iso.enumerate_cantor_iso(triple, mode=mode, progress=bool(p.get("progress")))
+        triple = _triple(al.cantor(depth), _build_dirac(p, depth))
+        mode = "exhaustive" if p["exhaustive"] else "portraits"
+        rep = iso.enumerate_cantor_iso(triple, mode=mode, progress=p["progress"])
         rep.pop("elements", None)
         rep["record"] = "iso-enumerate"
         if mode == "exhaustive":
@@ -311,8 +291,8 @@ def run_iso_enumerate(p) -> list:
 
 
 def run_cantor_metric(p) -> list:
-    cfg = _solver_config(p)
-    rep = iso.m_invariance_experiment(float(p.get("gamma", 1 / 3)), _int(p, "depth"), cfg)
+    cfg = mt.SolverConfig(p["max_iter"])
+    rep = iso.m_invariance_experiment(p["gamma"], _one(p, "depth"), cfg)
     rep["classes"] = {str(k): v for k, v in rep["classes"].items()}
     rep["record"] = "cantor-metric"
     rep["ok"] = bool(
@@ -325,11 +305,11 @@ def run_cantor_metric(p) -> list:
 
 
 def run_switch_violation(p) -> list:
-    lam = _lambdas(p)
-    triple = _triple_from_params({"depth": len(lam), "lambda": lam})
+    lam = p["lambda"]
+    triple = _triple(al.uhf(2, len(lam)), tr.dirac_explicit(lam))
     records = []
-    for k in _ints(p, "k", 1):
-        rep = iso.switch_iso_violation(triple, k, _int(p, "l", 3))
+    for k in p["k"]:
+        rep = iso.switch_iso_violation(triple, k, _one(p, "l"))
         rep["record"] = "switch-violation"
         rep["ok"] = bool(rep["violation_certified"] if k >= 1 else rep["gap"] == 0.0)
         records.append(rep)
@@ -338,11 +318,7 @@ def run_switch_violation(p) -> list:
 
 def run_flip_demo(p) -> list:
     rep = iso.flip_demo(
-        d1=float(p.get("d1", 0.0)),
-        d2=float(p.get("d2", 1.0)),
-        n_pairs=int(p.get("pairs", 100)),
-        n_elements=int(p.get("elements", 100)),
-        seed=int(p.get("seed", 0)),
+        d1=p["d1"], d2=p["d2"], n_pairs=p["pairs"], n_elements=p["elements"], seed=p["seed"]
     )
     rep["record"] = "flip-demo"
     rep["ok"] = bool(
@@ -354,18 +330,18 @@ def run_flip_demo(p) -> list:
 
 
 def run_shift_inequality(p) -> list:
-    ns = _ints(p, "n", 1)
-    c = float(p.get("c", 2.0))
-    depth = max(max(ns) + 1, len(_lambdas(p)) if p.get("lambda") else 0)
-    triple = _triple_from_params({"depth": depth, "lambda": p.get("lambda"), "power": 3.0})
-    samples = int(p.get("samples", 200))
+    ns = p["n"]
+    lam = p.get("lambda")
+    depth = max(max(ns) + 1, len(lam) if lam else 0)
+    dirac = tr.dirac_explicit(lam) if lam else tr.dirac_power(3.0, depth)
+    triple = _triple(al.uhf(2, depth), dirac)
     records = []
     for n in ns:
-        rng = np.random.default_rng(int(p.get("seed", 0)))
+        rng = np.random.default_rng(p["seed"])
         all_hold, special_hold, min_slack = True, True, np.inf
-        for _ in range(samples):
+        for _ in range(p["samples"]):
             x = al.AlgebraElement(triple.filtration, 1, rng.normal(size=4) + 1j * rng.normal(size=4))
-            rep = iso.shift_inequality_check(triple, x, n, c)
+            rep = iso.shift_inequality_check(triple, x, n, p["c"])
             all_hold &= rep["holds"]
             min_slack = min(min_slack, rep["rhs"] - rep["lhs"])
             if "special_case" in rep:
@@ -374,8 +350,8 @@ def run_shift_inequality(p) -> list:
             {
                 "record": "shift-inequality",
                 "n": n,
-                "c": c,
-                "samples": samples,
+                "c": p["c"],
+                "samples": p["samples"],
                 "all_hold": bool(all_hold),
                 "special_case_holds": bool(special_hold),
                 "min_slack": float(min_slack),
@@ -387,17 +363,14 @@ def run_shift_inequality(p) -> list:
 
 def _crossed_suite(p) -> list:
     """Full lift matrix: both actions, three characters, rigid betas, controls."""
-    radius = int(p.get("radius", 4))
-    margin = int(p.get("margin", 2))
-    seed = int(p.get("seed", 0))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(p["seed"])
     chis = [1.0 + 0j, 1j, complex(np.exp(2j * np.pi / 5))]
     chi_names = ["1", "i", "exp(2 pi i/5)"]
 
-    base_u = _triple_from_params({"depth": 2, "lambda": [1.0, 2.0]})
-    lift_u = cx.build_lifted(base_u, cx.TrivialAction(), radius, margin)
-    base_c = _triple_from_params({"family": "cantor", "depth": 3, "lambda": [1.0, 2.0, 4.0]})
-    lift_c = cx.build_lifted(base_c, cx.OdometerAction(), radius, margin)
+    base_u = _triple(al.uhf(2, 2), tr.dirac_explicit([1.0, 2.0]))
+    lift_u = cx.build_lifted(base_u, cx.TrivialAction(), p["radius"], p["margin"])
+    base_c = _triple(al.cantor(3), tr.dirac_explicit([1.0, 2.0, 4.0]))
+    lift_c = cx.build_lifted(base_c, cx.OdometerAction(), p["radius"], p["margin"])
     f2 = base_u.filtration
 
     configs = []
@@ -459,41 +432,33 @@ def _lift_check(lifted, chi, beta, sigma, x, expect_fail: bool) -> dict:
 
 
 def run_crossed_lift(p) -> list:
-    if p.get("suite"):
+    if p["suite"]:
         return _crossed_suite(p)
-    action_name = p.get("action", "trivial")
-    if action_name == "odometer":
-        if p.get("family", "cantor") != "cantor":
-            raise InvalidInputError(f"--family {p['family']!r}: the odometer acts on the cantor family")
-        p = {**p, "family": "cantor", "depth": p.get("depth", 3)}
-        action = cx.OdometerAction()
-    else:
-        action = cx.TrivialAction()
-    base = _triple_from_params(p)
+    # the family and depth defaults depend on the action: the odometer acts on the cantor tree
+    odometer = p["action"] == "odometer"
+    if odometer and p.get("family", "cantor") != "cantor":
+        raise InvalidInputError(f"--family {p['family']!r}: the odometer acts on the cantor family")
+    defaults = {"family": "cantor", "depth": [3]} if odometer else {"family": "uhf"}
+    base = _triple_from_params({**defaults, **p})
+    action = cx.OdometerAction() if odometer else cx.TrivialAction()
+    lifted = cx.build_lifted(base, action, p["radius"], p["margin"])
+
     filt = base.filtration
-    radius = int(p.get("radius", 4))
-    margin = int(p.get("margin", 2))
-    lifted = cx.build_lifted(base, action, radius, margin)
+    beta = None if p["beta"] == "id" else _parse_flag("beta", p["beta"], _parse_automorphism, filt)
+    chis = [_parse_flag("chi", t, _parse_chi) for t in p["chi"].split(",")]
 
-    beta_name = p.get("beta", "id")
-    beta = None if beta_name == "id" else _parse_flag("beta", beta_name, _parse_automorphism, filt)
-    sigma = p.get("sigma", "id")
-    chis = [_parse_flag("chi", t, _parse_chi) for t in str(p.get("chi", "1,i,exp:1/5")).split(",")]
-
-    rng = np.random.default_rng(int(p.get("seed", 0)))
-    x = _random_crossed(base, int(p.get("support", 1)), rng)
-
-    expect_fail = bool(p.get("expect_fail"))
+    rng = np.random.default_rng(p["seed"])
+    x = _random_crossed(base, p["support"], rng)
     return [
         {
             "record": "crossed-lift",
-            "action": action_name,
+            "action": p["action"],
             "chi": [chi.real, chi.imag],
-            "beta": beta_name,
-            "sigma": sigma,
-            "radius": radius,
-            "margin": margin,
-            **_lift_check(lifted, chi, beta, sigma, x, expect_fail),
+            "beta": p["beta"],
+            "sigma": p["sigma"],
+            "radius": p["radius"],
+            "margin": p["margin"],
+            **_lift_check(lifted, chi, beta, p["sigma"], x, p["expect_fail"]),
         }
         for chi in chis
     ]
@@ -503,36 +468,37 @@ def run_crossed_lift(p) -> list:
 # argument wiring: every flag once, then each subcommand's runner, help and flags
 # ---------------------------------------------------------------------------
 
-# flag name -> argparse keywords; the dest is the name with "-" read as "_".
-# --k, --depth and --l stay text: the runners parse them (int or comma list).
+# flag name -> argparse keywords; the dest is the name with "-" read as "_", and the type
+# gives the value a runner reads.  --pairs, --elements and --samples count the cases a
+# record checks, so are at least 1: a record over no cases would pass having checked nothing.
 OPTIONS = {
     "config": {"help": "JSON file prefilling this subcommand's options"},
     "output": {"help": "write records to this file instead of stdout"},
     "pretty": {"action": "store_true", "help": "also print a readable table"},
-    "seed": {"type": int},
+    "seed": {"type": _count},
     "family": {"choices": ("uhf", "cantor")},
-    "k": {"help": "uhf factor size; switch-violation: switch target shift(s), comma separated"},
-    "depth": {"help": "depth; iso-enumerate: depth or comma list of depths"},
-    "lambda": {"help": "eigenvalues, comma separated"},
+    "k": {"type": _ints, "help": "uhf factor size; switch-violation: switch target shift(s), comma separated"},
+    "depth": {"type": _ints, "help": "depth; iso-enumerate: depth or comma list of depths"},
+    "lambda": {"type": _floats, "help": "eigenvalues, comma separated"},
     "gamma": {"type": float},
     "power": {"type": float},
     "car": {"action": "store_true", "help": "matched vector state vs trace"},
-    "n": {"help": "shift count(s), comma separated"},
-    "l": {"help": "Bloch label 1..3; distance in car mode: comma separated labels"},
+    "n": {"type": _ints, "help": "shift count(s), comma separated"},
+    "l": {"type": _ints, "help": "Bloch label 1..3; distance in car mode: comma separated labels"},
     "state1": {},
     "state2": {},
     "max-iter": {"type": _count},
     "auto": {"help": "switch:i,j | portrait:BITS | leafperm:... | locals:SEED | block:S,W,SEED | global:SEED | odometer | identity"},
-    "round-trip": {"help": "N_STRUCT,N_ADV: batch equivalence check instead of one verdict"},
-    "cantor": {"action": "store_true", "help": "accepted for clarity; always cantor"},
+    "round-trip": {"type": functools.partial(_ints, count=2),
+                   "help": "N_STRUCT,N_ADV: batch equivalence check instead of one verdict"},
     "exhaustive": {"action": "store_true", "help": "scan all leaf permutations"},
     "progress": {"action": "store_true", "help": "report scan progress on stderr"},
     "d1": {"type": float},
     "d2": {"type": float},
-    "pairs": {"type": _cases},
-    "elements": {"type": _cases},
+    "pairs": {"type": functools.partial(_count, least=1)},
+    "elements": {"type": functools.partial(_count, least=1)},
     "c": {"type": float},
-    "samples": {"type": _cases},
+    "samples": {"type": functools.partial(_count, least=1)},
     "action": {"choices": ("trivial", "odometer")},
     "radius": {"type": int},
     "margin": {"type": int},
@@ -545,27 +511,30 @@ OPTIONS = {
 }
 _FLAG_OF = {flag.replace("-", "_"): flag for flag in OPTIONS}
 _COMMON = ("config", "output", "pretty")
-_TRIPLE = ("family", "k", "depth", "lambda", "gamma", "power")
-
-# subcommand -> (runner, help, flags besides the common ones)
+# subcommand -> (runner, help, {flag besides the common ones: its default, as the runner
+# reads it}); a None default leaves the option out, so a runner that needs it names it missing
+_DIRAC = {"lambda": None, "gamma": None, "power": 2.0}
+_TRIPLE = {"family": "uhf", "k": [2], "depth": None, **_DIRAC}
 SUBCOMMANDS = {
     "distance": (run_distance, "state distance (certified lower/upper bounds)",
-                 _TRIPLE + ("car", "n", "l", "state1", "state2", "max-iter")),
+                 {**_TRIPLE, "car": False, "n": [0], "l": [3], "state1": None, "state2": None,
+                  "max-iter": mt.SolverConfig.max_iter}),
     "iso-check": (run_iso_check, "unitary rigidity verdict for one automorphism",
-                  _TRIPLE + ("auto", "round-trip", "seed")),
+                  {**_TRIPLE, "auto": None, "round-trip": None, "seed": 0}),
     "iso-enumerate": (run_iso_enumerate, "tree-automorphism group of the Cantor triple",
-                      ("cantor", "depth", "exhaustive", "lambda", "gamma", "power", "progress")),
+                      {**_DIRAC, "depth": [3], "exhaustive": False, "progress": False}),
     "cantor-metric": (run_cantor_metric, "leaf-pair distance table grouped by split level",
-                      ("gamma", "depth", "max-iter")),
+                      {"gamma": 1 / 3, "depth": None, "max-iter": mt.SolverConfig.max_iter}),
     "switch-violation": (run_switch_violation, "distance gap under a tensor-slot switch",
-                         ("k", "l", "lambda")),
+                         {"k": [1], "l": [3], "lambda": None}),
     "flip-demo": (run_flip_demo, "two-point flip: distance preserving, Dirac moving",
-                  ("d1", "d2", "pairs", "elements", "seed")),
+                  {"d1": 0.0, "d2": 1.0, "pairs": 100, "elements": 100, "seed": 0}),
     "shift-inequality": (run_shift_inequality, "commutator stretching under the shift",
-                         ("n", "c", "lambda", "samples", "seed")),
+                         {"n": [1], "c": 2.0, "lambda": None, "samples": 200, "seed": 0}),
     "crossed-lift": (run_crossed_lift, "lifted unitaries on the site window",
-                     _TRIPLE + ("action", "radius", "margin", "chi", "beta", "sigma", "support",
-                                "expect-fail", "suite", "seed")),
+                     {**_TRIPLE, "family": None, "action": "trivial", "radius": 4, "margin": 2,
+                      "chi": "1,i,exp:1/5", "beta": "id", "sigma": "id", "support": 1,
+                      "expect-fail": False, "suite": False, "seed": 0}),
 }
 RUNNERS = {name: entry[0] for name, entry in SUBCOMMANDS.items()}
 
@@ -582,35 +551,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Experiments on truncated filtered algebras with graded Dirac operators",
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
-    for name, (_, help_, flags) in SUBCOMMANDS.items():
+    for name, (_, help_, defaults) in SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_)
-        for flag in flags + _COMMON:
-            sp.add_argument("--" + flag, **OPTIONS[flag])
+        for flag, default in {**defaults, **dict.fromkeys(_COMMON)}.items():
+            sp.add_argument("--" + flag, default=default, **OPTIONS[flag])
     return ap
 
 
-def _flag_value(flag: str, value, path: str):
-    """A config value parsed as ``--flag`` would parse its text; a usage error otherwise.
+def _config_words(path: str, subcommand: str) -> list:
+    """A config file's options as the ``--flag=value`` words the parser reads.
 
-    A store_true flag takes a JSON boolean, any other a string or a number (a
-    list of them for a comma separated flag) that passes its type and choices.
+    JSON true is the bare flag, and false leaves a store_true flag out; any
+    other value is the flag's text, a list joined by commas.
     """
-    spec, items = OPTIONS[flag], value if isinstance(value, list) else [value]
-    try:
-        if spec.get("action") == "store_true":
-            if isinstance(value, bool):
-                return value
-        elif all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in items):
-            out = spec.get("type", str)(",".join(map(str, items)))
-            if out in spec.get("choices", (out,)):
-                return out
-    except (ValueError, argparse.ArgumentTypeError):
-        pass
-    raise InvalidInputError(f"--{flag} in config {path}: invalid value {value!r}")
-
-
-def _read_config(path: str, subcommand: str) -> dict:
-    """A config file's options, keyed by flag dest and checked as the subcommand's flags are."""
     try:
         with open(path) as fh:
             loaded = json.load(fh)
@@ -626,7 +579,14 @@ def _read_config(path: str, subcommand: str) -> dict:
     unknown = sorted(stray | (set(params) - known))
     if unknown:
         raise InvalidInputError(f"config {path}: not an option of {subcommand}: {', '.join(unknown)}")
-    return {k: _flag_value(_FLAG_OF[k], v, path) for k, v in params.items() if k != "subcommand"}
+    words = []
+    for key, value in params.items():
+        flag = _FLAG_OF.get(key)
+        if key == "subcommand" or value is False and OPTIONS[flag].get("action") == "store_true":
+            continue
+        items = value if isinstance(value, list) else [value]
+        words.append(f"--{flag}" if value is True else f"--{flag}=" + ",".join(map(str, items)))
+    return words
 
 
 def _output_path(path: str) -> str:
@@ -644,29 +604,39 @@ def _output_path(path: str) -> str:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     undecidable = False
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
         output = _output_path(args.output) if args.output else None
-        flags = {
+        if args.config:
+            # the file's words go ahead of the command line, whose flags then win
+            words = _config_words(args.config, args.subcommand)
+            try:
+                parser.parse_args([args.subcommand, *words])
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"config {args.config}: {exc}") from None
+            args = parser.parse_args([args.subcommand, *words, *argv[1:]])
+        params = {
             key: val for key, val in vars(args).items()
-            if key not in ("subcommand", "config", "output", "pretty")
-            and val is not None and val is not False
+            if key not in ("subcommand", *_COMMON) and val is not None
         }
-        file_params = _read_config(args.config, args.subcommand) if args.config else {}
-        records = RUNNERS[args.subcommand]({**file_params, **flags})
-    except (InvalidInputError, ValueError, KeyError, FileNotFoundError) as exc:
-        missing = exc.args[0] if isinstance(exc, KeyError) and exc.args else None
-        if missing in _FLAG_OF:
-            exc = f"missing required option --{_FLAG_OF[missing]}"
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (AmbiguousVerdictError, UnboundedObjectiveError) as exc:
+        records = RUNNERS[args.subcommand](params)
+    except (AmbiguousVerdictError, UnboundedObjectiveError, np.linalg.LinAlgError) as exc:
         print(f"undecidable: {exc}", file=sys.stderr)
         records = [{"record": "undecidable", "ok": False, "error": str(exc)}]
         if isinstance(exc, AmbiguousVerdictError):
             records[0].update(residual=exc.residual, guard_band=list(exc.guard_band))
         undecidable = True
+    except (ValueError, KeyError, FileNotFoundError) as exc:
+        if isinstance(exc, KeyError):  # a runner read an option that was not given
+            flag = _FLAG_OF.get(str(exc.args[0])) if exc.args else None
+            if flag not in SUBCOMMANDS[args.subcommand][2]:
+                raise
+            exc = f"missing required option --{flag}"
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
 
     lines = [json.dumps(rec, sort_keys=True) for rec in records]
     text = "\n".join(lines) + "\n"

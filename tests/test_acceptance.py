@@ -19,6 +19,12 @@ from afspectral import triple as tr
 from conftest import random_element
 
 
+def _params(argv: str) -> dict:
+    """The params ``cli.main`` hands a runner for ``argv``: the given flags and the defaults."""
+    args = cli.build_parser().parse_args(argv.split())
+    return {key: val for key, val in vars(args).items() if val is not None}
+
+
 def _report(num: int, ok: bool, detail: str):
     print(f"{'PASS' if ok else 'FAIL'} criterion {num}: {detail}", flush=True)
     assert ok, f"criterion {num}: {detail}"
@@ -26,9 +32,7 @@ def _report(num: int, ok: bool, detail: str):
 
 def test_criterion_1_car_golden_distances():
     t0 = time.monotonic()
-    records = cli.RUNNERS["distance"](
-        {"car": True, "n": "0,1,2", "l": "1,2,3", "lambda": "1,2,4,8"}
-    )
+    records = cli.RUNNERS["distance"](_params("distance --car --n 0,1,2 --l 1,2,3 --lambda 1,2,4,8"))
     elapsed = time.monotonic() - t0
     lam = [1.0, 2.0, 4.0, 8.0]
     ok = len(records) == 9
@@ -55,7 +59,7 @@ def test_criterion_2_worked_example():
 
 
 def test_criterion_3_round_trip():
-    records = cli.RUNNERS["iso-check"]({"round_trip": "52,12", "seed": 0})
+    records = cli.RUNNERS["iso-check"](_params("iso-check --round-trip 52,12 --seed 0"))
     summary = records[0]
     tied = records[1]
     ok = (
@@ -74,7 +78,7 @@ def test_criterion_3_round_trip():
 
 def test_criterion_4_cantor_enumeration():
     t0 = time.monotonic()
-    records = cli.RUNNERS["iso-enumerate"]({"depth": "2,3", "exhaustive": True})
+    records = cli.RUNNERS["iso-enumerate"](_params("iso-enumerate --depth 2,3 --exhaustive"))
     elapsed = time.monotonic() - t0
     by_depth = {r["depth"]: r for r in records}
     ok = (
@@ -208,8 +212,8 @@ def test_criterion_10_property_suites():
         x4 = al.AlgebraElement(f4, lev, x3.coeffs)
         trunc_ok &= abs(t3.commutator_norm(x3) - t4.commutator_norm(x4)) <= 1e-9
 
-    # solver determinism: identical records from identical config and seed
-    params = {"car": True, "n": "1", "l": "2", "lambda": "1,2", "seed": 11}
+    # solver determinism: identical records from identical params
+    params = _params("distance --car --n 1 --l 2 --lambda 1,2")
     run1 = json.dumps(cli.RUNNERS["distance"](dict(params)), sort_keys=True)
     run2 = json.dumps(cli.RUNNERS["distance"](dict(params)), sort_keys=True)
     determinism_ok = run1 == run2

@@ -2,6 +2,7 @@ import json
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from afspectral import algebra as al
@@ -57,7 +58,7 @@ def test_generic_distance_reports_solver_diagnostics(capsys):
     assert run_cli(capsys, argv)[1] == records
 
 def test_iso_enumerate_depth2(capsys):
-    code, records = run_cli(capsys, ["iso-enumerate", "--cantor", "--depth", "2", "--exhaustive"])
+    code, records = run_cli(capsys, ["iso-enumerate", "--depth", "2", "--exhaustive"])
     assert code == 0
     assert records[0]["passing"] == 8 and records[0]["group_order"] == 8
 
@@ -187,7 +188,7 @@ def test_zero_valued_flags_reach_runner(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert {k: seen[k] for k in ("seed", "margin", "support", "power")} == {
         "seed": 0, "margin": 0, "support": 0, "power": 0.0}
-    assert "expect_fail" not in seen  # an unset store_true flag leaves the runner default
+    assert seen["expect_fail"] is False  # an unset store_true flag reads its default
 
 
 def test_output_file_and_env_dir(tmp_path, capsys, monkeypatch):
@@ -251,6 +252,31 @@ def test_unbounded_objective_record(capsys, monkeypatch):
                    "error": "nonzero objective along a Dirac-commuting direction"}
 
 
+def test_linalg_failure_is_undecidable(capsys, monkeypatch):
+    # a routine that does not converge is a numerical verdict, not a usage error
+    def diverges(_params):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setitem(cli.RUNNERS, "flip-demo", diverges)
+    assert cli.main(["flip-demo"]) == 3
+    captured = capsys.readouterr()
+    (rec,) = [json.loads(line) for line in captured.out.splitlines()]
+    assert rec == {"record": "undecidable", "ok": False, "error": "Eigenvalues did not converge"}
+    assert captured.err == "undecidable: Eigenvalues did not converge\n"
+
+
+@pytest.mark.parametrize("key", ["internal_key", "state1"])
+def test_key_error_naming_no_option_propagates(capsys, monkeypatch, key):
+    # only a required option of the subcommand is reported missing; flip-demo has no --state1
+    def broken(_params):
+        raise KeyError(key)
+
+    monkeypatch.setitem(cli.RUNNERS, "flip-demo", broken)
+    with pytest.raises(KeyError, match=key):
+        cli.main(["flip-demo"])
+    assert capsys.readouterr().err == ""
+
+
 def test_progress_goes_to_stderr(capsys):
     code = cli.main(["iso-enumerate", "--depth", "3", "--exhaustive", "--progress"])
     captured = capsys.readouterr()
@@ -285,6 +311,38 @@ def test_config_values_follow_flag_schema(tmp_path, capsys, monkeypatch, subcomm
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage error: ") and flag in captured.err
+
+
+# one JSON value for every flag a subcommand declares besides the common ones
+_FLAG_SAMPLES = {
+    "seed": 3, "family": "cantor", "k": [2, 3], "depth": [2, 3], "lambda": [1, 2.5],
+    "gamma": 0.3, "power": 3, "car": True, "n": [0, 1], "l": [1, 2], "state1": "trace",
+    "state2": "uniform", "max-iter": 7, "auto": "odometer", "round-trip": [2, 1],
+    "exhaustive": True, "progress": True, "d1": 0.5, "d2": 2, "pairs": 5, "elements": 6,
+    "c": 1.5, "samples": 4, "action": "odometer", "radius": 3, "margin": 1, "chi": "1,i",
+    "beta": "odometer", "sigma": "neg", "support": 2, "expect-fail": True, "suite": True,
+}
+
+
+@pytest.mark.parametrize(
+    "subcommand, flag",
+    [(name, flag) for name, (_, _, flags) in cli.SUBCOMMANDS.items() for flag in flags],
+)
+def test_config_entry_reaches_runner_as_its_flag(tmp_path, capsys, monkeypatch, subcommand, flag):
+    # a config entry {dest: value} goes through the parser that reads --flag value
+    seen = []
+    monkeypatch.setitem(cli.RUNNERS, subcommand, lambda p: seen.append(p) or [])
+    value, dest = _FLAG_SAMPLES[flag], flag.replace("-", "_")
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({dest: value}))
+    assert cli.main([subcommand, "--" + flag] + ([] if value is True else [text])) == 0
+    assert cli.main([subcommand, "--config", str(path)]) == 0
+    assert cli.main([subcommand]) == 0
+    capsys.readouterr()
+    from_flag, from_config, defaults = seen
+    assert from_config == from_flag
+    assert from_flag[dest] != defaults.get(dest)
 
 
 def test_config_values_read_as_flag_text(tmp_path, capsys):
@@ -357,6 +415,9 @@ def test_config_file_errors_are_usage_errors(tmp_path, capsys, content):
         (["flip-demo", "--pairs", "0"], "--pairs"),
         (["flip-demo", "--elements", "0"], "--elements"),
         (["shift-inequality", "--samples", "0"], "--samples"),
+        (["flip-demo", "--seed", "-1"], "--seed"),
+        (["crossed-lift", "--depth", "2", "--seed", "-3"], "--seed"),
+        (["iso-check", "--round-trip", "2,2", "--seed", "-3"], "--seed"),
     ],
 )
 def test_malformed_integer_flag_is_named(capsys, argv, flag):
@@ -383,6 +444,9 @@ _UHF3 = ["--depth", "3", "--lambda", "1,2,4"]
         (["distance", *_UHF3, "--state1", "bogus", "--state2", "trace"], "--state1"),
         (["distance", *_UHF3, "--state1", "trace", "--state2", "carvec:4"], "--state2"),
         (["distance", *_UHF3, "--state1", "trace", "--state2", "vector:1:1,2"], "--state2"),
+        (["distance", *_UHF3, "--state1", "carvec:3:1:junk", "--state2", "trace"], "--state1"),
+        (["iso-check", *_UHF3, "--auto", "identity:junk"], "--auto"),
+        (["iso-check", "--family", "cantor", "--depth", "2", "--auto", "odometer:junk"], "--auto"),
     ],
 )
 def test_malformed_spec_state_or_chi_is_named(capsys, argv, flag):
