@@ -42,15 +42,16 @@ from .linalg import random_unitary
 # ---------------------------------------------------------------------------
 
 
-def _ints(text: str, least: int = 0, count: int | None = None) -> list:
-    """argparse type of an integer flag: comma separated integers >= ``least``, ``count`` of
-    them when given; each is a count, depth, shift, label or seed, so never negative."""
+def _ints(text: str, least: int = 0, count: int | None = None, most: int | None = None) -> list:
+    """argparse type of an integer flag: comma separated integers in ``least``..``most``,
+    ``count`` of them when given; each is a count, depth, shift, label or seed, so never negative."""
     words = text.split(",")
     if all(w.strip().isdecimal() for w in words) and count in (None, len(words)):
-        if min(map(int, words)) >= least:
+        if least <= min(map(int, words)) and (most is None or max(map(int, words)) <= most):
             return [int(w) for w in words]
     what = {1: "an integer", 2: "two comma separated integers"}.get(count, "comma separated integers")
-    raise argparse.ArgumentTypeError(f"expects {what} >= {least}, got {text!r}")
+    bound = f">= {least}" if most is None else f"in {least}..{most}"
+    raise argparse.ArgumentTypeError(f"expects {what} {bound}, got {text!r}")
 
 
 def _count(text: str, least: int = 0) -> int:
@@ -96,21 +97,27 @@ def _triple_from_params(p) -> tr.TruncatedTriple:
 
 
 def _parse_state(text: str, filtration: al.Filtration) -> al.State:
+    """The state ``text`` names, evaluated once at the full depth: a state the
+    triple cannot serve (a short character word, a family mismatch) is refused
+    here, where ``_parse_flag`` names its flag."""
     if text == "trace":
-        return al.TraceState()
-    if text == "uniform":
-        return al.UniformState()
-    if text.startswith("character:"):
-        return al.CharacterState(tuple(int(b) for b in text.split(":", 1)[1]))
-    if text.startswith("vector:"):
+        state = al.TraceState()
+    elif text == "uniform":
+        state = al.UniformState()
+    elif text.startswith("character:"):
+        state = al.CharacterState(tuple(int(b) for b in text.split(":", 1)[1]))
+    elif text.startswith("vector:"):
         _, level, coeffs = text.split(":", 2)
         c = np.array([complex(v) for v in coeffs.split(",")])
-        return al.VectorState(al.AlgebraElement(filtration, int(level), c))
-    if text.startswith("carvec:"):
+        state = al.VectorState(al.AlgebraElement(filtration, int(level), c))
+    elif text.startswith("carvec:"):
         label, sep, shift = text[len("carvec:"):].partition(":")
         v = al.shift_embed(mt.car_vector(filtration, int(label)), int(shift) if sep else 0)
-        return al.VectorState(v)
-    raise InvalidInputError("unknown state")
+        state = al.VectorState(v)
+    else:
+        raise InvalidInputError("unknown state")
+    state.basis_values(filtration, filtration.depth)
+    return state
 
 
 def _parse_automorphism(text: str, filtration: al.Filtration):
@@ -309,6 +316,8 @@ def run_switch_violation(p) -> list:
     triple = _triple(al.uhf(2, len(lam)), tr.dirac_explicit(lam))
     records = []
     for k in p["k"]:
+        if k >= len(lam):
+            raise InvalidInputError(f"--k {k}: the switch 1 <-> {k + 1} needs {k + 1} --lambda values")
         rep = iso.switch_iso_violation(triple, k, _one(p, "l"))
         rep["record"] = "switch-violation"
         rep["ok"] = bool(rep["violation_certified"] if k >= 1 else rep["gap"] == 0.0)
@@ -484,7 +493,8 @@ OPTIONS = {
     "power": {"type": float},
     "car": {"action": "store_true", "help": "matched vector state vs trace"},
     "n": {"type": _ints, "help": "shift count(s), comma separated"},
-    "l": {"type": _ints, "help": "Bloch label 1..3; distance in car mode: comma separated labels"},
+    "l": {"type": functools.partial(_ints, least=1, most=3),
+          "help": "Bloch label 1..3; distance in car mode: comma separated labels"},
     "state1": {},
     "state2": {},
     "max-iter": {"type": _count},
@@ -546,13 +556,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviated flags: a config file names its options in full, and so does the command line
     ap = _Parser(
+        allow_abbrev=False,
         prog="afspectral",
         description="Experiments on truncated filtered algebras with graded Dirac operators",
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
     for name, (_, help_, defaults) in SUBCOMMANDS.items():
-        sp = sub.add_parser(name, help=help_)
+        sp = sub.add_parser(name, help=help_, allow_abbrev=False)
         for flag, default in {**defaults, **dict.fromkeys(_COMMON)}.items():
             sp.add_argument("--" + flag, default=default, **OPTIONS[flag])
     return ap

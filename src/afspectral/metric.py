@@ -26,9 +26,10 @@ matrix Y with <B_i, Y> = c_i bounds the distance by its nuclear norm;
 fitted on the top singular space of M(t) and then on the tangent space
 there, its excess over the ratio at t falls with the square of t's distance
 to the optimum.  Only while that gap is open a log-barrier Newton method
-(``_barrier``) runs once from t = 0 along the central path of the SDP form
-I +- H(t) >= 0; the ratio's nonsmoothness where the top singular value of
-M(t) is repeated does not stall it.  It is the only iterative solver.
+(``_barrier``) runs once, from the Frobenius start, along the central path
+of the SDP form I +- H(t) >= 0, and stops at its first closed certificate;
+the ratio's nonsmoothness where the top singular value of M(t) is repeated
+does not stall it.  It is the only iterative solver.
 
 The Frobenius start is t0 = G^+ c, with G_ij = <B_i, B_j> the stack's
 Frobenius Gram matrix: it maximizes (c . t)/||M(t)||_F, so its ratio is at
@@ -273,13 +274,14 @@ def _check_bounded(num: np.ndarray, norms: np.ndarray):
 
 
 def _barrier(c: np.ndarray, cons: _ConstraintMap, max_iter: int):
-    """Maximize c . t over ||M(t)|| < 1 by a log-barrier Newton method from t = 0.
+    """Maximize c . t over ||M(t)|| < 1 by a log-barrier Newton method from the Frobenius start.
 
-    Returns (ratio, t, Newton steps).  The problem is convex (an SDP: with
-    the Hermitian H = i M, ||H|| <= 1 holds exactly when I +- H >= 0), so
-    the central path leads to the global maximum, also where the top
-    singular value of M(t) is repeated and the ratio (c . t)/||M(t)|| is
-    nonsmooth.  Stage k minimizes -tau_k c . t - sum_a log(1 - w_a^2) over
+    Returns (ratio, t, Newton steps, certificate): the ratio at the last
+    point t and the smallest ``dual_bound`` computed on the way.  The
+    problem is convex (an SDP: with the Hermitian H = i M, ||H|| <= 1 holds
+    exactly when I +- H >= 0), so the central path leads to the global
+    maximum, also where the top singular value of M(t) is repeated and the
+    ratio (c . t)/||M(t)|| is nonsmooth.  Stage k minimizes -tau_k c . t - sum_a log(1 - w_a^2) over
     the eigenvalues w of H(t): one complex-Hermitian form for real and
     complex stacks.  With H = Q diag(w) Q^H, B'_i = Q^H (i B_i) Q,
     alpha = 1/(1 - w) and beta = 1/(1 + w), the barrier's gradient is
@@ -288,22 +290,30 @@ def _barrier(c: np.ndarray, cons: _ConstraintMap, max_iter: int):
     formed as one real product of the B'_i scaled by sqrt(K).  The B'_i are
     one batched product, and each trial point costs one ``eigh``, whose
     eigensystem both checks ||H|| < 1 and, once the point is accepted, gives
-    the next step's w and Q.  The first point is t = 0, where H = 0, w = 0
-    and Q = I.
+    the next step's w and Q.
 
     Newton works in the range basis of the stack's SVD, t = U diag(1/s) z
     over the kept singular values, where ||M(t)||_F = |z|: null directions
-    drop out, and since K >= 1/2 the Hessian is at least I/2.  tau starts at
-    1/|c_z|, c_z the objective in that basis.  A step is damped to
-    1/(1 + lambda), lambda the Newton decrement, and halved while it would
-    leave ||H|| < 1.  A stage ends when lambda^2/2 < NEWTON_CENTERED, and tau
-    then grows by BARRIER_GROWTH.  The barrier stops at a centered point
-    whose central-path gap 2d/tau is below BARRIER_GAP * (c . t), or after
-    ``max_iter`` Newton steps; with no step taken it returns t = 0 and the
-    ratio -inf.  Peak transient: the range-basis stack, the B'_i and the
-    intermediate Q^H (i B_i) of their batched product, three complex
-    (k, d, d) arrays with k <= p, so at most three times the commutator
-    stack whose size ``_search_space`` checks against the dense-array limit.
+    drop out, and since K >= 1/2 the Hessian is at least I/2.  In that basis
+    the Frobenius start G^+ c lies along c_z, the objective there, and the
+    first point is z = c_z/|c_z|, where ||M|| <= ||M||_F = 1; a rank-one
+    M(z) has ||M|| = 1, so the point is halved, as a step is, until
+    ||H|| < 1.  With N the barrier's Hessian, tau starts at the weight that
+    best centres that point, (grad . N^-1 c_z)/(c_z . N^-1 c_z), and at
+    least 1/|c_z|.  Each step solves N once for N^-1 [grad, c_z], so the
+    step at any tau is tau N^-1 c_z - N^-1 grad.  A step is damped to 1/(1 + lambda), lambda
+    the Newton decrement, and halved while it would leave ||H|| < 1.  A
+    stage ends when lambda^2/2 < NEWTON_CENTERED, and tau then grows by
+    BARRIER_GROWTH.  A centered point whose central-path gap 2d/tau is below
+    sqrt(GAP_TOL) * (c . t) is certified by ``dual_bound``, and the barrier
+    returns at the first certificate that closes (``_closed``).  Otherwise
+    it stops at a centered point whose gap is below BARRIER_GAP * (c . t),
+    or after ``max_iter`` Newton steps, and certifies its last point; with
+    no step taken that is the start.  Peak transient: the range-basis
+    stack, the B'_i and the intermediate Q^H (i B_i) of their batched
+    product, three complex (k, d, d) arrays with k <= p, so at most three
+    times the commutator stack whose size ``_search_space`` checks against
+    the dense-array limit.
     """
     W = cons.u[:, cons.kept] / cons.s[cons.kept]
     flat = W.T @ cons.flat  # vec(M) (real stack) or vec(H) along the range basis
@@ -312,38 +322,60 @@ def _barrier(c: np.ndarray, cons: _ConstraintMap, max_iter: int):
     d = cons.shape[0]
     E = flat.reshape(-1, d, d)
     cz = W.T @ c
-    z = np.zeros(len(cz))
-    w, Q = np.zeros(d), np.eye(d)  # the eigensystem of H(0) = 0
-    tau = 1.0 / np.linalg.norm(cz)
-    steps = 0
-    while steps < max_iter:
+
+    def inside(z):
+        """The eigensystem of H(z) if ||H(z)|| < 1, else None."""
+        w, Q = np.linalg.eigh((z @ flat).reshape(d, d))
+        return (w, Q) if max(-w[0], w[-1]) < 1.0 else None
+
+    def newton(w, Q):
+        """The barrier's gradient grad at H = Q diag(w) Q^H, with N^-1 grad
+        and N^-1 c_z for its Hessian N."""
         alpha, beta = 1.0 / (1.0 - w), 1.0 / (1.0 + w)
         P = np.conj(Q.T) @ E @ Q
         grad = np.diagonal(P, axis1=1, axis2=2).real @ (alpha - beta)
         P *= np.sqrt(alpha[:, None] * alpha + beta[:, None] * beta)
         Pv = P.reshape(len(E), -1).view(float)  # Re <P_i, P_j> as a real product
-        hess = Pv @ Pv.T
+        a, b = np.linalg.solve(Pv @ Pv.T, np.column_stack([grad, cz])).T
+        return grad, a, b
+
+    def certify(z):
+        t = W @ z
+        return (c @ t) / cons.norms(t[None])[0], t, cons.dual_bound(c, t)[0]
+
+    z = cz / np.linalg.norm(cz)  # the Frobenius start G^+ c at ||M(t)||_F = 1
+    while (eig := inside(z)) is None:
+        z = z / 2
+    grad, a, b = newton(*eig)
+    tau = max((grad @ b) / (cz @ b), 1.0 / np.linalg.norm(cz))
+    upper, steps, certified = np.inf, 0, False
+    while True:
         while True:  # a centered point starts the next stage, or ends the barrier
-            g = grad - tau * cz
-            dz = -np.linalg.solve(hess, g)
-            lam2 = -(g @ dz)
-            if lam2 / 2 >= NEWTON_CENTERED or 2 * d / tau < BARRIER_GAP * (cz @ z):
+            dz = tau * b - a
+            lam2 = (tau * cz - grad) @ dz
+            if lam2 / 2 >= NEWTON_CENTERED:
+                break
+            gap = 2 * d / tau
+            if gap < np.sqrt(GAP_TOL) * (cz @ z) and not certified:
+                ratio, t, bound = certify(z)
+                upper, certified = min(upper, bound), True
+                if _closed(upper, ratio):
+                    return ratio, t, steps, upper
+            if gap < BARRIER_GAP * (cz @ z):
                 break
             tau *= BARRIER_GROWTH
-        if lam2 / 2 < NEWTON_CENTERED:
+        if lam2 / 2 < NEWTON_CENTERED or steps == max_iter:
             break
         step = 1.0 / (1.0 + np.sqrt(lam2))
-        while True:
-            w, Q = np.linalg.eigh(((z + step * dz) @ flat).reshape(d, d))
-            if max(-w[0], w[-1]) < 1.0:
-                break
+        while (eig := inside(z + step * dz)) is None:
             step /= 2
         z = z + step * dz
-        steps += 1
-    t = W @ z
-    if not steps:
-        return -np.inf, t, 0
-    return (c @ t) / cons.norms(t[None])[0], t, steps
+        grad, a, b = newton(*eig)
+        steps, certified = steps + 1, False
+    if not certified:
+        ratio, t, bound = certify(z)
+        upper = min(upper, bound)
+    return ratio, t, steps, upper
 
 
 def _closed(upper: float, value: float) -> bool:
@@ -396,10 +428,11 @@ def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> Dista
     call gives their norms, and a row of zero norm reads -inf.  The best row
     is certified.  If the certificate is within GAP_TOL * max(1, ratio) of
     that ratio the solve ends there, with 0 ``iterations`` on every row.
-    Otherwise :func:`_barrier` runs once from t = 0 (the ``"barrier"`` row of
-    ``per_start``, its Newton steps as ``iterations``), its point is
-    certified too, and the better ratio is kept.  ``diagnostics["dual_bound"]``
-    is the smallest certificate computed, an upper bound on the distance.
+    Otherwise :func:`_barrier` runs once from the Frobenius start (the
+    ``"barrier"`` row of ``per_start``, its Newton steps as ``iterations``)
+    until its own certificate closes, and the better ratio is kept.
+    ``diagnostics["dual_bound"]`` is the smallest certificate computed, an
+    upper bound on the distance.
     An informed start of the wrong length or with non-finite entries raises
     :class:`InvalidInputError`.  An objective unbounded along a
     Dirac-commuting direction raises :class:`UnboundedObjectiveError` before
@@ -442,10 +475,9 @@ def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> Dista
     dual = cons.dual_bound(c, best_t)[0]
 
     if not _closed(dual, best_val):
-        value, t, steps = _barrier(c, cons, cfg.max_iter)
+        value, t, steps, upper = _barrier(c, cons, cfg.max_iter)
         per_start.append({"start": "barrier", "objective": float(value), "iterations": steps})
-        if steps:
-            dual = min(dual, cons.dual_bound(c, t)[0])
+        dual = min(dual, upper)
         if value > best_val:
             best_start, best_val, best_t = "barrier", value, t
 

@@ -477,6 +477,43 @@ def test_argparse_errors_are_returned_usage_errors(capsys, argv, named):
         assert captured.err == "usage error: --radius invalid int value: '4.7'\n"
 
 
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_abbreviated_flag_is_a_usage_error(tmp_path, capsys, monkeypatch, source):
+    # --pair is not read as --pairs, on the command line as in a config file
+    monkeypatch.setitem(cli.RUNNERS, "flip-demo", lambda p: pytest.fail(f"runner got {p}"))
+    argv = ["flip-demo", "--pair", "5", "--elem", "5"]
+    if source == "config":
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"pair": 5}))
+        argv = ["flip-demo", "--config", str(path)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and "pair" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["distance", "--family", "cantor", "--depth", "2", "--state1", "character:0",
+          "--state2", "uniform"], "--state1"),
+        (["distance", "--family", "cantor", "--depth", "2", "--state1", "uniform",
+          "--state2", "trace"], "--state2"),
+        (["distance", "--depth", "2", "--state1", "character:00", "--state2", "trace"], "--state1"),
+        (["switch-violation", "--lambda", "1,2,4", "--k", "5"], "--k"),
+        (["distance", "--car", "--n", "0", "--l", "7", "--lambda", "1"], "--l"),
+    ],
+    ids=["short-character", "trace-on-cantor", "character-on-uhf", "switch-beyond-depth",
+         "car-label"],
+)
+def test_input_refused_by_the_library_names_its_flag(capsys, argv, flag):
+    # a value the parser's type accepts but the triple cannot serve
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: {flag} ")
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["crossed-lift", "--help"])

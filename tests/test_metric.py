@@ -460,7 +460,7 @@ def _uhf3_vector_problem(uhf3, seed):
 
 def test_open_gap_spends_every_start_as_one_batch(uhf3):
     """Seed 1: the Frobenius start's certificate leaves a gap of about 30%,
-    so the barrier runs once from t = 0, and the result is that of the
+    so the barrier runs once from that start, and the result is that of the
     start scored where it stands and the barrier run alone."""
     problem = _uhf3_vector_problem(uhf3, 1)
     cfg = mt.SolverConfig()
@@ -472,8 +472,9 @@ def test_open_gap_spends_every_start_as_one_batch(uhf3):
     t0 = cons.frobenius_start(c)
     ratio = (c @ t0) / cons.norms(t0[None])[0]
     assert not mt._closed(cons.dual_bound(c, t0)[0], ratio)
-    value, t, steps = mt._barrier(c, cons, cfg.max_iter)
+    value, t, steps, upper = mt._barrier(c, cons, cfg.max_iter)
     assert value > ratio and res.diagnostics["best_start"] == "barrier"
+    assert res.diagnostics["dual_bound"] == upper
     coeffs = np.zeros(F3.dim(3), dtype=complex)
     coeffs[1:] = t
     raw = al.AlgebraElement(F3, 3, coeffs)
@@ -500,19 +501,111 @@ def test_barrier_point_is_feasible_and_certified(uhf3):
     its ratio, which its certificate bounds from above."""
     c, B, _ = mt._search_space(_uhf3_vector_problem(uhf3, 0))
     cons = mt._ConstraintMap(B)
-    value, t, steps = mt._barrier(c, cons, mt.SolverConfig().max_iter)
+    value, t, steps, upper = mt._barrier(c, cons, mt.SolverConfig().max_iter)
     norm = np.linalg.svd(np.tensordot(t, B, axes=1), compute_uv=False)[0]
     assert 0 < steps < mt.SolverConfig().max_iter
     assert norm < 1.0
-    assert c @ t <= value <= cons.dual_bound(c, t)[0]
+    assert c @ t <= value <= upper == cons.dual_bound(c, t)[0]
     assert value == pytest.approx((c @ t) / norm, rel=1e-14)
 
 
-def test_barrier_with_no_steps_returns_the_origin(uhf3):
+def test_barrier_with_no_steps_returns_the_frobenius_start(uhf3):
+    """The barrier starts at G^+ c with ||M(t)||_F = 1; with no Newton step
+    it returns that point, its ratio and its certificate."""
     c, B, _ = mt._search_space(_uhf3_vector_problem(uhf3, 0))
+    cons = mt._ConstraintMap(B)
     with np.errstate(all="raise"):
-        value, t, steps = mt._barrier(c, mt._ConstraintMap(B), 0)
-    assert (value, steps) == (-np.inf, 0) and not np.any(t)
+        value, t, steps, upper = mt._barrier(c, cons, 0)
+    t0 = cons.frobenius_start(c)
+    assert steps == 0
+    assert np.sqrt(np.sum(np.abs(np.tensordot(t, B, axes=1)) ** 2)) == pytest.approx(1.0, rel=1e-12)
+    assert t / np.linalg.norm(t) == pytest.approx(t0, abs=1e-12)
+    assert value == pytest.approx((c @ t0) / cons.norms(t0[None])[0], rel=1e-12)
+    assert upper == cons.dual_bound(c, t)[0]
+    assert not mt._closed(upper, value)
+
+
+def test_rank_one_frobenius_start_is_halved_inside():
+    """On this complex stack M(G^+ c) = t_0 B_0 has rank one, so at
+    ||M(t)||_F = 1 also ||M(t)|| = 1 and the start lies on the boundary: it
+    is halved to ||M(t)|| = 1/2, and the barrier still closes its gap at the
+    optimum 1."""
+    B = np.stack([1j * np.diag([1.0, 0.0]), 1j * np.array([[0.0, 1.0], [1.0, 0.0]]),
+                  np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)])
+    c = np.array([1.0, 0.0, 0.0])
+    cons = mt._ConstraintMap(B)
+    assert not cons.real
+    t0 = cons.frobenius_start(c)
+    assert np.linalg.matrix_rank(np.tensordot(t0, B, axes=1)) == 1
+    _, start, _, _ = mt._barrier(c, cons, 0)
+    assert cons.norms(start[None])[0] == 0.5
+    value, t, steps, upper = mt._barrier(c, cons, mt.SolverConfig().max_iter)
+    assert 0 < steps < mt.SolverConfig().max_iter
+    assert cons.norms(t[None])[0] < 1.0
+    assert value == pytest.approx(1.0, rel=1e-12) and mt._closed(upper, value)
+
+
+def _cantor3_pairs(gamma=1 / 3):
+    """The 28 leaf-pair distance problems of the depth-3 Cantor triple."""
+    triple = tr.build_triple(al.cantor(3), al.UniformState(), tr.dirac_geometric(gamma, 3))
+    return [
+        mt.DistanceProblem(triple, al.CharacterState(x), al.CharacterState(y))
+        for x, y in combinations(product((0, 1), repeat=3), 2)
+    ]
+
+
+def test_barrier_newton_steps_on_cantor_pairs():
+    """Warm-started at the Frobenius point and stopped at its first closed
+    certificate, the barrier spends 480 Newton steps over the 28 depth-3
+    pairs at gamma = 1/3 (888 from t = 0 to the central-path gap
+    BARRIER_GAP)."""
+    runs = [mt.distance(problem).diagnostics["per_start"] for problem in _cantor3_pairs()]
+    assert sum(s["iterations"] for per_start in runs for s in per_start) == 480
+
+
+def test_barrier_stops_at_a_closed_certificate_before_its_gap(monkeypatch):
+    """With BARRIER_GAP at 0 the barrier could stop only at a closed
+    certificate or at max_iter: on each of the 24 depth-3 barrier pairs it
+    stops at the certificate, with the steps it takes at the real BARRIER_GAP."""
+    cfg = mt.SolverConfig()
+    runs = []
+    for problem in _cantor3_pairs():
+        c, B, _ = mt._search_space(problem)
+        cons = mt._ConstraintMap(B)
+        t0 = cons.frobenius_start(c)
+        if not mt._closed(cons.dual_bound(c, t0)[0], (c @ t0) / cons.norms(t0[None])[0]):
+            runs.append((c, cons, mt._barrier(c, cons, cfg.max_iter)[2]))
+    assert len(runs) == 24
+    monkeypatch.setattr(mt, "BARRIER_GAP", 0.0)
+    for c, cons, steps in runs:
+        value, _, stopped, upper = mt._barrier(c, cons, cfg.max_iter)
+        assert stopped == steps < cfg.max_iter
+        assert mt._closed(upper, value)
+
+
+def test_closed_barrier_pair_certifies_twice(cantor3, monkeypatch):
+    """A split-level-1 pair certifies the Frobenius row, then the barrier's
+    first stage below sqrt(GAP_TOL), which closes: dual_bound runs twice,
+    and its second bound is the reported one."""
+    calls = []
+    dual_bound = mt._ConstraintMap.dual_bound
+
+    def counted(self, c, t):
+        out = dual_bound(self, c, t)
+        calls.append((t, out[0]))
+        return out
+
+    monkeypatch.setattr(mt._ConstraintMap, "dual_bound", counted)
+    problem = mt.DistanceProblem(cantor3, al.CharacterState((0, 1, 0)), al.CharacterState((1, 1, 0)))
+    res = mt.distance(problem)
+    assert res.diagnostics["best_start"] == "barrier"
+    (t_frobenius, _), (t_barrier, bound) = calls
+    c, B, _ = mt._search_space(problem)
+    assert t_frobenius == pytest.approx(mt._ConstraintMap(B).frobenius_start(c), abs=1e-15)
+    w = res.witness.coeffs[1:].real
+    assert w / np.linalg.norm(w) == pytest.approx(t_barrier / np.linalg.norm(t_barrier), abs=1e-12)
+    assert res.diagnostics["dual_bound"] == bound
+    assert mt._closed(bound, res.diagnostics["solver_objective"])
 
 
 def test_certified_cantor_pair_runs_only_the_frobenius_start(cantor3):
@@ -533,7 +626,7 @@ def test_informed_start_at_the_optimum_is_certified_where_it_stands(cantor3):
     row and stops with no Newton step."""
     states = al.CharacterState((0, 1, 0)), al.CharacterState((1, 1, 0))
     c, B, _ = mt._search_space(mt.DistanceProblem(cantor3, *states))
-    _, t, _ = mt._barrier(c, mt._ConstraintMap(B), mt.SolverConfig().max_iter)
+    _, t, _, _ = mt._barrier(c, mt._ConstraintMap(B), mt.SolverConfig().max_iter)
     res = mt.distance(mt.DistanceProblem(cantor3, *states, informed_starts=[t]))
     assert [s["start"] for s in res.diagnostics["per_start"]] == ["frobenius", "informed-0"]
     assert res.diagnostics["best_start"] == "informed-0"
@@ -547,7 +640,7 @@ def test_informed_starts_are_scored_at_unit_length_with_c_t_nonnegative(cantor3)
     states = al.CharacterState((0, 1, 0)), al.CharacterState((1, 1, 0))
     c, B, _ = mt._search_space(mt.DistanceProblem(cantor3, *states))
     cons = mt._ConstraintMap(B)
-    _, t, _ = mt._barrier(c, cons, mt.SolverConfig().max_iter)
+    _, t, _, _ = mt._barrier(c, cons, mt.SolverConfig().max_iter)
     res = mt.distance(mt.DistanceProblem(cantor3, *states, informed_starts=[np.zeros(7), -2.5 * t]))
     _, zero, flipped = res.diagnostics["per_start"]
     assert zero["objective"] == -np.inf
