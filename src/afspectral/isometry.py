@@ -499,10 +499,7 @@ def switch_iso_violation(triple: tr.TruncatedTriple, k: int, l: int = 3) -> dict
     before = mt.car_golden_case([float(x) for x in lam[1:]], 0, l)
     after = mt.car_golden_case([float(x) for x in lam[1:]], k, l)
     gap = abs(1.0 / lam[1] - 1.0 / lam[k + 1])
-    certified = (
-        before["lower_bound"] >= before["upper_bound"] - 1e-6
-        and after["lower_bound"] >= after["upper_bound"] - 1e-6
-    )
+    certified = all(mt.closed(d["upper_bound"], d["lower_bound"]) for d in (before, after))
     return {
         "k": k,
         "label": l,
@@ -610,7 +607,7 @@ def shift_inequality_check(
     return report
 
 
-def m_invariance_experiment(gamma: float, depth: int, cfg: mt.SolverConfig | None = None) -> dict:
+def m_invariance_experiment(gamma: float, depth: int) -> dict:
     """Distance table over all leaf pairs, grouped by the first split level.
 
     For gamma below (3 - sqrt(5))/2 the distance between two leaf characters
@@ -639,7 +636,7 @@ def m_invariance_experiment(gamma: float, depth: int, cfg: mt.SolverConfig | Non
         prob = mt.reduce_search_level(
             mt.DistanceProblem(triple, al.CharacterState(x), al.CharacterState(y))
         )
-        classes.setdefault(split_level(i, j), []).append(mt.distance(prob, cfg).lower_bound)
+        classes.setdefault(split_level(i, j), []).append(mt.distance(prob).lower_bound)
 
     stats = {}
     for m, dists in sorted(classes.items()):

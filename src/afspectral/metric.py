@@ -38,15 +38,15 @@ within 7e-4 (relative) of the optimum, and it is certified where it stands
 on the split-level-3 pairs.  One SVD of the stack rows, taken when the
 constraint map is built, gives G^+, the certificate's last minimum-norm
 correction and the barrier's range basis.  It also decides boundedness
-before any start is scored: its null directions are exactly where
-M(t) = 0, so a part of c there makes the distance infinite.  The test is
-that of ``_check_bounded`` (TOL.zero_norm, TOL.unbounded), taken over the
-whole null space.
+before any start is scored, for the solver and the brute-force oracle
+alike: its null directions are exactly where M(t) = 0, so a part of c there
+makes the distance infinite.
 
-Every reported lower bound is certified by an explicit feasible witness,
-re-evaluated through the public operations.  Exact upper bounds are
-available for the matched vector-state cases, where the grade block
-structure pins the optimum at 1/lambda_{n+1}.
+Every result carries a lower bound, certified by an explicit feasible
+witness through the public operations, and an upper bound, the smallest
+certificate computed; ``closed`` is the one rule for whether they pin the
+distance.  The matched vector-state cases also have the exact value
+1/lambda_{n+1} (``car_certified_upper_bound``), an independent cross-check.
 """
 
 from dataclasses import dataclass, field, replace
@@ -97,7 +97,7 @@ class DistanceProblem:
 @dataclass
 class DistanceResult:
     lower_bound: float
-    upper_bound: float | None
+    upper_bound: float
     witness: al.AlgebraElement
     diagnostics: dict
 
@@ -176,24 +176,26 @@ class _ConstraintMap:
         coef = self.u.T @ r
         return self.u[:, self.kept] @ (coef[self.kept] / self.s[self.kept] ** 2)
 
+    def check_bounded(self, c: np.ndarray):
+        """Raise :class:`UnboundedObjectiveError` if c has a part larger than TOL.unbounded
+        along the left singular vectors u of R with ||M(u)||_F < TOL.zero_norm: the whole
+        null space of M, not only the rows some scan happens to try."""
+        if np.linalg.norm((self.u.T @ c)[self.s < TOL.zero_norm]) > TOL.unbounded:
+            raise UnboundedObjectiveError("nonzero objective along a Dirac-commuting direction")
+
     def frobenius_start(self, c: np.ndarray) -> np.ndarray:
         """t0 = G^+ c, the maximizer of (c . t)/||M(t)||_F, with G the stack's Gram matrix.
 
         ||M(t)||_F^2 = t^T G t, so by Cauchy-Schwarz in the G inner product
         c . t <= sqrt(c^T G^+ c) ||M(t)||_F for c in range(G), with equality
         at t0; since ||M|| <= ||M||_F, the ratio at t0 is at least
-        sqrt(c^T G^+ c).  G^+ comes from the SVD of R taken at construction.
-        Boundedness is decided here with the criterion of
-        :func:`_check_bounded`, over the whole null space: the left singular
-        vectors u of R with ||M(u)||_F < TOL.zero_norm span the directions
-        that M maps to zero, and a part of c there larger than TOL.unbounded
-        (the largest |c . u| over them) raises
-        :class:`UnboundedObjectiveError`.  t0 is returned at unit length:
-        G^+ c is of size |c|/||G||, which on a wide-range Dirac falls below
-        the TOL.zero_norm at which a row's norm counts as zero.
+        sqrt(c^T G^+ c).  G^+ comes from the SVD of R taken at construction,
+        and :meth:`check_bounded` first refuses a c outside range(G).  t0 is
+        returned at unit length: G^+ c is of size |c|/||G||, which on a
+        wide-range Dirac falls below the TOL.zero_norm at which a row's norm
+        counts as zero.
         """
-        if np.linalg.norm((self.u.T @ c)[self.s < TOL.zero_norm]) > TOL.unbounded:
-            raise UnboundedObjectiveError("nonzero objective along a Dirac-commuting direction")
+        self.check_bounded(c)
         t0 = self._pinv_gram(c)
         n = np.linalg.norm(t0)
         return t0 / n if n > 0 else t0
@@ -267,12 +269,6 @@ class _ConstraintMap:
         return bound, (w if self.real else -1j * w)
 
 
-def _check_bounded(num: np.ndarray, norms: np.ndarray):
-    """Refuse a nonzero objective along a zero-norm (Dirac-commuting) direction."""
-    if np.any((norms < TOL.zero_norm) & (np.abs(num) > TOL.unbounded)):
-        raise UnboundedObjectiveError("nonzero objective along a Dirac-commuting direction")
-
-
 def _barrier(c: np.ndarray, cons: _ConstraintMap, max_iter: int):
     """Maximize c . t over ||M(t)|| < 1 by a log-barrier Newton method from the Frobenius start.
 
@@ -306,7 +302,7 @@ def _barrier(c: np.ndarray, cons: _ConstraintMap, max_iter: int):
     stage ends when lambda^2/2 < NEWTON_CENTERED, and tau then grows by
     BARRIER_GROWTH.  A centered point whose central-path gap 2d/tau is below
     sqrt(GAP_TOL) * (c . t) is certified by ``dual_bound``, and the barrier
-    returns at the first certificate that closes (``_closed``).  Otherwise
+    returns at the first certificate that closes (:func:`closed`).  Otherwise
     it stops at a centered point whose gap is below BARRIER_GAP * (c . t),
     or after ``max_iter`` Newton steps, and certifies its last point; with
     no step taken that is the start.  Peak transient: the range-basis
@@ -359,7 +355,7 @@ def _barrier(c: np.ndarray, cons: _ConstraintMap, max_iter: int):
             if gap < np.sqrt(GAP_TOL) * (cz @ z) and not certified:
                 ratio, t, bound = certify(z)
                 upper, certified = min(upper, bound), True
-                if _closed(upper, ratio):
+                if closed(upper, ratio):
                     return ratio, t, steps, upper
             if gap < BARRIER_GAP * (cz @ z):
                 break
@@ -378,8 +374,9 @@ def _barrier(c: np.ndarray, cons: _ConstraintMap, max_iter: int):
     return ratio, t, steps, upper
 
 
-def _closed(upper: float, value: float) -> bool:
-    """Whether a certificate proves a ratio optimal to GAP_TOL."""
+def closed(upper: float, value: float) -> bool:
+    """Whether an upper bound certifies a value to GAP_TOL * max(1, |value|), the one rule
+    for "certified"; a value above its bound by rounding counts as closed."""
     return upper - value <= GAP_TOL * max(1.0, abs(value))
 
 
@@ -415,24 +412,25 @@ def _zero_result(problem, diagnostics):
 
 
 def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> DistanceResult:
-    """Certified lower bound (and witness) for the state distance.
+    """Certified lower and upper bounds (and a witness) for the state distance.
 
     The returned ``lower_bound`` is |s1(w) - s2(w)| for the explicit witness
     ``w``, rescaled to unit commutator norm through the public operations, so
-    it holds independently of solver quality.  ``upper_bound`` is populated
-    only when a matching certificate exists (identical states).
+    it holds independently of solver quality.  ``upper_bound`` is the
+    smallest certificate computed (``_ConstraintMap.dual_bound``), inf only
+    if none met its constraints; :func:`closed` says whether the bounds pin
+    the distance.
 
     One deterministic path.  The Frobenius start G^+ c (``"frobenius"``) and
     the informed starts (``"informed-k"``) are scored where they stand: each
     row is scaled to unit length and signed so that c . t >= 0, one kernel
     call gives their norms, and a row of zero norm reads -inf.  The best row
-    is certified.  If the certificate is within GAP_TOL * max(1, ratio) of
-    that ratio the solve ends there, with 0 ``iterations`` on every row.
-    Otherwise :func:`_barrier` runs once from the Frobenius start (the
-    ``"barrier"`` row of ``per_start``, its Newton steps as ``iterations``)
-    until its own certificate closes, and the better ratio is kept.
-    ``diagnostics["dual_bound"]`` is the smallest certificate computed, an
-    upper bound on the distance.
+    is certified.  If that certificate closes on the row's ratio the solve
+    ends there, with 0 ``iterations`` on every row.  Otherwise
+    :func:`_barrier` runs once from the Frobenius start (the ``"barrier"``
+    row of ``per_start``, its Newton steps as ``iterations``, at most
+    ``cfg.max_iter``) until its own certificate closes, and the better ratio
+    is kept.
     An informed start of the wrong length or with non-finite entries raises
     :class:`InvalidInputError`.  An objective unbounded along a
     Dirac-commuting direction raises :class:`UnboundedObjectiveError` before
@@ -472,12 +470,12 @@ def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> Dista
     ]
     best = int(np.argmax(vals))
     best_start, best_val, best_t = starts[best][0], vals[best], T[best]
-    dual = cons.dual_bound(c, best_t)[0]
+    upper = cons.dual_bound(c, best_t)[0]
 
-    if not _closed(dual, best_val):
-        value, t, steps, upper = _barrier(c, cons, cfg.max_iter)
+    if not closed(upper, best_val):
+        value, t, steps, bound = _barrier(c, cons, cfg.max_iter)
         per_start.append({"start": "barrier", "objective": float(value), "iterations": steps})
-        dual = min(dual, upper)
+        upper = min(upper, bound)
         if value > best_val:
             best_start, best_val, best_t = "barrier", value, t
 
@@ -492,14 +490,11 @@ def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> Dista
     diagnostics = {
         "search_level": problem.search_level,
         "parameters": p,
-        "starts": len(per_start),
         "best_start": best_start,
         "per_start": per_start,
         "solver_objective": float(best_val),
-        "dual_bound": dual,
-        "certificate": "lower-bound only",
     }
-    return DistanceResult(float(lower), None, witness, diagnostics)
+    return DistanceResult(float(lower), float(upper), witness, diagnostics)
 
 
 def _brute_force_core(c: np.ndarray, B: np.ndarray, points: int = 10000, seed: int = 12345) -> float:
@@ -523,11 +518,11 @@ def _brute_force_core(c: np.ndarray, B: np.ndarray, points: int = 10000, seed: i
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
     cons = _ConstraintMap(B)
+    cons.check_bounded(c)
 
     def batch_value(ts):
         s = cons.norms(ts)
         num = ts @ c
-        _check_bounded(num, s)
         bad = s < TOL.zero_norm
         return np.where(bad, 0.0, np.abs(num) / np.where(bad, 1.0, s))
 
@@ -592,13 +587,14 @@ def car_certified_upper_bound(triple: tr.TruncatedTriple, n: int, l: int) -> flo
     return 1.0 / float(triple.lambdas[n + 1])
 
 
-def car_golden_case(lambdas, n: int, l: int, cfg: SolverConfig | None = None) -> dict:
+def car_golden_case(lambdas, n: int, l: int) -> dict:
     """Distance between the trace and a shifted matched vector state.
 
     Builds the smallest truncation that contains the search level, runs the
-    certified solver, and pins the value with the exact upper bound.  The
-    Frobenius start is the attaining element here, so it is certified where
-    it stands.
+    certified solver, and pins the value with the exact upper bound
+    1/lambda_{n+1} (``upper_bound``); ``certificate`` is the solver's own
+    upper bound.  The Frobenius start is the attaining element here, so it
+    is certified where it stands.
     """
     lambdas = list(map(float, lambdas))
     if len(lambdas) < n + 1:
@@ -610,7 +606,7 @@ def car_golden_case(lambdas, n: int, l: int, cfg: SolverConfig | None = None) ->
     phi = al.VectorState(v)
 
     problem = reduce_search_level(DistanceProblem(triple, phi, al.TraceState()))
-    result = distance(problem, cfg)
+    result = distance(problem)
     upper = car_certified_upper_bound(triple, n, l)
     if result.lower_bound > upper + CAR_SLACK:
         raise RuntimeError("solver lower bound exceeds the certified upper bound")
@@ -621,5 +617,5 @@ def car_golden_case(lambdas, n: int, l: int, cfg: SolverConfig | None = None) ->
         "lower_bound": result.lower_bound,
         "upper_bound": upper,
         "search_level": problem.search_level,
-        "diagnostics": result.diagnostics,
+        "certificate": result.upper_bound,
     }

@@ -317,7 +317,7 @@ def test_config_values_follow_flag_schema(tmp_path, capsys, monkeypatch, subcomm
 _FLAG_SAMPLES = {
     "seed": 3, "family": "cantor", "k": [2, 3], "depth": [2, 3], "lambda": [1, 2.5],
     "gamma": 0.3, "power": 3, "car": True, "n": [0, 1], "l": [1, 2], "state1": "trace",
-    "state2": "uniform", "max-iter": 7, "auto": "odometer", "round-trip": [2, 1],
+    "state2": "uniform", "auto": "odometer", "round-trip": [2, 1],
     "exhaustive": True, "progress": True, "d1": 0.5, "d2": 2, "pairs": 5, "elements": 6,
     "c": 1.5, "samples": 4, "action": "odometer", "radius": 3, "margin": 1, "chi": "1,i",
     "beta": "odometer", "sigma": "neg", "support": 2, "expect-fail": True, "suite": True,
@@ -348,9 +348,9 @@ def test_config_entry_reaches_runner_as_its_flag(tmp_path, capsys, monkeypatch, 
 def test_config_values_read_as_flag_text(tmp_path, capsys):
     # JSON lists and numbers give the records the same flags give
     path = tmp_path / "exp.json"
-    path.write_text(json.dumps({"car": True, "n": [0, 1], "lambda": [1, 2, 4], "max_iter": 50}))
+    path.write_text(json.dumps({"car": True, "n": [0, 1], "lambda": [1, 2, 4], "l": [1, 3]}))
     code, from_file = run_cli(capsys, ["distance", "--config", str(path)])
-    argv = ["distance", "--car", "--n", "0,1", "--lambda", "1,2,4", "--max-iter", "50"]
+    argv = ["distance", "--car", "--n", "0,1", "--lambda", "1,2,4", "--l", "1,3"]
     assert code == 0 and from_file == run_cli(capsys, argv)[1]
     assert [type(v) for v in from_file[0]["lambda"]] == [float]
 
@@ -409,8 +409,8 @@ def test_config_file_errors_are_usage_errors(tmp_path, capsys, content):
         (["flip-demo", "--elements", "-1"], "--elements"),
         (["shift-inequality", "--samples", "-1"], "--samples"),
         (["crossed-lift", "--support", "-1"], "--support"),
-        (["distance", "--max-iter", "-1"], "--max-iter"),
-        (["cantor-metric", "--max-iter", "-1"], "--max-iter"),
+        (["distance", "--car", "--n", "-1", "--lambda", "1,2"], "--n"),
+        (["cantor-metric", "--depth", "-2"], "--depth"),
         (["flip-demo", "--pairs", "two"], "--pairs"),
         (["flip-demo", "--pairs", "0"], "--pairs"),
         (["flip-demo", "--elements", "0"], "--elements"),
@@ -502,9 +502,11 @@ def test_abbreviated_flag_is_a_usage_error(tmp_path, capsys, monkeypatch, source
         (["distance", "--depth", "2", "--state1", "character:00", "--state2", "trace"], "--state1"),
         (["switch-violation", "--lambda", "1,2,4", "--k", "5"], "--k"),
         (["distance", "--car", "--n", "0", "--l", "7", "--lambda", "1"], "--l"),
+        (["switch-violation", "--lambda", "1,1,4", "--k", "1"], "--lambda"),
+        (["distance", "--car", "--n", "3", "--lambda", "1,2"], "--lambda"),
     ],
     ids=["short-character", "trace-on-cantor", "character-on-uhf", "switch-beyond-depth",
-         "car-label"],
+         "car-label", "switch-tied-eigenvalues", "car-short-lambda"],
 )
 def test_input_refused_by_the_library_names_its_flag(capsys, argv, flag):
     # a value the parser's type accepts but the triple cannot serve

@@ -7,7 +7,8 @@ flake.  When a change to the records is intended, regenerate the file with
 ``PYTHONPATH=src python tests/test_cli_records.py``; it prints every path that
 changes beyond that tolerance as ``old -> new`` before it rewrites the file,
 and keeps each pinned value that the new run matches within it, so the
-file's diff shows only the printed changes.
+file's diff shows only the printed changes.  Output is read as strict JSON:
+``Infinity`` or ``NaN`` in a record fails the replay instead of being pinned.
 """
 
 import contextlib
@@ -51,11 +52,16 @@ def _pinned(got, want):
     return got
 
 
+def _finite(name):
+    """``parse_constant`` of strict JSON: a non-finite number cannot be pinned."""
+    raise ValueError(f"non-finite number {name} in a CLI record")
+
+
 def _run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
-    return code, [json.loads(line) for line in out.getvalue().splitlines()]
+    return code, [json.loads(line, parse_constant=_finite) for line in out.getvalue().splitlines()]
 
 
 @pytest.mark.parametrize(

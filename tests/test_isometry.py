@@ -6,7 +6,6 @@ import pytest
 from afspectral import algebra as al
 from afspectral import crossed as cx
 from afspectral import isometry as iso
-from afspectral import metric as mt
 from afspectral import triple as tr
 from afspectral.errors import InvalidInputError, NoUnitaryError, PreconditionError
 from afspectral.linalg import operator_norm, random_unitary
@@ -440,7 +439,7 @@ def test_m_invariance_gamma_guard():
 
 
 def test_m_invariance_depth2():
-    rep = iso.m_invariance_experiment(1 / 3, 2, mt.SolverConfig())
+    rep = iso.m_invariance_experiment(1 / 3, 2)
     assert sorted(rep["classes"]) == [1, 2]
     assert rep["classes"][1]["count"] == 4 and rep["classes"][2]["count"] == 2
     assert rep["separated"]

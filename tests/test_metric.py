@@ -85,7 +85,7 @@ def test_worked_example_distance(lam):
     """d(phi_v, trace) = 1/lambda_1 for the matched level-1 vector."""
     rec = mt.car_golden_case(lam, 0, 3)
     assert rec["upper_bound"] == 1.0 / lam[0]
-    assert rec["lower_bound"] >= rec["upper_bound"] - 1e-6
+    assert mt.closed(rec["upper_bound"], rec["lower_bound"])
     assert rec["lower_bound"] <= rec["upper_bound"] + 1e-9
 
 
@@ -306,18 +306,27 @@ def test_kernel_rejects_non_antihermitian_stack(rng):
 
 
 @pytest.mark.parametrize(
-    "b", [[[0.0, 1.0], [-1.0, 0.0]], [[0.0, 1j], [1j, 0.0]]], ids=["real", "complex"]
+    "bs, c",
+    [
+        ([[[0.0, 1.0], [-1.0, 0.0]]], [1.0, 0.0]),
+        ([[[0.0, 1j], [1j, 0.0]]], [1.0, 0.0]),
+        ([[[0.0, 1.0], [-1.0, 0.0]], [[0.0, 1j], [1j, 0.0]]], [1.0, 0.3, 0.2]),
+    ],
+    ids=["real", "complex", "three-parameters"],
 )
-def test_lockstep_raises_on_unbounded_objective(b):
-    """B_0 = 0, so c = e_0 lies wholly along a Dirac-commuting direction:
-    the Frobenius start refuses it on a real and on a complex stack."""
-    b = np.array(b, dtype=complex)
-    B = np.stack([np.zeros((2, 2), dtype=complex), b])
-    c = np.array([1.0, 0.0])
+def test_lockstep_raises_on_unbounded_objective(bs, c):
+    """B_0 = 0, so c has a part along a Dirac-commuting direction: the
+    Frobenius start and the brute-force oracle both refuse it, on a real and
+    on a complex stack.  With three parameters no scanned direction is that
+    null direction exactly, so only a test over the null space catches it."""
+    B = np.stack([np.zeros((2, 2), dtype=complex)] + [np.array(b, dtype=complex) for b in bs])
+    c = np.array(c)
     cons = mt._ConstraintMap(B)
-    assert cons.real == (not np.any(b.imag))
+    assert cons.real == (not np.any(B.imag))
     with pytest.raises(UnboundedObjectiveError):
         cons.frobenius_start(c)
+    with pytest.raises(UnboundedObjectiveError):
+        mt._brute_force_core(c, B)
 
 
 @pytest.mark.parametrize("b", [[[0.0, 1.0], [-1.0, 0.0]], [[0.0, 1j], [1j, 0.0]]], ids=["real", "complex"])
@@ -362,7 +371,7 @@ def test_wide_range_dirac_distance_is_finite(family, state1, state2, best_start)
     res = mt.distance(mt.reduce_search_level(mt.DistanceProblem(triple, state1, state2)))
     assert res.diagnostics["best_start"] == best_start
     assert res.lower_bound == pytest.approx(expected, rel=1e-4)
-    assert res.lower_bound <= res.diagnostics["dual_bound"] * (1 + 1e-12)
+    assert res.lower_bound <= res.upper_bound * (1 + 1e-12)
 
 
 def test_cantor_split_classes_have_equal_distances():
@@ -416,7 +425,7 @@ def test_infeasible_certificate_reads_inf(rng):
         assert cons.dual_bound(c, t)[0] == np.inf
     res = mt.distance(problem)
     assert [s["start"] for s in res.diagnostics["per_start"]] == ["frobenius", "barrier"]
-    assert mt._closed(res.diagnostics["dual_bound"], res.lower_bound)
+    assert mt.closed(res.upper_bound, res.lower_bound)
 
 
 def test_dual_bound_above_brute_force(uhf1):
@@ -445,7 +454,7 @@ def test_dual_bound_above_lower_bound_on_cantor_pairs():
         slack = 1e-13 * max(1.0, res.lower_bound)
         upper, _ = mt._ConstraintMap(B).dual_bound(c, res.witness.coeffs[1:].real)
         assert res.lower_bound - slack <= upper <= res.lower_bound + 1e-12 * max(1.0, res.lower_bound)
-        assert res.diagnostics["dual_bound"] >= res.lower_bound - slack
+        assert res.upper_bound >= res.lower_bound - slack
         split = next(i for i, (a, b) in enumerate(zip(x, y), start=1) if a != b)
         paths[split, tuple(s["start"] for s in res.diagnostics["per_start"])] += 1
     barrier = ("frobenius", "barrier")
@@ -471,10 +480,10 @@ def test_open_gap_spends_every_start_as_one_batch(uhf3):
     cons = mt._ConstraintMap(B)
     t0 = cons.frobenius_start(c)
     ratio = (c @ t0) / cons.norms(t0[None])[0]
-    assert not mt._closed(cons.dual_bound(c, t0)[0], ratio)
+    assert not mt.closed(cons.dual_bound(c, t0)[0], ratio)
     value, t, steps, upper = mt._barrier(c, cons, cfg.max_iter)
     assert value > ratio and res.diagnostics["best_start"] == "barrier"
-    assert res.diagnostics["dual_bound"] == upper
+    assert res.upper_bound == upper
     coeffs = np.zeros(F3.dim(3), dtype=complex)
     coeffs[1:] = t
     raw = al.AlgebraElement(F3, 3, coeffs)
@@ -492,8 +501,22 @@ def test_barrier_closes_uhf_vector_state_gaps(uhf3, seed):
     barrier's certificate closes them."""
     res = mt.distance(_uhf3_vector_problem(uhf3, seed))
     assert res.diagnostics["best_start"] == "barrier"
-    assert res.lower_bound <= res.diagnostics["dual_bound"]
-    assert mt._closed(res.diagnostics["dual_bound"], res.lower_bound)
+    assert res.lower_bound <= res.upper_bound
+    assert mt.closed(res.upper_bound, res.lower_bound)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_product_state_reference_distances_are_certified(seed):
+    """On a uhf product-state reference, whose GNS basis is not the canonical
+    one, random level-2 vector states against the trace also get both
+    bounds, and the barrier's certificate closes the gap."""
+    f2 = al.uhf(2, 2)
+    rho = np.array([[0.7, 0.1j], [-0.1j, 0.3]])
+    triple = tr.build_triple(f2, al.ProductState([rho, rho]), tr.dirac_explicit([1.0, 2.0]))
+    v = _normalized_vector(f2, 2, np.random.default_rng(seed))
+    res = mt.distance(mt.DistanceProblem(triple, al.VectorState(v), al.TraceState()))
+    assert res.diagnostics["best_start"] == "barrier"
+    assert mt.closed(res.upper_bound, res.lower_bound)
 
 
 def test_barrier_point_is_feasible_and_certified(uhf3):
@@ -522,7 +545,7 @@ def test_barrier_with_no_steps_returns_the_frobenius_start(uhf3):
     assert t / np.linalg.norm(t) == pytest.approx(t0, abs=1e-12)
     assert value == pytest.approx((c @ t0) / cons.norms(t0[None])[0], rel=1e-12)
     assert upper == cons.dual_bound(c, t)[0]
-    assert not mt._closed(upper, value)
+    assert not mt.closed(upper, value)
 
 
 def test_rank_one_frobenius_start_is_halved_inside():
@@ -542,7 +565,7 @@ def test_rank_one_frobenius_start_is_halved_inside():
     value, t, steps, upper = mt._barrier(c, cons, mt.SolverConfig().max_iter)
     assert 0 < steps < mt.SolverConfig().max_iter
     assert cons.norms(t[None])[0] < 1.0
-    assert value == pytest.approx(1.0, rel=1e-12) and mt._closed(upper, value)
+    assert value == pytest.approx(1.0, rel=1e-12) and mt.closed(upper, value)
 
 
 def _cantor3_pairs(gamma=1 / 3):
@@ -573,14 +596,14 @@ def test_barrier_stops_at_a_closed_certificate_before_its_gap(monkeypatch):
         c, B, _ = mt._search_space(problem)
         cons = mt._ConstraintMap(B)
         t0 = cons.frobenius_start(c)
-        if not mt._closed(cons.dual_bound(c, t0)[0], (c @ t0) / cons.norms(t0[None])[0]):
+        if not mt.closed(cons.dual_bound(c, t0)[0], (c @ t0) / cons.norms(t0[None])[0]):
             runs.append((c, cons, mt._barrier(c, cons, cfg.max_iter)[2]))
     assert len(runs) == 24
     monkeypatch.setattr(mt, "BARRIER_GAP", 0.0)
     for c, cons, steps in runs:
         value, _, stopped, upper = mt._barrier(c, cons, cfg.max_iter)
         assert stopped == steps < cfg.max_iter
-        assert mt._closed(upper, value)
+        assert mt.closed(upper, value)
 
 
 def test_closed_barrier_pair_certifies_twice(cantor3, monkeypatch):
@@ -604,8 +627,8 @@ def test_closed_barrier_pair_certifies_twice(cantor3, monkeypatch):
     assert t_frobenius == pytest.approx(mt._ConstraintMap(B).frobenius_start(c), abs=1e-15)
     w = res.witness.coeffs[1:].real
     assert w / np.linalg.norm(w) == pytest.approx(t_barrier / np.linalg.norm(t_barrier), abs=1e-12)
-    assert res.diagnostics["dual_bound"] == bound
-    assert mt._closed(bound, res.diagnostics["solver_objective"])
+    assert res.upper_bound == bound
+    assert mt.closed(bound, res.diagnostics["solver_objective"])
 
 
 def test_certified_cantor_pair_runs_only_the_frobenius_start(cantor3):
@@ -616,8 +639,7 @@ def test_certified_cantor_pair_runs_only_the_frobenius_start(cantor3):
     assert res.diagnostics["per_start"] == [
         {"start": "frobenius", "objective": res.diagnostics["solver_objective"], "iterations": 0}
     ]
-    assert res.diagnostics["starts"] == 1
-    assert mt._closed(res.diagnostics["dual_bound"], res.diagnostics["solver_objective"])
+    assert mt.closed(res.upper_bound, res.diagnostics["solver_objective"])
 
 
 def test_informed_start_at_the_optimum_is_certified_where_it_stands(cantor3):
@@ -631,7 +653,7 @@ def test_informed_start_at_the_optimum_is_certified_where_it_stands(cantor3):
     assert [s["start"] for s in res.diagnostics["per_start"]] == ["frobenius", "informed-0"]
     assert res.diagnostics["best_start"] == "informed-0"
     assert all(s["iterations"] == 0 for s in res.diagnostics["per_start"])
-    assert mt._closed(res.diagnostics["dual_bound"], res.diagnostics["solver_objective"])
+    assert mt.closed(res.upper_bound, res.diagnostics["solver_objective"])
 
 
 def test_informed_starts_are_scored_at_unit_length_with_c_t_nonnegative(cantor3):
@@ -665,7 +687,7 @@ def test_dual_bound_matches_car_upper_bound():
     for n in range(3):
         for l in (1, 2, 3):
             rec = mt.car_golden_case([1.0, 2.0, 4.0, 8.0], n, l)
-            assert rec["diagnostics"]["dual_bound"] == pytest.approx(rec["upper_bound"], abs=1e-12)
+            assert rec["certificate"] == pytest.approx(rec["upper_bound"], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -786,18 +808,18 @@ def test_rigid_pullbacks_preserve_distances(cantor3, rng):
             ),
             FAST,
         )
-        worst = max(worst, abs(d0.lower_bound - d1.lower_bound))
+        for a, b in ((d0.lower_bound, d1.lower_bound), (d0.upper_bound, d1.upper_bound)):
+            worst = max(worst, abs(a - b) / abs(a))
         count += 1
-    assert worst <= 2e-6
+    assert worst <= 1e-12
 
 
 def test_triangle_defect_advisory(cantor3):
-    # advisory: all three values are lower bounds, so a small positive defect
-    # d(s1,s3) - d(s1,s2) - d(s2,s3) can be a solver artifact
+    """d(s1,s3) <= d(s1,s2) + d(s2,s3), with a lower bound on the left and
+    certified upper bounds on the right, so no solver slack is needed."""
     s1, s2, s3 = (al.CharacterState(w) for w in ((0, 0, 0), (0, 1, 0), (1, 1, 0)))
 
     def d(a, b):
         return mt.distance(mt.reduce_search_level(mt.DistanceProblem(cantor3, a, b)), FAST)
 
-    defect = d(s1, s3).lower_bound - d(s1, s2).lower_bound - d(s2, s3).lower_bound
-    assert defect <= 1e-4
+    assert d(s1, s3).lower_bound <= d(s1, s2).upper_bound + d(s2, s3).upper_bound
