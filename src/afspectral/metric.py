@@ -27,9 +27,10 @@ fitted on the top singular space of M(t) and then on the tangent space
 there, its excess over the ratio at t falls with the square of t's distance
 to the optimum.  Only while that gap is open a log-barrier Newton method
 (``_barrier``) runs once, from the Frobenius start, along the central path
-of the SDP form I +- H(t) >= 0, and stops at its first closed certificate;
-the ratio's nonsmoothness where the top singular value of M(t) is repeated
-does not stall it.  It is the only iterative solver.
+of the SDP form I +- H(t) >= 0, each step to the minimum of its stage
+objective along the Newton direction, and stops at its first closed
+certificate; the ratio's nonsmoothness where the top singular value of M(t)
+is repeated does not stall it.  It is the only iterative solver.
 
 The Frobenius start is t0 = G^+ c, with G_ij = <B_i, B_j> the stack's
 Frobenius Gram matrix: it maximizes (c . t)/||M(t)||_F, so its ratio is at
@@ -260,8 +261,9 @@ class _ConstraintMap:
         A2, C2, E2 = (m.reshape(len(F), -1) for m in (A, C, E))
         gram_t = np.real(np.conj(A2) @ A2.T + np.conj(C2) @ C2.T - np.conj(E2) @ E2.T)
         beta = np.linalg.lstsq(gram_t, c - np.real(self.flat @ np.conj(w)), rcond=TOL.top_band)[0]
-        a, cb, e = (np.tensordot(beta, m, axes=1) for m in (A, C, E))
-        w = w + (u @ (a - e @ vh) + cb @ vh).reshape(-1)
+        d = self.shape[0]  # the three sums over beta_i (A_i, C_i, E_i) as one product
+        a, cb, e = np.split(beta @ np.hstack([A2, C2, E2]), [k * d, 2 * k * d])
+        w = w + (u @ (a.reshape(k, d) - e.reshape(k, k) @ vh) + cb.reshape(d, k) @ vh).reshape(-1)
         w = w + self._pinv_gram(c - np.real(self.flat @ np.conj(w))) @ self.flat
         feasible = np.linalg.norm(c - np.real(self.flat @ np.conj(w))) <= TOL.structural * np.linalg.norm(c)
         w = w.reshape(self.shape)
@@ -297,9 +299,11 @@ def _barrier(c: np.ndarray, cons: _ConstraintMap, max_iter: int):
     ||H|| < 1.  With N the barrier's Hessian, tau starts at the weight that
     best centres that point, (grad . N^-1 c_z)/(c_z . N^-1 c_z), and at
     least 1/|c_z|.  Each step solves N once for N^-1 [grad, c_z], so the
-    step at any tau is tau N^-1 c_z - N^-1 grad.  A step is damped to 1/(1 + lambda), lambda
-    the Newton decrement, and halved while it would leave ||H|| < 1.  A
-    stage ends when lambda^2/2 < NEWTON_CENTERED, and tau then grows by
+    step at any tau is tau N^-1 c_z - N^-1 grad.  A step goes to the minimum
+    of the stage objective along that direction (:func:`_line_step`, from
+    the eigensystem at hand and H(dz)), and is halved while it would leave
+    ||H|| < 1.  A stage ends when lambda^2/2 < NEWTON_CENTERED, lambda the
+    Newton decrement, and tau then grows by
     BARRIER_GROWTH.  A centered point whose central-path gap 2d/tau is below
     sqrt(GAP_TOL) * (c . t) is certified by ``dual_bound``, and the barrier
     returns at the first certificate that closes (:func:`closed`).  Otherwise
@@ -362,7 +366,7 @@ def _barrier(c: np.ndarray, cons: _ConstraintMap, max_iter: int):
             tau *= BARRIER_GROWTH
         if lam2 / 2 < NEWTON_CENTERED or steps == max_iter:
             break
-        step = 1.0 / (1.0 + np.sqrt(lam2))
+        step = _line_step(*eig, (dz @ flat).reshape(d, d), tau * (cz @ dz))
         while (eig := inside(z + step * dz)) is None:
             step /= 2
         z = z + step * dz
@@ -372,6 +376,42 @@ def _barrier(c: np.ndarray, cons: _ConstraintMap, max_iter: int):
         ratio, t, bound = certify(z)
         upper = min(upper, bound)
     return ratio, t, steps, upper
+
+
+def _line_step(w: np.ndarray, Q: np.ndarray, D: np.ndarray, g: float) -> float:
+    """The s in (0, s_max) minimizing -g s - log det(I - (H + s D)^2), H = Q diag(w) Q^H, ||H|| < 1.
+
+    I -+ (H + s D) = (I -+ H)^(1/2) (I -+ s X_-+) (I -+ H)^(1/2) with
+    X_-+ = (I -+ H)^(-1/2) D (I -+ H)^(-1/2), so with nu the eigenvalues of
+    -X_- and X_+, one batched ``eigvalsh`` in the eigenbasis of H, the
+    objective is phi(s) = -g s - sum log(1 + s nu) up to a constant: convex,
+    and finite exactly below s_max = -1/min nu, which is finite for D != 0
+    (-X_- and X_+ are congruent to -D and D).  The root of phi' is found by
+    Newton's method on (s_max - s) phi'(s), which takes out the pole of the
+    nearest boundary (on the Cantor stacks the minimum lies about 98% of the
+    way there), safeguarded by bisection of the bracket [lo, hi] on
+    which phi' changes sign.  It starts on the boundary side, at the root of
+    phi' with every term but the nearest boundary's frozen at s = 0 (they
+    only grow with s), and stops where s stagnates.
+    """
+    X = np.conj(Q.T) @ D @ Q
+    a, b = 1.0 / np.sqrt(1.0 - w), 1.0 / np.sqrt(1.0 + w)
+    nu = np.linalg.eigvalsh(np.stack([-X * np.outer(a, a), X * np.outer(b, b)])).ravel()
+    s_max = -1.0 / nu.min()
+    lo, hi = 0.0, s_max
+    s = s_max - 1.0 / (1.0 / s_max + g + nu.sum())
+    while True:
+        r = nu / (1.0 + s * nu)
+        d1 = -g - r.sum()  # phi'(s); phi''(s) = r . r
+        lo, hi = (s, hi) if d1 < 0 else (lo, s)
+        new = s - (s_max - s) * d1 / ((s_max - s) * (r @ r) - d1)
+        if new == s:
+            return s
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+            if not lo < new < hi:
+                return s
+        s = new
 
 
 def closed(upper: float, value: float) -> bool:

@@ -394,6 +394,27 @@ def test_cantor_split_classes_have_equal_distances():
         assert max(vals) - min(vals) <= 1e-13 * max(vals)
 
 
+@pytest.mark.parametrize("depth", [4, 5])
+@pytest.mark.parametrize("gamma", [0.05, 0.2, 1 / 3, 0.5, 0.8, 0.99])
+def test_cantor_split_levels_have_disjoint_certified_intervals(depth, gamma):
+    """Tree portraits act transitively on the leaf pairs of one split level m,
+    so the character distance is a function f(m), read here on 0...0 against
+    the unit word e_m.  Every f(m) is certified, and the certified intervals
+    of f(1), ..., f(depth) strictly decrease and are pairwise disjoint, so a
+    leaf permutation that keeps distances keeps split levels: it is a
+    portrait.  The grid runs past gamma < (3 - sqrt 5)/2, the cap of
+    ``m_invariance_experiment``."""
+    triple = tr.build_triple(al.cantor(depth), al.UniformState(), tr.dirac_geometric(gamma, depth))
+    intervals = []
+    for m in range(depth):
+        unit = al.CharacterState(tuple(int(i == m) for i in range(depth)))
+        problem = mt.DistanceProblem(triple, al.CharacterState((0,) * depth), unit)
+        res = mt.distance(mt.reduce_search_level(problem))
+        assert mt.closed(res.upper_bound, res.lower_bound)
+        intervals.append((res.lower_bound, res.upper_bound))
+    assert all(max(nxt) < min(cur) for cur, nxt in zip(intervals, intervals[1:]))
+
+
 # ---------------------------------------------------------------------------
 # dual certificate
 # ---------------------------------------------------------------------------
@@ -578,12 +599,57 @@ def _cantor3_pairs(gamma=1 / 3):
 
 
 def test_barrier_newton_steps_on_cantor_pairs():
-    """Warm-started at the Frobenius point and stopped at its first closed
-    certificate, the barrier spends 480 Newton steps over the 28 depth-3
-    pairs at gamma = 1/3 (888 from t = 0 to the central-path gap
-    BARRIER_GAP)."""
+    """Warm-started at the Frobenius point, stepping to the minimum of each
+    stage objective along the Newton direction and stopped at its first
+    closed certificate, the barrier spends 112 Newton steps over the 28
+    depth-3 pairs at gamma = 1/3."""
     runs = [mt.distance(problem).diagnostics["per_start"] for problem in _cantor3_pairs()]
-    assert sum(s["iterations"] for per_start in runs for s in per_start) == 480
+    assert sum(s["iterations"] for per_start in runs for s in per_start) == 112
+
+
+@pytest.mark.parametrize("family", ["cantor", "uhf"])
+def test_line_step_minimizes_the_stage_objective(family, uhf3, cantor3, rng, monkeypatch):
+    """Every barrier step stays strictly inside ||H|| < 1, and its stage
+    objective -g s - log det(I - H(z + s dz)^2) is at most the least one of a
+    dense scan of (0, s_max), evaluated with ``eigvalsh`` of H(z) + s H(dz)
+    directly.  The scan skips steps that end within 1e-3 of the boundary,
+    where the rounding of that direct evaluation grows as 1/(1 - ||H||)."""
+    c, B = _uhf_stack(uhf3, rng) if family == "uhf" else _cantor_stack(cantor3)
+    calls = []
+    line_step = mt._line_step
+
+    def recorded(w, Q, D, g):
+        s = line_step(w, Q, D, g)
+        calls.append((w, Q, D, g, s))
+        return s
+
+    monkeypatch.setattr(mt, "_line_step", recorded)
+    mt._barrier(c, mt._ConstraintMap(B), mt.SolverConfig().max_iter)
+
+    def objective(H, D, g, s):
+        """The stage objective at every s of a 1-D array inside ||H + s D|| < 1."""
+        mu = np.linalg.eigvalsh(H + s[:, None, None] * D)
+        return -g * s - np.sum(np.log1p(-(mu**2)), axis=1)
+
+    def norm(H, D, s):
+        return np.max(np.abs(np.linalg.eigvalsh(H + s * D)))
+
+    scanned = 0
+    for w, Q, D, g, s in calls:
+        H = (Q * w) @ np.conj(Q.T)
+        reach = norm(H, D, s)
+        assert 0 < s and reach < 1.0
+        if reach > 1.0 - 1e-3:
+            continue
+        lo, hi = s, 2.0 / np.max(np.abs(np.linalg.eigvalsh(D)))  # ||H + hi D|| > 2 - ||H|| > 1
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if norm(H, D, mid) < 1.0 else (lo, mid)
+        assert s < lo
+        f = objective(H, D, g, np.array([s]))[0]
+        assert f <= objective(H, D, g, np.linspace(0.0, lo, 1002)[1:-1]).min() + 1e-10 * max(1.0, abs(f))
+        scanned += 1
+    assert scanned >= 2
 
 
 def test_barrier_stops_at_a_closed_certificate_before_its_gap(monkeypatch):
