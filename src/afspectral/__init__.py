@@ -64,12 +64,12 @@ from .metric import (
     DistanceProblem,
     DistanceResult,
     SolverConfig,
-    brute_force_distance,
     car_certified_upper_bound,
     car_golden_case,
     car_vector,
     distance,
     reduce_search_level,
+    solve,
 )
 from .triple import (
     DiracSpec,

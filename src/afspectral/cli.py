@@ -338,9 +338,7 @@ def run_flip_demo(p) -> list:
     )
     rep["record"] = "flip-demo"
     rep["ok"] = bool(
-        rep["flip_outside_rigid_group"]
-        and rep["max_distance_deviation"] <= 1e-6
-        and rep["identity_residual"] < 1e-14
+        rep["flip_outside_rigid_group"] and rep["all_closed"] and rep["identity_residual"] < 1e-14
     )
     return [rep]
 

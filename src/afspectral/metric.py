@@ -13,12 +13,14 @@ states factor through.
 
 The problem max c . t subject to ||sum_i t_i B_i|| <= 1, with B_i the basis
 commutators and c the state-difference vector, is convex, so one
-deterministic solve serves every problem (see ``distance``).  Its norm
-kernel is one batched symmetric-eigen call over a stack of parameter rows:
-real stacks (Cantor triples, where the B_i are real antisymmetric) stay in
-real arithmetic and read the norm off the Gram matrix M(t)^T M(t),
-M(t) = sum_i t_i B_i; complex stacks are anti-Hermitian, and the norm is
-the spectral radius of the Hermitian H(t) = i M(t).
+deterministic solve serves every problem: :func:`solve` takes any
+anti-Hermitian stack, and ``distance`` builds the stack from a triple and
+two states and passes it there.  Its norm kernel is one batched
+symmetric-eigen call over a stack of parameter rows: real stacks (Cantor
+triples, where the B_i are real antisymmetric) stay in real arithmetic and
+read the norm off the Gram matrix M(t)^T M(t), M(t) = sum_i t_i B_i;
+complex stacks are anti-Hermitian, and the norm is the spectral radius of
+the Hermitian H(t) = i M(t).
 
 The Frobenius start and any informed starts are scored where they stand by
 the scale-invariant ratio (c . t)/||M(t)||, and the best is certified.  A
@@ -39,9 +41,8 @@ within 7e-4 (relative) of the optimum, and it is certified where it stands
 on the split-level-3 pairs.  One SVD of the stack rows, taken when the
 constraint map is built, gives G^+, the certificate's last minimum-norm
 correction and the barrier's range basis.  It also decides boundedness
-before any start is scored, for the solver and the brute-force oracle
-alike: its null directions are exactly where M(t) = 0, so a part of c there
-makes the distance infinite.
+before any start is scored: its null directions are exactly where
+M(t) = 0, so a part of c there makes the distance infinite.
 
 Every result carries a lower bound, certified by an explicit feasible
 witness through the public operations, and an upper bound, the smallest
@@ -60,7 +61,6 @@ from .errors import (
     InvalidInputError,
     PreconditionError,
     UnboundedObjectiveError,
-    UnsupportedError,
 )
 from .linalg import TOL, check_dense_bytes
 
@@ -133,15 +133,6 @@ def _search_space(problem: DistanceProblem):
     return c, comms[:, :dim_sl, :dim_sl], idxs
 
 
-def _rowwise(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """A @ x for every row x of X, one product per row.
-
-    A batched product applies the same kernel to each row, so a row's
-    rounding does not depend on which other rows share the batch.
-    """
-    return np.matmul(A, X[:, :, None])[..., 0]
-
-
 class _ConstraintMap:
     """Batched norm kernel: t -> ||sum_i t_i B_i|| over stacks of parameter rows.
 
@@ -163,7 +154,6 @@ class _ConstraintMap:
         # row i is vec(B_i) on a real stack, vec(i B_i) on a complex one; contiguous for BLAS
         flat = B.real.reshape(p, d * d) if self.real else (1j * B).reshape(p, d * d)
         self.flat = np.ascontiguousarray(flat)
-        self.flat_t = np.ascontiguousarray(self.flat.T)
         # one SVD of the real stack rows R, whose Gram matrix G = R R^T gives
         # ||M(t)||_F^2 = t^T G t: the Frobenius start, the unboundedness
         # refusal, dual_bound's last correction and the barrier's range basis
@@ -203,8 +193,12 @@ class _ConstraintMap:
 
     def images(self, T: np.ndarray) -> np.ndarray:
         """sum_i t_i flat_i for every row t of T, shape (S, d, d): M(t) on a
-        real stack, H(t) = i M(t) on a complex one."""
-        return _rowwise(self.flat_t, T).reshape(len(T), *self.shape)
+        real stack, H(t) = i M(t) on a complex one.
+
+        One batched product with a (1, p) row per batch entry, so a row's
+        rounding does not depend on which other rows share the batch.
+        """
+        return np.matmul(T[:, None, :], self.flat)[:, 0].reshape(len(T), *self.shape)
 
     def norms(self, T: np.ndarray) -> np.ndarray:
         if self.real:
@@ -451,15 +445,14 @@ def _zero_result(problem, diagnostics):
     return DistanceResult(0.0, 0.0, zero, diagnostics)
 
 
-def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> DistanceResult:
-    """Certified lower and upper bounds (and a witness) for the state distance.
+def solve(c: np.ndarray, B: np.ndarray, informed_starts=(), cfg: SolverConfig | None = None):
+    """max (c . t)/||sum_i t_i B_i|| over an anti-Hermitian stack B of shape (p, d, d).
 
-    The returned ``lower_bound`` is |s1(w) - s2(w)| for the explicit witness
-    ``w``, rescaled to unit commutator norm through the public operations, so
-    it holds independently of solver quality.  ``upper_bound`` is the
-    smallest certificate computed (``_ConstraintMap.dual_bound``), inf only
-    if none met its constraints; :func:`closed` says whether the bounds pin
-    the distance.
+    Returns (ratio, t, upper_bound, diagnostics): the ratio at the point t,
+    a lower bound since t/||M(t)|| is feasible; the smallest certificate
+    computed (``_ConstraintMap.dual_bound``), inf only if none met its
+    constraints, so :func:`closed` says whether the two pin the maximum; and
+    ``{"best_start", "per_start"}``.
 
     One deterministic path.  The Frobenius start G^+ c (``"frobenius"``) and
     the informed starts (``"informed-k"``) are scored where they stand: each
@@ -470,26 +463,21 @@ def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> Dista
     :func:`_barrier` runs once from the Frobenius start (the ``"barrier"``
     row of ``per_start``, its Newton steps as ``iterations``, at most
     ``cfg.max_iter``) until its own certificate closes, and the better ratio
-    is kept.
+    is kept.  A c of norm below TOL.zero_norm returns ratio and bound 0 at
+    t = 0, with ``best_start`` None and no rows, before B is read.
     An informed start of the wrong length or with non-finite entries raises
     :class:`InvalidInputError`.  An objective unbounded along a
     Dirac-commuting direction raises :class:`UnboundedObjectiveError` before
-    any start is scored.  A problem whose commutator stack would exceed
-    ``linalg.MAX_DENSE_BYTES`` raises :class:`UnsupportedError`, naming the
-    estimate, before the stack is allocated.
+    any start is scored.
     """
     cfg = cfg or SolverConfig()
-    if problem.search_level == 0:
-        return _zero_result(problem, {"reason": "states factor through the scalars"})
-
-    c, B, _ = _search_space(problem)
     p = len(c)
     if np.linalg.norm(c) < TOL.zero_norm:
-        return _zero_result(problem, {"reason": "states agree on the search level"})
+        return 0.0, np.zeros(p), 0.0, {"best_start": None, "per_start": []}
     cons = _ConstraintMap(B)
 
     starts = [("frobenius", cons.frobenius_start(c))]
-    for k, w in enumerate(problem.informed_starts):
+    for k, w in enumerate(informed_starts):
         w = np.asarray(w, dtype=float)
         if w.shape != (p,):
             raise InvalidInputError("informed start has wrong parameter dimension")
@@ -518,80 +506,46 @@ def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> Dista
         upper = min(upper, bound)
         if value > best_val:
             best_start, best_val, best_t = "barrier", value, t
+    return float(best_val), best_t, float(upper), {"best_start": best_start, "per_start": per_start}
+
+
+def distance(problem: DistanceProblem, cfg: SolverConfig | None = None) -> DistanceResult:
+    """Certified lower and upper bounds (and a witness) for the state distance.
+
+    :func:`solve` maximizes over the search space of ``_search_space``; its
+    certificate is ``upper_bound`` and its diagnostics are kept.  The
+    returned ``lower_bound`` is |s1(w) - s2(w)| for the explicit witness
+    ``w``, solve's point rescaled to unit commutator norm through the public
+    operations, so it holds independently of solver quality.  States that
+    factor through the scalars or agree on the search level are at distance
+    0, with a ``reason`` in place of the solver's diagnostics.  A problem
+    whose commutator stack would exceed ``linalg.MAX_DENSE_BYTES`` raises
+    :class:`UnsupportedError`, naming the estimate, before the stack is
+    allocated.
+    """
+    if problem.search_level == 0:
+        return _zero_result(problem, {"reason": "states factor through the scalars"})
+
+    c, B, _ = _search_space(problem)
+    value, t, upper, diag = solve(c, B, problem.informed_starts, cfg)
+    if diag["best_start"] is None:
+        return _zero_result(problem, {"reason": "states agree on the search level"})
 
     # certify through the public operations
     filt = problem.triple.filtration
     coeffs = np.zeros(filt.dim(problem.search_level), dtype=complex)
-    coeffs[1:] = best_t
+    coeffs[1:] = t
     raw = al.AlgebraElement(filt, problem.search_level, coeffs)
     nrm = problem.triple.commutator_norm(raw)
     witness = raw * (1.0 / nrm)
     lower = abs(complex(problem.s1.value(witness) - problem.s2.value(witness)))
     diagnostics = {
         "search_level": problem.search_level,
-        "parameters": p,
-        "best_start": best_start,
-        "per_start": per_start,
-        "solver_objective": float(best_val),
+        "parameters": len(c),
+        **diag,
+        "solver_objective": value,
     }
-    return DistanceResult(float(lower), float(upper), witness, diagnostics)
-
-
-def _brute_force_core(c: np.ndarray, B: np.ndarray, points: int = 10000, seed: int = 12345) -> float:
-    """Dense direction scan plus shrinking local refinement over <= 4 parameters."""
-    c = np.asarray(c, dtype=float)
-    p = len(c)
-    if p > 4:
-        raise UnsupportedError(f"brute force supports <= 4 parameters, got {p}")
-    if np.linalg.norm(c) < TOL.zero_norm:
-        return 0.0
-
-    if p == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    elif p == 2:
-        ang = np.linspace(0.0, 2 * np.pi, points, endpoint=False)
-        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    else:
-        rng = np.random.default_rng(seed)
-        n = points if p == 3 else 20 * points
-        dirs = rng.normal(size=(n, p))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-
-    cons = _ConstraintMap(B)
-    cons.check_bounded(c)
-
-    def batch_value(ts):
-        s = cons.norms(ts)
-        num = ts @ c
-        bad = s < TOL.zero_norm
-        return np.where(bad, 0.0, np.abs(num) / np.where(bad, 1.0, s))
-
-    vals = batch_value(dirs)
-    best = int(np.argmax(vals))
-    best_val, best_t = float(vals[best]), dirs[best]
-
-    rng = np.random.default_rng(seed + 1)
-    sigma = 0.3
-    for _ in range(30):
-        cand = best_t[None, :] + sigma * rng.normal(size=(300, p))
-        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        cv = batch_value(cand)
-        j = int(np.argmax(cv))
-        if cv[j] > best_val:
-            best_val, best_t = float(cv[j]), cand[j]
-        sigma *= 0.7
-    return best_val
-
-
-def brute_force_distance(problem: DistanceProblem) -> float:
-    """Independent oracle: dense direction scan plus shrinking local refinement.
-
-    Only available for parameter dimension <= 4 after reduction.
-    """
-    if problem.search_level == 0:
-        return 0.0
-    c, B, _ = _search_space(problem)
-    return _brute_force_core(c, B)
+    return DistanceResult(float(lower), upper, witness, diagnostics)
 
 
 _CAR_VECTORS = {

@@ -384,13 +384,27 @@ def test_flip_demo_report():
     assert rep["flip_outside_rigid_group"]
     assert rep["identity_residual"] < 1e-14
     assert rep["max_distance_deviation"] <= 1e-6
-    assert rep["max_oracle_vs_analytic"] <= 1e-6
+    assert rep["all_closed"]
+    assert rep["max_bound_vs_analytic"] <= 1e-12
 
 
 def test_flip_demo_other_eigenvalues():
     rep = iso.flip_demo(d1=-1.5, d2=2.0, n_pairs=30, n_elements=30)
     assert rep["commutator_operator_norm"] == pytest.approx(3.5, abs=1e-12)
     assert rep["max_distance_deviation"] <= 1e-6
+    assert rep["all_closed"]
+    assert rep["max_bound_vs_analytic"] <= 1e-12
+
+
+@pytest.mark.parametrize("d2", [1e-3, 1e4])
+def test_flip_demo_bounds_hold_across_scales(d2):
+    """Both certified bounds of every pair, before and after the flip, lie
+    within 1e-12 (relative) of |c|/|d2 - d1|, also where the distances are of
+    order 1e3 or 1e-4."""
+    rep = iso.flip_demo(d1=0.0, d2=d2, n_pairs=30, n_elements=30)
+    assert rep["commutator_operator_norm"] == pytest.approx(d2, rel=1e-12)
+    assert rep["all_closed"]
+    assert rep["max_bound_vs_analytic"] <= 1e-12
 
 
 def test_flip_demo_rejects_equal_eigenvalues():

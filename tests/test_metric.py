@@ -18,6 +18,7 @@ from afspectral.errors import (
 )
 
 from conftest import random_element
+from oracle import brute_force_core, brute_force_distance
 
 F1 = al.uhf(2, 1)
 F3 = al.uhf(2, 3)
@@ -132,7 +133,7 @@ def test_parameter_cap(uhf3, monkeypatch):
     with pytest.raises(UnsupportedError, match=r"search level 3 needs a 3\.94 MiB commutator stack"):
         mt.distance(p)
     with pytest.raises(UnsupportedError, match=r"3\.94 MiB"):
-        mt.brute_force_distance(p)
+        brute_force_distance(p)
     monkeypatch.setattr(linalg, "MAX_DENSE_BYTES", need)
     assert mt._search_space(p)[1].shape == (63, 64, 64)
 
@@ -237,6 +238,43 @@ def _cantor_stack(cantor3):
     return c, B
 
 
+@pytest.mark.parametrize("stack", ["real", "complex"])
+def test_solve_zero_objective_is_zero_without_the_barrier(stack, uhf3, cantor3, rng, monkeypatch):
+    """A zero c is at distance 0 before the stack is read: ratio and bound 0
+    at t = 0, no start scored, and ``_barrier`` (which divides by |c_z|) not
+    entered."""
+    def refuse(*_):
+        raise AssertionError("the barrier ran")
+
+    c, B = _cantor_stack(cantor3) if stack == "real" else _uhf_stack(uhf3, rng)
+    monkeypatch.setattr(mt, "_barrier", refuse)
+    value, t, upper, diag = mt.solve(np.zeros(len(c)), B)
+    assert (value, upper) == (0.0, 0.0)
+    assert np.array_equal(t, np.zeros(len(c)))
+    assert diag == {"best_start": None, "per_start": []}
+
+
+def test_distance_of_agreeing_states_keeps_its_zero_record(uhf1):
+    res = mt.distance(mt.DistanceProblem(uhf1, al.TraceState(), al.TraceState(), search_level=1))
+    assert (res.lower_bound, res.upper_bound) == (0.0, 0.0)
+    assert res.diagnostics == {"reason": "states agree on the search level"}
+
+
+def test_distance_reports_solve_on_its_search_space(cantor3):
+    """``distance`` is ``solve`` on the stack of ``_search_space``: the same
+    ratio, certificate and diagnostics, with the witness's lower bound."""
+    problem = mt.DistanceProblem(cantor3, al.CharacterState((0, 1, 0)), al.CharacterState((1, 1, 0)))
+    c, B, _ = mt._search_space(problem)
+    value, t, upper, diag = mt.solve(c, B)
+    res = mt.distance(problem)
+    assert res.upper_bound == upper and res.diagnostics["solver_objective"] == value
+    assert {k: res.diagnostics[k] for k in diag} == diag
+    w = res.witness.coeffs[1:].real
+    assert np.allclose(w / np.linalg.norm(w), t / np.linalg.norm(t), rtol=0, atol=1e-14)
+    assert res.lower_bound == pytest.approx(value, rel=1e-12)
+    assert mt.closed(upper, res.lower_bound)
+
+
 @pytest.mark.parametrize("family", ["uhf", "cantor", "product"])
 def test_search_space_matches_per_element_commutators(family, uhf3, cantor3, rng):
     if family == "cantor":
@@ -326,7 +364,7 @@ def test_lockstep_raises_on_unbounded_objective(bs, c):
     with pytest.raises(UnboundedObjectiveError):
         cons.frobenius_start(c)
     with pytest.raises(UnboundedObjectiveError):
-        mt._brute_force_core(c, B)
+        brute_force_core(c, B)
 
 
 @pytest.mark.parametrize("b", [[[0.0, 1.0], [-1.0, 0.0]], [[0.0, 1j], [1j, 0.0]]], ids=["real", "complex"])
@@ -454,7 +492,7 @@ def test_dual_bound_above_brute_force(uhf1):
     c, B, _ = mt._search_space(p)
     res = mt.distance(p, FAST)
     upper, _ = mt._ConstraintMap(B).dual_bound(c, res.witness.coeffs[1:].real)
-    assert upper >= mt.brute_force_distance(p)
+    assert upper >= brute_force_distance(p)
     assert upper == pytest.approx(res.lower_bound, rel=1e-9)
 
 
@@ -764,25 +802,25 @@ def test_dual_bound_matches_car_upper_bound():
 def test_brute_force_matches_worked_example():
     t1 = tr.build_triple(F1, al.TraceState(), tr.dirac_explicit([2.0]))
     p = mt.DistanceProblem(t1, al.VectorState(mt.car_vector(F1, 3)), al.TraceState())
-    assert mt.brute_force_distance(p) == pytest.approx(0.5, abs=1e-6)
+    assert brute_force_distance(p) == pytest.approx(0.5, abs=1e-6)
 
 
 def test_brute_force_agrees_with_solver(uhf1):
     p = mt.DistanceProblem(uhf1, al.VectorState(mt.car_vector(F1, 1)), al.TraceState())
-    bf = mt.brute_force_distance(p)
+    bf = brute_force_distance(p)
     solver = mt.distance(p, FAST).lower_bound
     assert bf == pytest.approx(solver, abs=1e-4)
 
 
 def test_brute_force_zero_for_equal_states(uhf1):
     p = mt.DistanceProblem(uhf1, al.TraceState(), al.TraceState(), search_level=1)
-    assert mt.brute_force_distance(p) == 0.0
+    assert brute_force_distance(p) == 0.0
 
 
 def test_brute_force_dimension_guard(uhf3):
     p = mt.DistanceProblem(uhf3, al.TraceState(), al.VectorState(mt.car_vector(F3, 3)), search_level=2)
     with pytest.raises(UnsupportedError):
-        mt.brute_force_distance(p)
+        brute_force_distance(p)
 
 
 # ---------------------------------------------------------------------------
