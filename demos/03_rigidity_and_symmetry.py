@@ -5,8 +5,10 @@ Rigidity means: implemented on the representation space by a unitary that
 commutes with the Dirac operator.  With strictly increasing eigenvalues this
 forces preservation of every filtration level and of the reference state.
 The demos below walk the verdicts, enumerate the full rigid group of the
-binary tree, certify that slot switches change distances, and show the
-two-point flip preserving every distance while failing rigidity.
+binary tree, certify that on the Cantor set it is the whole group of
+distance-preserving automorphisms, certify that slot switches change
+distances, and show the two-point flip preserving every distance while
+failing rigidity.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from afspectral import (
     UniformState,
     build_triple,
     cantor,
+    cantor_coincidence,
     dirac_explicit,
     dirac_power,
     enumerate_cantor_iso,
@@ -59,6 +62,20 @@ for depth, lam in ((2, [1.0, 2.0]), (3, [1.0, 2.0, 4.0])):
         f"depth {depth}: {rep['passing']} of {rep['scanned']} leaf permutations "
         f"commute with D; tree portraits predict {rep['group_order']} "
         f"(match: {rep['matches_portraits']})"
+    )
+
+# -- rigid = distance preserving on the Cantor set -------------------------------
+
+print("\ncertified split-level distances f(m) of the Cantor set, gamma = 1/3:")
+for depth in (3, 4, 5):
+    rep = cantor_coincidence(1 / 3, depth)
+    intervals = ", ".join(
+        f"f({m}) in [{c['lower_bound']:.6f}, {c['upper_bound']:.6f}]" for m, c in rep["classes"].items()
+    )
+    print(f"  depth {depth}: {intervals}")
+    print(
+        f"    {rep['generators']} node flips commute with D: {rep['generators_commute']}; "
+        f"intervals disjoint: {rep['intervals_disjoint']}; rigid = distance preserving: {rep['coincide']}"
     )
 
 # -- switches do change distances ----------------------------------------------

@@ -48,12 +48,12 @@ from .isometry import (
     SlotAutomorphism,
     TreePortrait,
     apply_automorphism,
+    cantor_coincidence,
     enumerate_cantor_iso,
     filtration_check,
     flip_demo,
     implementing_unitary,
     iso_check,
-    m_invariance_experiment,
     odometer_portrait,
     shift_inequality_check,
     switch,

@@ -26,6 +26,10 @@ import numpy as np
 from .errors import InvalidInputError
 from .linalg import TOL
 
+GRADE_ZERO = 1e-14  # coefficient modulus below which a term does not count toward the grade
+DENSITY_TOL = 1e-12  # rounding allowed in a density's unit trace and in its eigenvalues' signs
+VANISHING_TOL = 1e-12  # modulus below which a state's value on a basis element reads as zero
+
 # ---------------------------------------------------------------------------
 # filtrations and basis indices
 # ---------------------------------------------------------------------------
@@ -254,7 +258,7 @@ class AlgebraElement:
     @property
     def grade(self) -> int:
         idxs = canonical_basis(self.filtration, self.level)
-        nz = np.nonzero(np.abs(self.coeffs) > 1e-14)[0]
+        nz = np.nonzero(np.abs(self.coeffs) > GRADE_ZERO)[0]
         return int(idxs[nz[-1]].grade) if len(nz) else 0
 
     def adjoint(self) -> "AlgebraElement":
@@ -468,15 +472,15 @@ class ProductState(State):
         for d in self.densities:
             if d.ndim != 2 or d.shape[0] != d.shape[1]:
                 raise InvalidInputError("densities must be square matrices")
-            if np.max(np.abs(d - np.conj(d).T)) > 1e-12:
+            if np.max(np.abs(d - np.conj(d).T)) > TOL.hermitian:
                 raise InvalidInputError("densities must be Hermitian")
-            if abs(np.trace(d) - 1.0) > 1e-12:
+            if abs(np.trace(d) - 1.0) > DENSITY_TOL:
                 raise InvalidInputError("densities must have unit trace")
-            if np.min(np.linalg.eigvalsh(d)) < -1e-12:
+            if np.min(np.linalg.eigvalsh(d)) < -DENSITY_TOL:
                 raise InvalidInputError("densities must be positive")
 
     def is_faithful_reference(self):
-        return all(np.min(np.linalg.eigvalsh(d)) > 1e-12 for d in self.densities)
+        return all(np.min(np.linalg.eigvalsh(d)) > DENSITY_TOL for d in self.densities)
 
     def density(self, level: int) -> np.ndarray:
         if level > len(self.densities):
@@ -502,5 +506,5 @@ def basis_grades(filtration: Filtration, level: int) -> np.ndarray:
 def vanishing_level(state: State, filtration: Filtration) -> int:
     """Smallest m with state(e) = 0 for every full-depth basis index of grade > m."""
     n = filtration.depth
-    nonzero = np.abs(state.basis_values(filtration, n)) > 1e-12
+    nonzero = np.abs(state.basis_values(filtration, n)) > VANISHING_TOL
     return int(np.max(basis_grades(filtration, n)[nonzero], initial=0))

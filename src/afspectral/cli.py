@@ -34,8 +34,9 @@ from . import isometry as iso
 from . import metric as mt
 from . import triple as tr
 from .errors import AmbiguousVerdictError, InvalidInputError, PreconditionError, UnboundedObjectiveError
-from .linalg import random_unitary
+from .linalg import TOL, random_unitary
 
+FLIP_IDENTITY_TOL = 1e-14  # flip-demo residual of [D, U*aU] = -U*[D, a]U below which the identity holds
 
 # ---------------------------------------------------------------------------
 # shared parsers
@@ -195,7 +196,7 @@ def run_distance(p) -> list:
                 rec["matched_word_commutator_norm"] = triple.commutator_norm(word)
                 rec["ok"] = bool(
                     mt.closed(rec["upper_bound"], rec["lower_bound"])
-                    and abs(rec["matched_word_commutator_norm"] - lam[n]) <= 1e-10
+                    and abs(rec["matched_word_commutator_norm"] - lam[n]) <= TOL.structural
                 )
                 rec.pop("certificate")
                 records.append(rec)
@@ -306,15 +307,8 @@ def run_iso_enumerate(p) -> list:
 
 
 def run_cantor_metric(p) -> list:
-    rep = iso.m_invariance_experiment(p["gamma"], _one(p, "depth"))
-    rep["classes"] = {str(k): v for k, v in rep["classes"].items()}
-    rep["record"] = "cantor-metric"
-    rep["ok"] = bool(
-        rep["max_spread"] <= 2e-5
-        and rep["separated"]
-        and rep["portraits_preserve_classes"]
-        and rep["violating_permutation_moves_class"]
-    )
+    rep = iso.cantor_coincidence(p["gamma"], _one(p, "depth"))
+    rep.update(record="cantor-metric", ok=rep["coincide"])
     return [rep]
 
 
@@ -338,7 +332,7 @@ def run_flip_demo(p) -> list:
     )
     rep["record"] = "flip-demo"
     rep["ok"] = bool(
-        rep["flip_outside_rigid_group"] and rep["all_closed"] and rep["identity_residual"] < 1e-14
+        rep["flip_outside_rigid_group"] and rep["all_closed"] and rep["identity_residual"] < FLIP_IDENTITY_TOL
     )
     return [rep]
 
@@ -536,7 +530,7 @@ SUBCOMMANDS = {
                   {**_TRIPLE, "auto": None, "round-trip": None, "seed": 0}),
     "iso-enumerate": (run_iso_enumerate, "tree-automorphism group of the Cantor triple",
                       {**_DIRAC, "depth": [3], "exhaustive": False, "progress": False}),
-    "cantor-metric": (run_cantor_metric, "leaf-pair distance table grouped by split level",
+    "cantor-metric": (run_cantor_metric, "certified: Cantor rigid group = metric-isometry group",
                       {"gamma": 1 / 3, "depth": None}),
     "switch-violation": (run_switch_violation, "distance gap under a tensor-slot switch",
                          {"k": [1], "l": [3], "lambda": None}),

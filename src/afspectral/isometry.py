@@ -6,8 +6,9 @@ For pairwise distinct eigenvalues this holds exactly when the automorphism
 preserves every filtration level and the reference state; with tied
 eigenvalues only the merged level blocks need to be preserved.  This module
 decides membership, enumerates the full tree-automorphism group of the
-binary Cantor triple, and runs the quantitative experiments that separate
-unitary rigidity from plain distance preservation: tensor-slot switches
+binary Cantor triple, certifies that on the Cantor set this group is the
+whole metric-isometry group, and runs the quantitative experiments that
+separate unitary rigidity from plain distance preservation: tensor-slot switches
 shift the distance-to-trace of matched vector states, the two-point flip
 preserves all distances without commuting with the Dirac operator, and the
 one-sided shift stretches commutator norms by an explicit eigenvalue ratio.
@@ -15,7 +16,7 @@ one-sided shift stretches commutator norms by an explicit eigenvalue ratio.
 
 import sys
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -30,6 +31,10 @@ from .errors import (
     UnsupportedError,
 )
 from .linalg import TOL, norm_exceeds, operator_norm, random_unitary
+
+SWITCH_GAP_MIN = 1e-12  # |1/lambda_1 - 1/lambda_{k+1}| above which a slot switch moves a distance
+SHIFT_LAMBDA_SLACK = 1e-12  # rounding allowed in the shift precondition (c+1) lambda_n <= lambda_{n+1}
+SHIFT_NORM_SLACK = 1e-9  # rounding allowed between the two sides of a shift commutator-norm bound
 
 # ---------------------------------------------------------------------------
 # automorphism specifications
@@ -419,41 +424,38 @@ def _commuting_leaf_permutations(triple: tr.TruncatedTriple, perms, progress: bo
     return passing, scanned
 
 
+def _node_flips(depth: int) -> list:
+    """Leaf permutations of the 2^depth - 1 node flips (one-bit portraits); they generate the portraits."""
+    bit_rows = np.eye(2**depth - 1, dtype=int).tolist()
+    return [leaf_permutation_array(TreePortrait(depth, tuple(bits)), depth) for bits in bit_rows]
+
+
 def enumerate_cantor_iso(
     triple: tr.TruncatedTriple, mode: str = "portraits", progress: bool = False
 ) -> dict:
     """Count and verify the rigid automorphisms of the Cantor triple.
 
-    ``portraits`` checks every tree portrait (exhaustively up to depth 4);
-    ``exhaustive`` scans all leaf permutations (depth <= 3) and reports how
-    many commute with the Dirac operator, which must be exactly the portraits.
-    With ``progress`` the leaf scan reports its count on stderr.
+    ``portraits`` checks that each of the ``generators`` (2^N - 1 node flips,
+    depth <= 8) commutes with the Dirac operator, so every one of the
+    ``group_order`` portraits does; ``exhaustive`` scans all leaf
+    permutations (depth <= 3) and reports how many commute with the Dirac
+    operator, which must be exactly the portraits.  With ``progress`` the
+    leaf scan reports its count on stderr.
     """
     filt = triple.filtration
     if filt.family != "cantor":
         raise InvalidInputError("enumeration applies to cantor triples")
     n = filt.depth
-    order = 2 ** (2**n - 1)
-    report = {"depth": n, "mode": mode, "group_order": order}
-
-    def leaf_arrays(bit_rows):
-        return (leaf_permutation_array(TreePortrait(n, tuple(bits)), n) for bits in bit_rows)
+    report = {"depth": n, "mode": mode, "group_order": 2 ** (2**n - 1)}
 
     if mode == "portraits":
         if n > 8:
             raise UnsupportedError("portrait enumeration capped at depth 8")
-        exhaustive = order <= 65536
-        if exhaustive:
-            candidates = list(product((0, 1), repeat=2**n - 1))
-        else:
-            rng = np.random.default_rng(0)
-            candidates = sorted({tuple(rng.integers(0, 2, size=2**n - 1)) for _ in range(512)})
-        passing, scanned = _commuting_leaf_permutations(triple, leaf_arrays(candidates))
+        passing, generators = _commuting_leaf_permutations(triple, _node_flips(n))
         report.update(
-            scanned=scanned,
+            generators=generators,
             passing=len(passing),
-            exhaustive=exhaustive,
-            all_pass=len(passing) == scanned,
+            all_pass=len(passing) == generators,
         )
         return report
 
@@ -463,7 +465,10 @@ def enumerate_cantor_iso(
         passing, scanned = _commuting_leaf_permutations(
             triple, permutations(range(2**n)), progress
         )
-        portraits = {tuple(g.tolist()) for g in leaf_arrays(product((0, 1), repeat=2**n - 1))}
+        portraits = {
+            tuple(leaf_permutation_array(TreePortrait(n, bits), n).tolist())
+            for bits in product((0, 1), repeat=2**n - 1)
+        }
         report.update(
             scanned=scanned,
             passing=len(passing),
@@ -473,6 +478,42 @@ def enumerate_cantor_iso(
         return report
 
     raise InvalidInputError(f"unknown mode {mode!r}")
+
+
+def cantor_coincidence(gamma: float, depth: int) -> dict:
+    """Certify that the rigid group of the Cantor triple is its metric-isometry group.
+
+    On the depth-N triple with D geometric in ``gamma``, portraits ⊆ rigid ⊆
+    metric-isometric ⊆ portraits closes when each of the ``generators``, the
+    2^N - 1 node flips, commutes with D (``generators_commute``) and the N
+    certified ``classes[m]`` intervals are pairwise disjoint
+    (``intervals_disjoint``); ``coincide`` says both.  Portraits act
+    transitively on the leaf pairs that first differ at coordinate m, so
+    their distance is one f(m), certified on 0...0 against the unit word e_m.
+    With the f(m) apart, a leaf permutation that keeps distances keeps split
+    levels: it is a portrait.  From depth 9 the first distance's commutator
+    stack is refused (:class:`UnsupportedError`) before any solve.
+    """
+    triple = tr.build_triple(al.cantor(depth), al.UniformState(), tr.dirac_geometric(gamma, depth))
+    origin = al.CharacterState((0,) * depth)
+    classes = {}
+    for m in range(1, depth + 1):
+        unit = al.CharacterState(tuple(int(i == m - 1) for i in range(depth)))
+        res = mt.distance(mt.reduce_search_level(mt.DistanceProblem(triple, origin, unit)))
+        classes[m] = {"lower_bound": res.lower_bound, "upper_bound": res.upper_bound}
+    passing, generators = _commuting_leaf_permutations(triple, _node_flips(depth))
+    intervals = sorted((c["lower_bound"], c["upper_bound"]) for c in classes.values())
+    disjoint = all(hi < lo for (_, hi), (lo, _) in zip(intervals, intervals[1:]))
+    commute = len(passing) == generators
+    return {
+        "gamma": gamma,
+        "depth": depth,
+        "classes": classes,
+        "generators": generators,
+        "generators_commute": commute,
+        "intervals_disjoint": disjoint,
+        "coincide": commute and disjoint,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +547,7 @@ def switch_iso_violation(triple: tr.TruncatedTriple, k: int, l: int = 3) -> dict
         "d_before": {key: before[key] for key in ("lower_bound", "upper_bound")},
         "d_after": {key: after[key] for key in ("lower_bound", "upper_bound")},
         "gap": float(gap),
-        "violation_certified": bool(certified and gap > 1e-12),
+        "violation_certified": bool(certified and gap > SWITCH_GAP_MIN),
     }
 
 
@@ -592,7 +633,7 @@ def shift_inequality_check(
         raise PreconditionError("c must be positive")
     if n < 1 or triple.depth < n + 1:
         raise PreconditionError(f"need depth >= {n + 1}")
-    if (c + 1.0) * lam[n] > lam[n + 1] + 1e-12:
+    if (c + 1.0) * lam[n] > lam[n + 1] + SHIFT_LAMBDA_SLACK:
         raise PreconditionError("(c+1) lambda_n <= lambda_{n+1} fails")
     if x.level > 1:
         raise InvalidInputError("x must live at level 1")
@@ -604,87 +645,16 @@ def shift_inequality_check(
         "c": c,
         "lhs": float(lhs),
         "rhs": float(rhs),
-        "holds": bool(lhs <= rhs + 1e-9),
+        "holds": bool(lhs <= rhs + SHIFT_NORM_SLACK),
     }
     if n == 1 and 2 * lam[1] < lam[2]:
         factor = (lam[2] - lam[1]) / lam[1]
         lhs1 = triple.commutator_norm(al.shift_embed(x, 1))
         report["special_case"] = {
             "factor": float(factor),
-            "holds": bool(lhs1 >= factor * lhs - 1e-9),
+            "holds": bool(lhs1 >= factor * lhs - SHIFT_NORM_SLACK),
         }
     return report
-
-
-def m_invariance_experiment(gamma: float, depth: int) -> dict:
-    """Distance table over all leaf pairs, grouped by the first split level.
-
-    For gamma below (3 - sqrt(5))/2 the distance between two leaf characters
-    depends only on m = the first coordinate where the leaves differ: tree
-    automorphisms act transitively on pairs with fixed m and preserve the
-    distance, so values are constant on m-classes and separated across them.
-    A non-tree leaf permutation moves at least one pair across classes.
-    """
-    limit = (3.0 - np.sqrt(5.0)) / 2.0
-    if not (0.0 < gamma < limit):
-        raise PreconditionError(f"gamma must lie in (0, {limit:.6f})")
-    if depth > 4:
-        raise PreconditionError("experiment capped at depth 4")
-    filt = al.cantor(depth)
-    triple = tr.build_triple(filt, al.UniformState(), tr.dirac_geometric(gamma, depth))
-    leaves = list(product((0, 1), repeat=depth))
-    pairs = list(combinations(range(2**depth), 2))
-
-    def split_level(i, j):
-        """First coordinate (1-based) where the words of leaves i != j differ."""
-        return depth + 1 - (int(i) ^ int(j)).bit_length()
-
-    classes = {}  # split level -> distances of its leaf pairs
-    for i, j in pairs:
-        x, y = leaves[i], leaves[j]
-        prob = mt.reduce_search_level(
-            mt.DistanceProblem(triple, al.CharacterState(x), al.CharacterState(y))
-        )
-        classes.setdefault(split_level(i, j), []).append(mt.distance(prob).lower_bound)
-
-    stats = {}
-    for m, dists in sorted(classes.items()):
-        vals = np.array(dists)
-        stats[m] = {
-            "count": len(vals),
-            "mean": float(vals.mean()),
-            "min": float(vals.min()),
-            "max": float(vals.max()),
-            "spread": float(vals.max() - vals.min()),
-        }
-    spread = max(s["spread"] for s in stats.values())
-    ms = sorted(stats)
-    gap = min(
-        abs(stats[a]["mean"] - stats[b]["mean"]) for a, b in combinations(ms, 2)
-    )
-
-    def moves_class(g):
-        """Whether the leaf permutation g sends some pair to another split level."""
-        return any(split_level(g[i], g[j]) != split_level(i, j) for i, j in pairs)
-
-    # portraits fix every class; a cross-subtree transposition does not
-    rng = np.random.default_rng(0)
-    portraits_fix = not any(
-        [moves_class(leaf_permutation_array(random_portrait(depth, rng), depth)) for _ in range(20)]
-    )
-    violating = list(range(2**depth))
-    violating[0], violating[-1] = violating[-1], violating[0]
-
-    return {
-        "gamma": gamma,
-        "depth": depth,
-        "classes": stats,
-        "max_spread": float(spread),
-        "min_interclass_gap": float(gap),
-        "separated": bool(gap >= 10 * spread),
-        "portraits_preserve_classes": portraits_fix,
-        "violating_permutation_moves_class": moves_class(violating),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ one PASS/FAIL line (visible with ``pytest -s`` or in captured output).
 
 import json
 import time
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -94,23 +95,52 @@ def test_criterion_4_cantor_enumeration():
 
 
 def test_criterion_5_m_invariance():
-    gamma = 1.0 / 3.0
+    """The leaf-pair distance table at depth 3 depends only on the split level
+    (the first coordinate where two leaves differ); portraits keep split
+    levels and a cross-subtree transposition does not.  The certified
+    ``cantor_coincidence`` record of the same triple then says coincide."""
+    gamma, depth = 1.0 / 3.0, 3
     assert gamma < (3.0 - np.sqrt(5.0)) / 2.0
-    rep = iso.m_invariance_experiment(gamma, 3)
-    n_pairs = sum(s["count"] for s in rep["classes"].values())
+    triple = tr.build_triple(al.cantor(depth), al.UniformState(), tr.dirac_geometric(gamma, depth))
+    leaves = list(product((0, 1), repeat=depth))
+    pairs = list(combinations(range(2**depth), 2))
+
+    def split_level(i, j):
+        return depth + 1 - (int(i) ^ int(j)).bit_length()
+
+    classes = {}
+    for i, j in pairs:
+        problem = mt.DistanceProblem(triple, al.CharacterState(leaves[i]), al.CharacterState(leaves[j]))
+        res = mt.distance(mt.reduce_search_level(problem))
+        classes.setdefault(split_level(i, j), []).append(res.lower_bound)
+    spread = max(max(v) - min(v) for v in classes.values())
+    means = [float(np.mean(v)) for v in classes.values()]
+    gap = min(abs(a - b) for a, b in combinations(means, 2))
+
+    def moves_class(g):
+        return any(split_level(g[i], g[j]) != split_level(i, j) for i, j in pairs)
+
+    rng = np.random.default_rng(0)
+    portraits_fix = not any(
+        moves_class(iso.leaf_permutation_array(iso.random_portrait(depth, rng), depth)) for _ in range(20)
+    )
+    violating = list(range(2**depth))
+    violating[0], violating[-1] = violating[-1], violating[0]
+    rep = iso.cantor_coincidence(gamma, depth)
     ok = (
-        sorted(rep["classes"]) == [1, 2, 3]
-        and n_pairs == 28
-        and rep["max_spread"] <= 2e-5
-        and rep["min_interclass_gap"] >= 10 * rep["max_spread"]
-        and rep["portraits_preserve_classes"]
-        and rep["violating_permutation_moves_class"]
+        sorted(classes) == [1, 2, 3]
+        and sum(len(v) for v in classes.values()) == 28
+        and spread <= 2e-5
+        and gap >= 10 * spread
+        and portraits_fix
+        and moves_class(violating)
+        and rep["coincide"]
     )
     _report(
         5,
         ok,
-        f"3 split-level classes over 28 pairs, spread {rep['max_spread']:.2e}, "
-        f"gap {rep['min_interclass_gap']:.3f}",
+        f"3 split-level classes over 28 pairs, spread {spread:.2e}, gap {gap:.3f}; "
+        f"{rep['generators']} node flips commute and the certified class intervals are disjoint",
     )
 
 

@@ -8,6 +8,7 @@ import pytest
 from afspectral import algebra as al
 from afspectral import cli
 from afspectral import linalg
+from afspectral import metric as mt
 from afspectral.errors import UnboundedObjectiveError
 
 
@@ -221,8 +222,20 @@ def test_cantor_metric_subcommand(capsys):
     )
     assert code == 0
     rec = records[0]
-    assert rec["separated"] and rec["max_spread"] <= 2e-5
+    assert rec["ok"] and rec["coincide"] and rec["generators"] == 3
+    assert rec["generators_commute"] and rec["intervals_disjoint"]
     assert set(rec["classes"]) == {"1", "2"}
+    assert all(mt.closed(c["upper_bound"], c["lower_bound"]) for c in rec["classes"].values())
+
+
+def test_cantor_metric_refuses_the_depth_9_stack_before_any_solve(capsys, monkeypatch):
+    solved = []
+    monkeypatch.setattr(mt, "solve", lambda *args, **kw: solved.append(args))
+    assert cli.main(["cantor-metric", "--depth", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not solved
+    assert captured.err.startswith("usage error: search level 9 needs a ")
+    assert "MiB commutator stack, over the 512 MiB limit" in captured.err
 
 
 def test_undecidable_verdict_exit_code(capsys):

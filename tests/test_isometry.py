@@ -6,6 +6,7 @@ import pytest
 from afspectral import algebra as al
 from afspectral import crossed as cx
 from afspectral import isometry as iso
+from afspectral import metric as mt
 from afspectral import triple as tr
 from afspectral.errors import InvalidInputError, NoUnitaryError, PreconditionError
 from afspectral.linalg import operator_norm, random_unitary
@@ -293,7 +294,7 @@ def test_enumeration_depth2():
 
 def test_enumeration_portraits_depth3(cantor3):
     rep = iso.enumerate_cantor_iso(cantor3, mode="portraits")
-    assert rep["exhaustive"] and rep["scanned"] == 128
+    assert rep["generators"] == 7 == rep["passing"] and rep["group_order"] == 128
     assert rep["all_pass"]
 
 
@@ -443,22 +444,17 @@ def test_shift_inequality_admissibility_guard():
 
 
 # ---------------------------------------------------------------------------
-# m-invariance experiment
+# certified Cantor coincidence
 # ---------------------------------------------------------------------------
 
 
-def test_m_invariance_gamma_guard():
-    with pytest.raises(PreconditionError):
-        iso.m_invariance_experiment(0.5, 2)
-
-
 def test_m_invariance_depth2():
-    rep = iso.m_invariance_experiment(1 / 3, 2)
+    rep = iso.cantor_coincidence(1 / 3, 2)
     assert sorted(rep["classes"]) == [1, 2]
-    assert rep["classes"][1]["count"] == 4 and rep["classes"][2]["count"] == 2
-    assert rep["separated"]
-    assert rep["portraits_preserve_classes"]
-    assert rep["violating_permutation_moves_class"]
+    assert rep["generators"] == 3 and rep["generators_commute"]
+    assert rep["intervals_disjoint"] and rep["coincide"]
+    assert all(mt.closed(c["upper_bound"], c["lower_bound"]) for c in rep["classes"].values())
+    assert rep["classes"][2]["upper_bound"] < rep["classes"][1]["lower_bound"]
 
 
 def test_near_tied_eigenvalues_raise_ambiguity():
@@ -473,11 +469,11 @@ def test_enumeration_caps():
     with pytest.raises(iso.UnsupportedError):
         iso.enumerate_cantor_iso(t4, mode="exhaustive")
     rep = iso.enumerate_cantor_iso(t4, mode="portraits")
-    assert rep["exhaustive"] and rep["scanned"] == 2**15 and rep["all_pass"]
-    # past 2^16 portraits, 512 seeded samples
+    assert rep["generators"] == 15 and rep["all_pass"] and rep["group_order"] == 2**15
+    # the node flips generate every portrait, so no depth needs sampling
     t5 = tr.build_triple(al.cantor(5), al.UniformState(), tr.dirac_power(2.0, 5))
     rep = iso.enumerate_cantor_iso(t5, mode="portraits")
-    assert not rep["exhaustive"] and rep["scanned"] == 512 and rep["all_pass"]
+    assert rep["generators"] == 31 and rep["all_pass"] and rep["group_order"] == 2**31
     t9 = tr.build_triple(al.cantor(9), al.UniformState(), tr.dirac_power(2.0, 9))
     with pytest.raises(iso.UnsupportedError, match="capped at depth 8"):
         iso.enumerate_cantor_iso(t9, mode="portraits")

@@ -436,20 +436,17 @@ def test_cantor_split_classes_have_equal_distances():
 @pytest.mark.parametrize("gamma", [0.05, 0.2, 1 / 3, 0.5, 0.8, 0.99])
 def test_cantor_split_levels_have_disjoint_certified_intervals(depth, gamma):
     """Tree portraits act transitively on the leaf pairs of one split level m,
-    so the character distance is a function f(m), read here on 0...0 against
-    the unit word e_m.  Every f(m) is certified, and the certified intervals
-    of f(1), ..., f(depth) strictly decrease and are pairwise disjoint, so a
-    leaf permutation that keeps distances keeps split levels: it is a
-    portrait.  The grid runs past gamma < (3 - sqrt 5)/2, the cap of
-    ``m_invariance_experiment``."""
-    triple = tr.build_triple(al.cantor(depth), al.UniformState(), tr.dirac_geometric(gamma, depth))
-    intervals = []
-    for m in range(depth):
-        unit = al.CharacterState(tuple(int(i == m) for i in range(depth)))
-        problem = mt.DistanceProblem(triple, al.CharacterState((0,) * depth), unit)
-        res = mt.distance(mt.reduce_search_level(problem))
-        assert mt.closed(res.upper_bound, res.lower_bound)
-        intervals.append((res.lower_bound, res.upper_bound))
+    so the character distance is a function f(m), read by
+    ``cantor_coincidence`` on 0...0 against the unit word e_m.  Every f(m) is
+    certified, and the certified intervals of f(1), ..., f(depth) strictly
+    decrease, so they are pairwise disjoint and a leaf permutation that keeps
+    distances keeps split levels: it is a portrait.  The grid runs past
+    (3 - sqrt 5)/2 ≈ 0.382 up to gamma = 0.99: the check needs no cap on gamma."""
+    rep = iso.cantor_coincidence(gamma, depth)
+    assert rep["coincide"]
+    intervals = [(c["lower_bound"], c["upper_bound"]) for _, c in sorted(rep["classes"].items())]
+    assert len(intervals) == depth
+    assert all(mt.closed(hi, lo) for lo, hi in intervals)
     assert all(max(nxt) < min(cur) for cur, nxt in zip(intervals, intervals[1:]))
 
 
